@@ -76,7 +76,7 @@ class RunConfig:
     tol: float = DEFAULT_VERDICT_TOL
     seed: int = 42
     trials: int = 200
-    cutoff_max: int = 128
+    cutoff_max: int = 256
     db_floor: float = DEFAULT_DB_FLOOR
 
     def __post_init__(self):
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="run the oracle property suites")
     val.add_argument("--trials", type=int, default=200)
     val.add_argument("--seed", type=int, default=42)
-    val.add_argument("--cutoff-max", type=int, default=128)
+    val.add_argument("--cutoff-max", type=int, default=256)
     val.add_argument("--out", default="", help="JSON report path (default stdout)")
     return parser
 

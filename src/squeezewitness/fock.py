@@ -6,13 +6,16 @@ expectation values are plain contractions.  The module exists to validate
 the analytic path, so it favours explicit truncation-error accounting over
 speed: no state is ever silently renormalized.
 
-Pure single-mode states are assembled from closed-form coherent/squeezed
-amplitudes, with displaced-squeezed combinations obtained by exponentiating
-the displacement generator in a workspace twice the requested cutoff and
-projecting down.  A thermal background is an isotropic Gaussian classical
-mixture of displacements, realized by Gauss-Hermite quadrature; the
-resulting density matrix reproduces the geometric number distribution of a
-thermal state to quadrature precision.
+Every single-mode state, pure or thermal, is built from its
+:class:`StateParams` by one exact recurrence for Gaussian Fock elements
+(Dodonov, Man'ko & Man'ko, PRA 49, 2993 (1994); Miatto & Quesada,
+Quantum 4, 366 (2020)).  Its coefficients come from the analytic
+continuation of the Husimi function.  Pure amplitudes follow a 3-term
+Hermite recurrence at O(c) cost, and density matrices a 2-D recurrence at
+O(c^2).  Neither involves quadrature or a matrix exponential, and the
+elements at cutoff ``c`` are exactly the leading block of those at ``2c``.
+``coherent_amplitudes`` and ``squeezed_amplitudes`` are independent
+closed-form references.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
 
 from .gaussian import StateParams
 from .opexpr import MODE, IS_DAGGER, OperatorExpr, ExpressionError, reorder, \
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION_BUDGET = 1e-8
-MAX_PURE_CUTOFF = 512
-MAX_MIXED_CUTOFF = 128
+MAX_CUTOFF = 512
 
 
 class TruncationError(Exception):
@@ -121,6 +120,11 @@ def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
 # State construction
 # ---------------------------------------------------------------------------
 
+def _log_factorials(cutoff: int) -> np.ndarray:
+    """``log(n!)`` for ``n = 0 .. cutoff - 1``."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, cutoff)))))[:cutoff]
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Number-basis amplitudes ``exp(-|alpha|^2/2) alpha^n / sqrt(n!)``."""
     if alpha == 0:
@@ -128,7 +132,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         v[0] = 1.0
         return v
     n = np.arange(cutoff)
-    magnitude = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1))
+    magnitude = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
+                       - 0.5 * _log_factorials(cutoff))
     phase = np.exp(1j * n * np.angle(complex(alpha)))
     return magnitude * phase
 
@@ -141,105 +146,81 @@ def squeezed_amplitudes(zeta: float, cutoff: int) -> np.ndarray:
     v = np.zeros(cutoff, dtype=complex)
     v[0] = 1.0
     t = np.tanh(zeta)
+    log_fact = _log_factorials(cutoff)
     for k in range(2, cutoff, 2):
         m = k // 2
-        v[k] = (-t) ** m * np.exp(0.5 * gammaln(k + 1) - m * np.log(2.0) - gammaln(m + 1))
+        v[k] = (-t) ** m * np.exp(0.5 * log_fact[k] - m * np.log(2.0) - log_fact[m])
     return v / np.sqrt(np.cosh(zeta))
 
 
-def _displacement_generator(alpha: complex, cutoff: int) -> np.ndarray:
-    a = build_ladder(cutoff).a_mat
-    return alpha * a.conj().T - np.conj(alpha) * a
+def _husimi_coefficients(params: StateParams) -> tuple[float, complex, float, complex]:
+    """``(T, a11, a12, b1)`` of the coherent-state kernel of one mode.
 
-
-@lru_cache(maxsize=8)
-def _radial_displacement_basis(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the radial displacement generator ``ad - a``.
-
-    ``D(r e^(i phi)) = e^(i phi n) expm(r (ad - a)) e^(-i phi n)`` holds
-    exactly in the truncated space, so a single Hermitian diagonalization
-    yields every displacement as two matrix-vector products.
+    For unnormalized coherent states ``|z) = sum_n z^n / sqrt(n!) |n>``,
+    ``(w|rho|z) = T exp(a11 x^2/2 + a12 x y + conj(a11) y^2/2 + b1 x +
+    conj(b1) y)`` with ``x = conj(w)`` and ``y = z``.  This is the analytic
+    continuation of the Husimi function, a Gaussian whose covariance is
+    ``M = V + I/2`` with ``V = R_phi^T diag(e^(-2 zeta)/2 + nbar,
+    e^(2 zeta)/2 + nbar) R_phi``.
     """
-    a = build_ladder(cutoff).a_mat
-    generator = a.conj().T - a
-    eigvals, eigvecs = np.linalg.eigh(1j * generator)
-    return eigvals, eigvecs
+    m_x = np.exp(-2.0 * params.zeta) / 2.0 + params.nbar + 0.5
+    m_p = np.exp(2.0 * params.zeta) / 2.0 + params.nbar + 0.5
+    a11 = complex(0.5 * (1.0 / m_p - 1.0 / m_x) * np.exp(2j * params.phi))
+    keep = float(0.5 * (1.0 / m_x + 1.0 / m_p))  # 1 - a12
+    alpha = complex(params.alpha)
+    b1 = keep * alpha - a11 * alpha.conjugate()
+    log_t = -keep * abs(alpha) ** 2 + (a11 * alpha.conjugate() ** 2).real
+    return float(np.exp(log_t) / np.sqrt(m_x * m_p)), a11, 1.0 - keep, b1
 
 
-def _displace_batch(base: np.ndarray, betas: np.ndarray, keep: int) -> np.ndarray:
-    """Apply ``D(beta) base`` for every beta; rows are the kept amplitudes."""
-    work = base.shape[0]
-    eigvals, eigvecs = _radial_displacement_basis(work)
-    levels = np.arange(work)
-    radii = np.abs(betas)
-    phases = np.angle(betas)
-    # Columns: e^(-i phi n) base for every node.
-    rotated = np.exp(-1j * np.outer(levels, phases)) * base[:, None]
-    spectral = eigvecs.conj().T @ rotated
-    spectral *= np.exp(-1j * np.outer(eigvals, radii))
-    displaced = eigvecs @ spectral
-    displaced *= np.exp(1j * np.outer(levels, phases))
-    return displaced[:keep, :].T
+def _hermite_sequence(first: complex, a: complex, b: complex, cutoff: int) -> np.ndarray:
+    """``v[n+1] = (b v[n] + a sqrt(n) v[n-1]) / sqrt(n+1)`` from ``v[0] = first``."""
+    roots = np.sqrt(np.arange(cutoff)).tolist()
+    v = [complex(first)] + [0j] * (cutoff - 1)
+    for n in range(cutoff - 1):
+        lower = a * roots[n] * v[n - 1] if n else 0j
+        v[n + 1] = (b * v[n] + lower) / roots[n + 1]
+    return np.array(v, dtype=complex)
 
 
-def _squeezed_rotated_base(params: StateParams, cutoff: int) -> np.ndarray:
-    base = squeezed_amplitudes(params.zeta, cutoff)
-    if params.phi != 0.0:
-        base = np.exp(1j * params.phi * np.arange(cutoff)) * base
-    return base
+def _density_matrix(params: StateParams, cutoff: int) -> np.ndarray:
+    """Fock elements of the mode by the 2-D recurrence, thermal part included.
+
+    ``rho[m+1, n] = (b1 rho[m, n] + a11 sqrt(m) rho[m-1, n]
+    + a12 sqrt(n) rho[m, n-1]) / sqrt(m+1)``; row 0 runs the 1-D recurrence
+    in ``n`` with ``conj(b1)`` and ``conj(a11)`` from ``rho[0, 0] = T``.
+    """
+    t, a11, a12, b1 = _husimi_coefficients(params)
+    roots = np.sqrt(np.arange(cutoff))
+    cross = a12 * roots[1:]
+    rho = np.empty((cutoff, cutoff), dtype=complex)
+    rho[0] = _hermite_sequence(t, a11.conjugate(), b1.conjugate(), cutoff)
+    for m in range(cutoff - 1):
+        row = b1 * rho[m]
+        if m:
+            row += (a11 * roots[m]) * rho[m - 1]
+        row[1:] += cross * rho[m, :-1]
+        rho[m + 1] = row / roots[m + 1]
+    return rho
+
+
+def _mode_factor(params: StateParams, cutoff: int) -> np.ndarray:
+    """Amplitudes of a pure mode, or the density matrix of a thermal one."""
+    if params.nbar > 0:
+        return _density_matrix(params, cutoff)
+    t, a11, _, b1 = _husimi_coefficients(params)
+    return _hermite_sequence(np.sqrt(t), a11, b1, cutoff)
 
 
 def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, float]:
-    """Pure (nbar = 0) single-mode amplitudes and their truncation deficit."""
-    alpha = complex(params.alpha)
-    if alpha == 0:
-        v = _squeezed_rotated_base(params, cutoff)
-        return v, max(0.0, 1.0 - float(np.vdot(v, v).real))
-    if params.zeta == 0.0:
-        # Rotating the vacuum is trivial, so the state is exactly coherent.
-        v = coherent_amplitudes(alpha, cutoff)
-        return v, max(0.0, 1.0 - float(np.vdot(v, v).real))
-    # Displaced squeezed state: exponentiate the displacement generator in a
-    # workspace with headroom, then keep the lowest `cutoff` amplitudes.
-    work = 2 * cutoff
-    base = _squeezed_rotated_base(params, work)
-    v = expm_multiply(_displacement_generator(alpha, work), base)[:cutoff]
-    return v, max(0.0, 1.0 - float(np.vdot(v, v).real))
+    """Pure (nbar = 0) single-mode amplitudes and their truncation deficit.
 
-
-def _gauss_hermite_nodes(nbar: float) -> int:
-    return max(21, 15 + int(np.ceil(5.0 * np.sqrt(nbar))))
-
-
-def _mixed_mode_factor(params: StateParams, cutoff: int) -> tuple[np.ndarray, float]:
-    """Density matrix of a mode with thermal background, plus trace deficit.
-
-    The background is a classical Gaussian mixture of displacements with
-    ``E|gamma|^2 = nbar``, integrated by tensor-grid Gauss-Hermite
-    quadrature; every node is a pure displaced (rotated, squeezed) state.
+    The global phase is fixed by a real, positive vacuum amplitude.
     """
-    nodes = _gauss_hermite_nodes(params.nbar)
-    points, weights = hermgauss(nodes)
-    scale = np.sqrt(params.nbar)
-    alpha = complex(params.alpha)
-    betas = (alpha + scale * (points[:, None] + 1j * points[None, :])).ravel()
-    node_weights = (np.outer(weights, weights) / np.pi).ravel()
-
-    if params.zeta == 0.0:
-        levels = np.arange(cutoff)
-        log_fact = gammaln(levels + 1.0)
-        radii = np.abs(betas)
-        radii[radii == 0.0] = np.finfo(float).tiny  # log of zero radius
-        magnitudes = np.exp(-radii[:, None] ** 2 / 2
-                            + levels[None, :] * np.log(radii[:, None])
-                            - 0.5 * log_fact[None, :])
-        vecs = magnitudes * np.exp(1j * levels[None, :] * np.angle(betas)[:, None])
-    else:
-        vecs = _displace_batch(_squeezed_rotated_base(params, 2 * cutoff), betas, cutoff)
-
-    rho = vecs.T @ (node_weights[:, None] * vecs.conj())
-    rho = (rho + rho.conj().T) / 2.0
-    return rho, max(0.0, 1.0 - float(np.trace(rho).real))
+    if params.nbar > 0:
+        raise ValueError(f"a pure mode needs nbar = 0, got {params.nbar}")
+    v = _mode_factor(params, cutoff)
+    return v, max(0.0, 1.0 - float(np.vdot(v, v).real))
 
 
 @dataclass(frozen=True)
@@ -300,6 +281,29 @@ class FockState:
                 raise ValueError(f"trace {total} below 1 - deficit")
 
 
+def _assemble(factors: list[np.ndarray], cutoff: int, budget: float) -> FockState:
+    """Product state of the leading ``cutoff`` block of each mode factor.
+
+    Raises
+    ------
+    TruncationError
+        If the truncation deficit exceeds ``budget``.
+    """
+    parts = [f[:cutoff] if f.ndim == 1 else f[:cutoff, :cutoff] for f in factors]
+    kept = [np.vdot(p, p).real if p.ndim == 1 else np.trace(p).real for p in parts]
+    deficits = [max(0.0, 1.0 - float(k)) for k in kept]
+    total_deficit = 1.0 - (1.0 - deficits[0]) * (1.0 - deficits[1])
+    if total_deficit > budget:
+        raise TruncationError(
+            f"truncation deficit {total_deficit:.3e} exceeds budget {budget:.3e} "
+            f"at cutoff {cutoff}"
+        )
+    if all(part.ndim == 1 for part in parts):
+        return FockState.pure_product(parts[0], parts[1], deficit=total_deficit)
+    factors = [p if p.ndim == 2 else np.outer(p, p.conj()) for p in parts]
+    return FockState.mixed_product(factors[0], factors[1], deficit=total_deficit)
+
+
 def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
                budget: float = DEFAULT_TRUNCATION_BUDGET) -> FockState:
     """Build the product state SI x LO at the given per-mode cutoff.
@@ -311,33 +315,10 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    mixed = params_si.nbar > 0 or params_lo.nbar > 0
-    if mixed and cutoff > MAX_MIXED_CUTOFF:
-        raise ValueError(
-            f"mixed states are limited to cutoff {MAX_MIXED_CUTOFF}, got {cutoff}"
-        )
-    if cutoff > MAX_PURE_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_PURE_CUTOFF}")
-
-    parts = []
-    deficits = []
-    for params in (params_si, params_lo):
-        if params.nbar > 0:
-            rho, deficit = _mixed_mode_factor(params, cutoff)
-        else:
-            rho, deficit = pure_mode_amplitudes(params, cutoff)
-        parts.append(rho)
-        deficits.append(deficit)
-    total_deficit = 1.0 - (1.0 - deficits[0]) * (1.0 - deficits[1])
-    if total_deficit > budget:
-        raise TruncationError(
-            f"truncation deficit {total_deficit:.3e} exceeds budget {budget:.3e} "
-            f"at cutoff {cutoff}"
-        )
-    if not mixed:
-        return FockState.pure_product(parts[0], parts[1], deficit=total_deficit)
-    factors = [p if p.ndim == 2 else np.outer(p, p.conj()) for p in parts]
-    return FockState.mixed_product(factors[0], factors[1], deficit=total_deficit)
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_CUTOFF}")
+    factors = [_mode_factor(params, cutoff) for params in (params_si, params_lo)]
+    return _assemble(factors, cutoff, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +367,16 @@ def witness_general(f: OperatorExpr, state: FockState) -> float:
 
 def converged_cutoff(params_si: StateParams, params_lo: StateParams,
                      expr: OperatorExpr, tol: float,
-                     max_cutoff: int = MAX_PURE_CUTOFF,
+                     max_cutoff: int = MAX_CUTOFF,
                      budget: float = DEFAULT_TRUNCATION_BUDGET) -> int:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
     Doubles the cutoff starting from 2 and returns the first cutoff whose
     expectation value of ``expr`` agrees with the next doubling to within
     ``tol``.  Cutoffs whose states exceed the truncation budget are skipped.
+    Each mode is built once at the last cutoff of the schedule; the states
+    at smaller cutoffs are its leading blocks, exactly as :func:`fock_state`
+    would build them.
 
     Raises
     ------
@@ -401,20 +385,21 @@ def converged_cutoff(params_si: StateParams, params_lo: StateParams,
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    mixed = params_si.nbar > 0 or params_lo.nbar > 0
-    ceiling = min(max_cutoff, MAX_MIXED_CUTOFF if mixed else MAX_PURE_CUTOFF)
+    ceiling = min(max_cutoff, MAX_CUTOFF)
+    # 2, 4, 8, ... up to the ceiling.
+    schedule = [2 ** k for k in range(1, max(int(ceiling), 1).bit_length())]
+    top = max(schedule, default=2)
+    factors = [_mode_factor(params, top) for params in (params_si, params_lo)]
     previous: tuple[int, complex] | None = None
-    cutoff = 2
-    while cutoff <= ceiling:
+    for cutoff in schedule:
         try:
-            value = expect(expr, fock_state(params_si, params_lo, cutoff, budget=budget))
+            value = expect(expr, _assemble(factors, cutoff, budget))
         except TruncationError:
             previous = None
         else:
             if previous is not None and abs(value - previous[1]) < tol:
                 return previous[0]
             previous = (cutoff, value)
-        cutoff *= 2
     raise ConvergenceError(
         f"expectation value did not settle to {tol:g} within cutoff {ceiling}"
     )

@@ -78,6 +78,9 @@ class StateParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
+        for name in ("zeta", "nbar", "phi", "alpha"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 

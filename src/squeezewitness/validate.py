@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import apply_gain_noise, apply_loss
 from .fock import (
-    MAX_MIXED_CUTOFF,
-    MAX_PURE_CUTOFF,
+    MAX_CUTOFF,
     ConvergenceError,
     FockState,
     coherent_amplitudes,
@@ -36,6 +34,7 @@ __all__ = [
     "random_state_params",
     "haar_random_vector",
     "random_expression",
+    "bath_fold_moments",
     "suite_gaussian_fock",
     "suite_classicality",
     "suite_channel_laws",
@@ -103,7 +102,7 @@ def random_expression(rng: np.random.Generator, max_degree: int = 4,
 
 
 def suite_gaussian_fock(trials: int = 200, seed: int = 42,
-                        cutoff_max: int = 128) -> SuiteResult:
+                        cutoff_max: int = 256) -> SuiteResult:
     """Closed-form variances versus brute-force Fock expectations.
 
     For each draw, the raw, partially ordered, and fully ordered variances
@@ -125,8 +124,7 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         # size it to the magnitude of the compared quantity, then evaluate at
         # the next doubling above the certified cutoff for extra margin.
         scale = max(1.0, abs(closed[0]))
-        mixed = params_si.nbar > 0 or params_lo.nbar > 0
-        ceiling = min(cutoff_max, MAX_MIXED_CUTOFF if mixed else MAX_PURE_CUTOFF)
+        ceiling = min(cutoff_max, MAX_CUTOFF)
         try:
             cutoff = converged_cutoff(params_si, params_lo, ell * ell,
                                       tol=1e-7 * scale, max_cutoff=cutoff_max)
@@ -167,43 +165,47 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
-def _bath_fold_deviation(cutoff: int = 36) -> float:
-    """Worst moment error of the Gaussian channels against a bath unitary.
+def bath_fold_moments(params: StateParams, kind: str, strength: float,
+                      cutoff: int) -> tuple[complex, complex, float]:
+    """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after a bath-unitary fold.
 
-    Couples a pure signal mode to a vacuum ancilla with a beam splitter
-    (loss) or a two-mode squeezer (amplification), then compares first and
-    second moments of the surviving mode with the covariance-level channel.
+    Couples the pure signal ``params`` to a vacuum ancilla with a beam
+    splitter of transmissivity ``strength`` (``kind == "loss"``) or a
+    two-mode squeezer of gain ``strength`` (``kind == "gain"``), evolved by
+    a sparse matrix exponential on the truncated two-mode space.
     """
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
-    ad = a.conj().T
-    eye = np.eye(cutoff)
-    a_full = np.kron(a, eye)
-    c_full = np.kron(eye, a)
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
 
-    params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
+    a = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1, format="csr")
+    eye = sparse.identity(cutoff, format="csr")
+    # Real matrices, so transposes are adjoints.
+    a_sys = sparse.kron(a, eye, format="csr")
+    a_anc = sparse.kron(eye, a, format="csr")
+    if kind == "loss":
+        gen = np.arccos(np.sqrt(strength)) * (a_sys.T @ a_anc - a_sys @ a_anc.T)
+    elif kind == "gain":
+        gen = np.arccosh(np.sqrt(strength)) * (a_sys.T @ a_anc.T - a_sys @ a_anc)
+    else:
+        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
     vec, _ = pure_mode_amplitudes(params, cutoff)
     ancilla_vacuum = np.zeros(cutoff, dtype=complex)
     ancilla_vacuum[0] = 1.0
-    start = np.kron(vec, ancilla_vacuum)
+    evolved = expm_multiply(gen, np.kron(vec, ancilla_vacuum))
+    lowered = a_sys @ evolved
+    return (complex(np.vdot(evolved, lowered)), complex(np.vdot(evolved, a_sys @ lowered)),
+            float(np.vdot(lowered, lowered).real))
 
+
+def _bath_fold_deviation(cutoff: int = 36) -> float:
+    """Worst moment error of the Gaussian channels against a bath unitary."""
+    params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
     worst = 0.0
-    for kind, strength in (("loss", 0.6), ("gain", 1.4)):
-        if kind == "loss":
-            mix = np.arccos(np.sqrt(strength))
-            gen = mix * (a_full.conj().T @ c_full - a_full @ c_full.conj().T)
-            reference = apply_loss(make_state(params), strength)
-        else:
-            squeeze = np.arccosh(np.sqrt(strength))
-            gen = squeeze * (a_full.conj().T @ c_full.conj().T - a_full @ c_full)
-            reference = apply_gain_noise(make_state(params), strength)
-        evolved = expm(gen) @ start
-        moments = field_moments(reference)
-        pairs = (
-            (np.vdot(evolved, a_full @ evolved), moments.mean_a),
-            (np.vdot(evolved, a_full @ a_full @ evolved), moments.a_sq),
-            (np.vdot(evolved, a_full.conj().T @ a_full @ evolved), moments.n_a),
-        )
-        for got, want in pairs:
+    for kind, strength, channel in (("loss", 0.6, apply_loss),
+                                    ("gain", 1.4, apply_gain_noise)):
+        moments = field_moments(channel(make_state(params), strength))
+        folded = bath_fold_moments(params, kind, strength, cutoff)
+        for got, want in zip(folded, (moments.mean_a, moments.a_sq, moments.n_a)):
             worst = max(worst, abs(got - want))
     return worst
 
@@ -269,7 +271,7 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42, cutoff: int = 10,
 
 
 def run_all_suites(trials: int = 200, seed: int = 42,
-                   cutoff_max: int = 128) -> list[SuiteResult]:
+                   cutoff_max: int = 256) -> list[SuiteResult]:
     """Run the four suites with a shared seed; vacuous at zero trials."""
     if trials == 0:
         return [

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import squeezewitness
 from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -238,3 +243,15 @@ class TestValidateCommand:
                  if s["name"] == "gaussian_fock_agreement"][0]
         assert gauss["passed"] is False
         assert "settle" in gauss["detail"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by the bath fold inside ``validate``.
+    code = ("import sys, squeezewitness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(squeezewitness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings, strategies as st
 
 from squeezewitness.channels import apply_gain_noise, apply_loss
 from squeezewitness.fock import (
@@ -16,6 +16,7 @@ from squeezewitness.fock import (
     pure_mode_amplitudes,
     squeezed_amplitudes,
     witness_general,
+    _density_matrix,
 )
 from squeezewitness.gaussian import (
     StateParams,
@@ -30,7 +31,7 @@ from squeezewitness.opexpr import (
     parse,
     reorder,
 )
-from squeezewitness.validate import random_expression
+from squeezewitness.validate import bath_fold_moments, random_expression
 
 ZETA_3DB = db_to_squeeze(3.0)
 NUMBER_A = OperatorExpr.word(("ad", "a"))
@@ -277,44 +278,92 @@ class TestChannelFolds:
 
     @pytest.mark.parametrize("eta", [0.3, 0.6, 0.9])
     def test_beam_splitter_fold_reproduces_loss(self, eta):
-        cutoff = 36
         params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
-        vec, _ = pure_mode_amplitudes(params, cutoff)
-        a = build_ladder(cutoff).a_mat
-        eye = np.eye(cutoff)
-        a_sys = np.kron(a, eye)
-        a_anc = np.kron(eye, a)
-        mix = np.arccos(np.sqrt(eta))
-        unitary = expm(mix * (a_sys.conj().T @ a_anc - a_sys @ a_anc.conj().T))
-        vacuum_anc = np.zeros(cutoff, dtype=complex)
-        vacuum_anc[0] = 1.0
-        evolved = unitary @ np.kron(vec, vacuum_anc)
+        mean, a_sq, n = bath_fold_moments(params, "loss", eta, cutoff=36)
 
         moments = field_moments(apply_loss(make_state(params), eta))
-        assert np.vdot(evolved, a_sys @ evolved) == pytest.approx(
-            moments.mean_a, abs=1e-8)
-        assert np.vdot(evolved, a_sys @ a_sys @ evolved) == pytest.approx(
-            moments.a_sq, abs=1e-8)
-        assert np.vdot(evolved, a_sys.conj().T @ a_sys @ evolved).real == \
-            pytest.approx(moments.n_a, abs=1e-8)
+        assert mean == pytest.approx(moments.mean_a, abs=1e-8)
+        assert a_sq == pytest.approx(moments.a_sq, abs=1e-8)
+        assert n == pytest.approx(moments.n_a, abs=1e-8)
 
     def test_two_mode_squeezer_fold_reproduces_gain(self):
-        cutoff = 40
         g = 1.5
         params = StateParams(zeta=0.25, alpha=0.4 - 0.3j)
-        vec, _ = pure_mode_amplitudes(params, cutoff)
-        a = build_ladder(cutoff).a_mat
-        eye = np.eye(cutoff)
-        a_sys = np.kron(a, eye)
-        a_anc = np.kron(eye, a)
-        squeeze = np.arccosh(np.sqrt(g))
-        unitary = expm(squeeze * (a_sys.conj().T @ a_anc.conj().T - a_sys @ a_anc))
-        vacuum_anc = np.zeros(cutoff, dtype=complex)
-        vacuum_anc[0] = 1.0
-        evolved = unitary @ np.kron(vec, vacuum_anc)
+        mean, _, n = bath_fold_moments(params, "gain", g, cutoff=40)
 
         moments = field_moments(apply_gain_noise(make_state(params), g))
-        assert np.vdot(evolved, a_sys @ evolved) == pytest.approx(
-            moments.mean_a, abs=1e-8)
-        assert np.vdot(evolved, a_sys.conj().T @ a_sys @ evolved).real == \
-            pytest.approx(moments.n_a, abs=1e-8)
+        assert mean == pytest.approx(moments.mean_a, abs=1e-8)
+        assert n == pytest.approx(moments.n_a, abs=1e-8)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            bath_fold_moments(StateParams(), "dephasing", 0.5, cutoff=4)
+
+
+# Corners of the ``random_state_params`` envelope: |alpha| <= 2,
+# |zeta| <= 0.5, nbar in [0, 1], phi in [0, pi].
+ENVELOPE_CORNERS = [
+    StateParams(zeta=zeta, nbar=nbar, phi=phi, alpha=alpha)
+    for zeta in (-0.5, 0.5)
+    for nbar in (0.0, 1.0)
+    for phi in (0.0, np.pi)
+    for alpha in (2.0, -2.0j)
+]
+
+
+class TestRecurrence:
+    """The exact Gaussian Fock recurrence that builds every oracle state."""
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.7])
+    def test_prefix_property(self, nbar):
+        params_si = StateParams(zeta=0.4, nbar=nbar, phi=1.1, alpha=1.2 - 0.8j)
+        params_lo = StateParams(zeta=-0.3, phi=2.0, alpha=0.5j)
+        for cutoff in (2, 8, 32, 128):
+            # The whole budget, so the smallest cutoffs are built too.
+            small = fock_state(params_si, params_lo, cutoff, budget=1.0)
+            large = fock_state(params_si, params_lo, 2 * cutoff, budget=1.0)
+            if small.kind == "pure":
+                np.testing.assert_array_equal(small.data, large.data[:cutoff, :cutoff])
+            else:
+                for part, whole in zip(small.data, large.data):
+                    np.testing.assert_array_equal(part, whole[:cutoff, :cutoff])
+
+    @pytest.mark.parametrize("params", [
+        StateParams(zeta=0.45, phi=0.8, alpha=0.9 - 0.6j),
+        StateParams(zeta=-0.5, phi=3.0, alpha=-2.0j),
+        StateParams(alpha=1.5 + 0.5j),
+    ])
+    def test_pure_density_is_outer_product(self, params):
+        psi, _ = pure_mode_amplitudes(params, 128)
+        rho = _density_matrix(params, 128)
+        np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
+
+    def test_matches_closed_form_references(self):
+        coherent, _ = pure_mode_amplitudes(StateParams(alpha=1.3 - 0.4j), 64)
+        np.testing.assert_allclose(coherent, coherent_amplitudes(1.3 - 0.4j, 64),
+                                   rtol=0, atol=1e-15)
+        squeezed, _ = pure_mode_amplitudes(StateParams(zeta=0.4), 64)
+        np.testing.assert_allclose(squeezed, squeezed_amplitudes(0.4, 64),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("params", ENVELOPE_CORNERS)
+    def test_density_is_physical_at_envelope_corners(self, params):
+        rho = _density_matrix(params, 256)
+        np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-15)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10  # FockState psd_tol
+        assert np.trace(rho).real <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(radius=st.floats(0.0, 2.0), angle=st.floats(0.0, 2.0 * np.pi),
+           zeta=st.floats(-0.5, 0.5), nbar=st.floats(0.0, 1.0),
+           phi=st.floats(0.0, np.pi))
+    def test_moments_match_closed_form(self, radius, angle, zeta, nbar, phi):
+        params = StateParams(zeta=zeta, nbar=nbar, phi=phi,
+                             alpha=radius * np.exp(1j * angle))
+        state = fock_state(params, StateParams(), 128)
+        moments = field_moments(make_state(params))
+        assert expect(OperatorExpr.word(("a",)), state) == pytest.approx(
+            moments.mean_a, abs=1e-9)
+        assert expect(OperatorExpr.word(("a", "a")), state) == pytest.approx(
+            moments.a_sq, abs=1e-9)
+        assert expect(NUMBER_A, state).real == pytest.approx(moments.n_a, abs=1e-9)

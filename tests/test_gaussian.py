@@ -61,6 +61,18 @@ class TestMakeState:
         with pytest.raises(ValueError, match="nbar"):
             StateParams(nbar=-0.1)
 
+    @pytest.mark.parametrize("field", ["zeta", "nbar", "phi", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StateParams(**{field: value})
+
+    @pytest.mark.parametrize("alpha", [complex(float("nan"), 0.0),
+                                       complex(0.0, float("inf"))])
+    def test_rejects_non_finite_alpha_part(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            StateParams(alpha=alpha)
+
     def test_squeezing_orientation(self):
         # Positive zeta squeezes x at phi = 0.
         state = make_state(StateParams(zeta=0.5))
