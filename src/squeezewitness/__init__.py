@@ -28,13 +28,11 @@ from .witness import (
     NONCLASSICAL,
     TwoModeProduct,
     WitnessReport,
-    classify,
     evaluate,
     homodyne_variance,
-    noise_parameter,
     optimize_lo,
     ordered_variances,
-    sweep,
+    witness_values,
 )
 from .opexpr import (
     ExpressionError,
@@ -82,13 +80,11 @@ __all__ = [
     "NONCLASSICAL",
     "TwoModeProduct",
     "WitnessReport",
-    "classify",
     "evaluate",
     "homodyne_variance",
-    "noise_parameter",
     "optimize_lo",
     "ordered_variances",
-    "sweep",
+    "witness_values",
     "ExpressionError",
     "ExpressionSyntaxError",
     "OperatorExpr",

@@ -27,12 +27,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .figures import FIGURE_IDS, build_figure, render_csv
+import numpy as np
+
+from .figures import FIGURE_IDS, build_figure, db_json_value, render_csv
 from .svgplot import DEFAULT_DB_FLOOR, line_plot_svg
 from .validate import run_all_suites
-from .witness import DEFAULT_VERDICT_TOL, CLASSICAL, NONCLASSICAL
+from .witness import (CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, ColumnError, require,
+                      witness_values)
 
-__all__ = ["MomentRecord", "RunConfig", "InputError", "main",
+__all__ = ["RunConfig", "InputError", "main", "read_moment_records",
            "cmd_reproduce", "cmd_witness", "cmd_validate"]
 
 EXIT_OK = 0
@@ -40,28 +43,14 @@ EXIT_VALIDATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 WITNESS_COLUMNS = ("theta_rad", "var_L", "nb", "na")
+# One measured row: its 1-based line in the CSV, its cells, and whether the
+# optional ``na`` cell was given (``na`` is NaN where it was left empty).
+RECORD_DTYPE = np.dtype([("line", np.int64), ("theta_rad", float), ("var_L", float),
+                         ("nb", float), ("na", float), ("has_na", bool)])
 
 
 class InputError(Exception):
     """Bad user input (malformed CSV, unknown figure, unwritable path)."""
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    """One measured row: LO phase, difference variance, calibrations."""
-
-    theta_rad: float
-    var_L: float
-    nb: float
-    na: float | None = None
-
-    def __post_init__(self):
-        if self.var_L < 0:
-            raise ValueError(f"var_L must be >= 0, got {self.var_L}")
-        if self.nb <= 0:
-            raise ValueError(f"nb must be > 0, got {self.nb}")
-        if self.na is not None and self.na < 0:
-            raise ValueError(f"na must be >= 0, got {self.na}")
 
 
 @dataclass(frozen=True)
@@ -80,14 +69,14 @@ class RunConfig:
     db_floor: float = DEFAULT_DB_FLOOR
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.cutoff_max < 2:
             raise ValueError(f"cutoff_max must be >= 2, got {self.cutoff_max}")
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -135,10 +124,13 @@ def cmd_reproduce(config: RunConfig) -> list[Path]:
 # witness
 # ---------------------------------------------------------------------------
 
-def read_moment_records(path: str) -> tuple[list[MomentRecord], list[str]]:
-    """Parse a measured-moments CSV; returns records and warnings.
+def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
+    """Parse a measured-moments CSV; returns the rows and warnings.
 
-    Errors carry the 1-based line number of the offending row.
+    The rows form a structured array of :data:`RECORD_DTYPE`, one element
+    per data row, so ``records["var_L"]`` is a column.  Only the syntax is
+    checked here; :func:`cmd_witness` checks the values.  Errors carry the
+    1-based line number of the offending row.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -165,62 +157,57 @@ def read_moment_records(path: str) -> tuple[list[MomentRecord], list[str]]:
         if len(cells) != len(header):
             raise InputError(
                 f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
-
-        def cell(name: str) -> str:
-            return cells[index[name]].strip()
-
+        na = cells[index["na"]].strip() if "na" in index else ""
         try:
-            na = float(cell("na")) if "na" in index and cell("na") != "" else None
-            record = MomentRecord(
-                theta_rad=float(cell("theta_rad")),
-                var_L=float(cell("var_L")),
-                nb=float(cell("nb")),
-                na=na,
-            )
+            records.append((line_no, float(cells[index["theta_rad"]]),
+                            float(cells[index["var_L"]]), float(cells[index["nb"]]),
+                            float(na) if na else np.nan, bool(na)))
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from exc
-        records.append(record)
-    return records, warnings
-
-
-def _witness_row(record: MomentRecord, tol: float) -> dict:
-    partial = record.var_L - record.nb
-    if record.var_L <= 1e-15:
-        noise_db = "-inf"
-    else:
-        noise_db = 10.0 * math.log10(record.var_L / record.nb)
-    row = {
-        "theta_rad": record.theta_rad,
-        "var_L": record.var_L,
-        "nb": record.nb,
-        "partial_no": partial,
-        "noise_db": noise_db,
-        "verdict": NONCLASSICAL if partial < -tol else CLASSICAL,
-    }
-    if record.na is not None:
-        full = partial - record.na
-        row["na"] = record.na
-        row["full_no"] = full
-        row["standard_negativity"] = bool(full < -tol)
-    return row
+    return np.array(records, dtype=RECORD_DTYPE), warnings
 
 
 def cmd_witness(config: RunConfig) -> dict:
-    """Evaluate measured moment records and write the JSON report."""
+    """Evaluate measured moment records and write the JSON report.
+
+    Measured rows also need a finite ``theta_rad``, ``var_L >= 0`` and
+    ``na >= 0`` where given; a rejected cell is an error naming its line.
+    """
     records, warnings = read_moment_records(config.input_path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    rows = [_witness_row(record, config.tol) for record in records]
-    counts = {NONCLASSICAL: 0, CLASSICAL: 0}
-    for row in rows:
-        counts[row["verdict"]] += 1
+    theta, var_L, nb, na, has_na = (
+        records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
+    try:
+        require("theta_rad", theta, np.isfinite(theta), "is not finite")
+        # NaN passes these two; the kernel rejects it.
+        require("var_L", var_L, ~(var_L < 0), "is not >= 0")
+        require("na", na, ~(na < 0), "is not >= 0")
+        # An empty na cell becomes 0 so that only given cells meet the kernel.
+        values = witness_values(var_L, nb, np.where(has_na, na, 0.0), config.tol)
+    except ColumnError as exc:
+        raise InputError(f"line {records['line'][exc.index]}: "
+                         f"{exc.column} = {exc.value!r} {exc.rule}") from exc
+
+    rows = []
+    for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
+            theta.tolist(), var_L.tolist(), nb.tolist(), values.partial_no.tolist(),
+            values.noise_db.tolist(), values.nonclassical.tolist(), has_na.tolist(),
+            na.tolist(), values.full_no.tolist(), values.standard_negativity.tolist()):
+        row = {"theta_rad": t, "var_L": v, "nb": b, "partial_no": p,
+               "noise_db": db_json_value(n),
+               "verdict": NONCLASSICAL if nonclassical else CLASSICAL}
+        if given:
+            row.update(na=a, full_no=f, standard_negativity=negative)
+        rows.append(row)
+    n_nonclassical = int(values.nonclassical.sum())
     report = {
         "tol": config.tol,
         "rows": rows,
         "summary": {
             "n_rows": len(rows),
-            "nonclassical_SI": counts[NONCLASSICAL],
-            "classical_consistent": counts[CLASSICAL],
+            "nonclassical_SI": n_nonclassical,
+            "classical_consistent": len(rows) - n_nonclassical,
         },
     }
     _write_text(Path(config.out), _dump_json(report))

@@ -30,9 +30,10 @@ from .gaussian import (
     mean_photon,
     squeezed_vacuum,
 )
-from .witness import TwoModeProduct, evaluate, ordered_variances
+from .witness import TwoModeProduct, homodyne_variance, ordered_variances, witness_values
 
-__all__ = ["FigureData", "FIGURE_IDS", "build_figure", "format_value", "render_csv"]
+__all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "format_value",
+           "render_csv"]
 
 FIGURE_IDS = ("fluctuations", "noise-sweep", "robustness")
 
@@ -61,6 +62,11 @@ def format_value(value) -> str:
     if value == -np.inf:
         return "-inf"
     return repr(value)
+
+
+def db_json_value(value: float):
+    """A noise parameter for a JSON report: ``-inf`` becomes ``"-inf"``."""
+    return "-inf" if value == -np.inf else value
 
 
 def render_csv(figure: FigureData) -> str:
@@ -112,31 +118,34 @@ def figure_noise_sweep(points: int = 61) -> FigureData:
     grid = [10.0 ** e for e in np.linspace(-2.0, 4.0, points)]
     dip_nb = float(np.sinh(zeta_si) ** 2)
 
+    squeezed_nbs = sorted(set(grid) | {dip_nb})
+    curves = {  # kind: (LO mean photon numbers, theta, LO states)
+        "coherent": (grid, 0.0, [coherent(np.sqrt(nb)) for nb in grid]),
+        "squeezed": (squeezed_nbs, np.pi / 2.0,
+                     [squeezed_vacuum(float(np.arcsinh(np.sqrt(nb))))
+                      for nb in squeezed_nbs]),
+    }
     rows = []
-    coherent_curve: list[tuple[float, float]] = []
-    squeezed_curve: list[tuple[float, float]] = []
-    for nb in grid:
-        report = evaluate(TwoModeProduct(si=si, lo=coherent(np.sqrt(nb))), 0.0)
-        rows.append(("coherent", nb, 0.0, report.var_L, report.noise_db))
-        coherent_curve.append((nb, report.noise_db))
-    for nb in sorted(set(grid) | {dip_nb}):
-        lo = squeezed_vacuum(float(np.arcsinh(np.sqrt(nb))))
-        report = evaluate(TwoModeProduct(si=si, lo=lo), np.pi / 2.0)
-        rows.append(("squeezed", nb, np.pi / 2.0, report.var_L, report.noise_db))
-        squeezed_curve.append((nb, report.noise_db))
+    noise: dict[str, list[float]] = {}
+    for kind, (nbs, theta, los) in curves.items():
+        pairs = [TwoModeProduct(si=si, lo=lo) for lo in los]
+        var = [homodyne_variance(pair, theta) for pair in pairs]
+        noise[kind] = witness_values(
+            var, [mean_photon(lo) for lo in los]).noise_db.tolist()
+        rows.extend((kind, nb, theta, v, n) for nb, v, n in zip(nbs, var, noise[kind]))
 
     summary = {
         "figure": "noise-sweep",
         "points": points,
         "si": f"squeezed vacuum, {SQUEEZING_DB} dB",
         "coherent_lo": {
-            "noise_db_first": coherent_curve[0][1],
-            "noise_db_last": coherent_curve[-1][1],
-            "min_noise_db": min(v for _, v in coherent_curve),
+            "noise_db_first": noise["coherent"][0],
+            "noise_db_last": noise["coherent"][-1],
+            "min_noise_db": db_json_value(min(noise["coherent"])),
         },
         "squeezed_lo": {
             "dip_nb": dip_nb,
-            "min_noise_db": "-inf",
+            "min_noise_db": db_json_value(min(noise["squeezed"])),
         },
     }
     return FigureData(
@@ -144,10 +153,8 @@ def figure_noise_sweep(points: int = 61) -> FigureData:
         header=("lo_kind", "nb", "theta_rad", "var_L", "noise_db"),
         rows=rows,
         summary=summary,
-        series=[
-            ("coherent LO", [x for x, _ in coherent_curve], [y for _, y in coherent_curve]),
-            ("squeezed LO", [x for x, _ in squeezed_curve], [y for _, y in squeezed_curve]),
-        ],
+        series=[(f"{kind} LO", nbs, noise[kind])
+                for kind, (nbs, _, _) in curves.items()],
         x_label="LO mean photon number",
         y_label="noise parameter (dB)",
         log_x=True,

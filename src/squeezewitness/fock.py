@@ -59,16 +59,15 @@ class ConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class LadderMatrices:
-    """Truncated annihilation matrices for the two modes.
+    """Truncated annihilation matrix, shared by both modes.
 
-    ``a_mat`` and ``b_mat`` hold the single-mode matrix with elements
-    ``<n-1|a|n> = sqrt(n)``; they act on modes A and B of a two-mode state
-    by (implicit) tensor product with the identity on the other mode.
+    ``a_mat`` holds the single-mode matrix with elements
+    ``<n-1|a|n> = sqrt(n)``; it acts on mode A or B of a two-mode state by
+    (implicit) tensor product with the identity on the other mode.
     """
 
     cutoff: int
     a_mat: np.ndarray
-    b_mat: np.ndarray
 
 
 def build_ladder(cutoff: int) -> LadderMatrices:
@@ -77,7 +76,7 @@ def build_ladder(cutoff: int) -> LadderMatrices:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
     a.setflags(write=False)
-    return LadderMatrices(cutoff=cutoff, a_mat=a, b_mat=a)
+    return LadderMatrices(cutoff=cutoff, a_mat=a)
 
 
 @lru_cache(maxsize=None)
@@ -368,12 +367,14 @@ def witness_general(f: OperatorExpr, state: FockState) -> float:
 def converged_cutoff(params_si: StateParams, params_lo: StateParams,
                      expr: OperatorExpr, tol: float,
                      max_cutoff: int = MAX_CUTOFF,
-                     budget: float = DEFAULT_TRUNCATION_BUDGET) -> int:
+                     budget: float = DEFAULT_TRUNCATION_BUDGET) -> tuple[int, FockState]:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
     Doubles the cutoff starting from 2 and returns the first cutoff whose
     expectation value of ``expr`` agrees with the next doubling to within
-    ``tol``.  Cutoffs whose states exceed the truncation budget are skipped.
+    ``tol``, together with the state at that next doubling, which was
+    checked against the budget.  Cutoffs whose states exceed the truncation
+    budget are skipped.
     Each mode is built once at the last cutoff of the schedule; the states
     at smaller cutoffs are its leading blocks, exactly as :func:`fock_state`
     would build them.
@@ -393,12 +394,13 @@ def converged_cutoff(params_si: StateParams, params_lo: StateParams,
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
         try:
-            value = expect(expr, _assemble(factors, cutoff, budget))
+            state = _assemble(factors, cutoff, budget)
         except TruncationError:
             previous = None
         else:
+            value = expect(expr, state)
             if previous is not None and abs(value - previous[1]) < tol:
-                return previous[0]
+                return previous[0], state
             previous = (cutoff, value)
     raise ConvergenceError(
         f"expectation value did not settle to {tol:g} within cutoff {ceiling}"

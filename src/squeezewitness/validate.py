@@ -14,14 +14,12 @@ import numpy as np
 
 from .channels import apply_gain_noise, apply_loss
 from .fock import (
-    MAX_CUTOFF,
     ConvergenceError,
     FockState,
     coherent_amplitudes,
     converged_cutoff,
     expect,
     expr_matrix,
-    fock_state,
     pure_mode_amplitudes,
     witness_general,
 )
@@ -124,11 +122,9 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         # size it to the magnitude of the compared quantity, then evaluate at
         # the next doubling above the certified cutoff for extra margin.
         scale = max(1.0, abs(closed[0]))
-        ceiling = min(cutoff_max, MAX_CUTOFF)
         try:
-            cutoff = converged_cutoff(params_si, params_lo, ell * ell,
-                                      tol=1e-7 * scale, max_cutoff=cutoff_max)
-            state = fock_state(params_si, params_lo, min(2 * cutoff, ceiling))
+            _, state = converged_cutoff(params_si, params_lo, ell * ell,
+                                        tol=1e-7 * scale, max_cutoff=cutoff_max)
         except ConvergenceError as exc:
             return SuiteResult(name, trials, np.inf, False,
                                f"trial {k}: {exc}")

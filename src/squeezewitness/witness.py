@@ -12,8 +12,9 @@ but never drives the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,15 +30,17 @@ from .gaussian import (
 __all__ = [
     "TwoModeProduct",
     "WitnessReport",
+    "WitnessValues",
+    "ColumnError",
     "NONCLASSICAL",
     "CLASSICAL",
     "DEFAULT_VERDICT_TOL",
+    "ZERO_VARIANCE_TOL",
     "homodyne_variance",
     "ordered_variances",
-    "noise_parameter",
-    "classify",
+    "require",
+    "witness_values",
     "evaluate",
-    "sweep",
     "optimize_lo",
 ]
 
@@ -81,19 +84,6 @@ class WitnessReport:
     noise_db: float
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready mapping; ``-inf`` is serialized as the string "-inf"."""
-        noise = self.noise_db
-        return {
-            "theta": self.theta,
-            "var_L": self.var_L,
-            "partial_no": self.partial_no,
-            "full_no": self.full_no,
-            "shot_noise": self.shot_noise,
-            "noise_db": "-inf" if noise == -np.inf else noise,
-            "verdict": self.verdict,
-        }
-
 
 def homodyne_variance(state: TwoModeProduct, theta: float) -> float:
     """Variance of the measured photon-number difference.
@@ -124,58 +114,78 @@ def ordered_variances(state: TwoModeProduct, theta: float) -> tuple[float, float
     return var, partial, partial - mean_photon(state.si)
 
 
-def noise_parameter(state: TwoModeProduct, theta: float) -> float:
-    """Noise level relative to shot noise, ``10 log10(var_L / <b^dag b>)``.
+class WitnessValues(NamedTuple):
+    """Elementwise results of :func:`witness_values`; the last two are
+    ``None`` unless the signal intensity ``na`` was given."""
 
-    Negative values certify signal nonclassicality; a vanishing variance
-    returns ``-inf``.  An LO with zero mean photon number leaves the
-    reference undefined and is rejected.
+    partial_no: np.ndarray
+    noise_db: np.ndarray
+    nonclassical: np.ndarray
+    full_no: np.ndarray | None = None
+    standard_negativity: np.ndarray | None = None
+
+
+class ColumnError(ValueError):
+    """An element of a named input column breaks a rule; ``index`` is the
+    flat index of the first offending element."""
+
+    def __init__(self, column: str, index: int, value: float, rule: str):
+        super().__init__(f"{column}[{index}] = {value!r} {rule}")
+        self.column, self.index, self.value, self.rule = column, index, value, rule
+
+
+def require(column: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Raise :class:`ColumnError` at the first element where ``ok`` is false."""
+    if not np.all(ok):
+        index = int(np.argmin(np.ravel(ok)))
+        raise ColumnError(column, index, float(np.ravel(values)[index]), rule)
+
+
+def witness_values(var_L, nb, na=None,
+                   tol: float = DEFAULT_VERDICT_TOL) -> WitnessValues:
+    """The verdict kernel, elementwise on arrays or scalars.
+
+    ``partial_no = var_L - nb`` is the LO-agnostic ordered variance and
+    drives the verdict ``partial_no < -tol``; ``noise_db = 10 log10(var_L /
+    nb)``, ``-inf`` where ``var_L <= ZERO_VARIANCE_TOL``.  ``full_no =
+    partial_no - na``, the conventional criterion, never drives the verdict:
+    the LO alone can make it negative.  Raises :class:`ColumnError` at the
+    first non-finite ``var_L``, ``nb`` or ``na`` or ``nb <= 0``, and
+    ``ValueError`` for a non-finite or negative ``tol``.
     """
-    shot = mean_photon(state.lo)
-    if shot <= 0.0:
-        raise ValueError("shot-noise reference undefined: LO has zero mean photon number")
-    var = homodyne_variance(state, theta)
-    if var <= ZERO_VARIANCE_TOL:
-        return -np.inf
-    return float(10.0 * np.log10(var / shot))
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    var_L = np.asarray(var_L, dtype=float)
+    nb = np.asarray(nb, dtype=float)
+    columns = {"var_L": var_L, "nb": nb}
+    if na is not None:
+        na = columns["na"] = np.asarray(na, dtype=float)
+    for column, values in columns.items():
+        require(column, values, np.isfinite(values), "is not finite")
+    require("nb", nb, nb > 0, "is not > 0: the shot-noise reference is undefined")
 
-
-def _verdict(partial_no: float, tol: float) -> str:
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    return NONCLASSICAL if partial_no < -tol else CLASSICAL
-
-
-def classify(report: WitnessReport, tol: float = DEFAULT_VERDICT_TOL) -> str:
-    """Verdict from the LO-agnostic variance alone.
-
-    A negative ``full_no`` (the conventional criterion) never drives the
-    verdict; it may be caused by the LO.
-    """
-    return _verdict(report.partial_no, tol)
+    partial = var_L - nb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise_db = np.where(var_L <= ZERO_VARIANCE_TOL, -np.inf,
+                            10.0 * np.log10(var_L / nb))
+    if na is None:
+        return WitnessValues(partial, noise_db, partial < -tol)
+    full = partial - na
+    return WitnessValues(partial, noise_db, partial < -tol, full, full < -tol)
 
 
 def evaluate(state: TwoModeProduct, theta: float,
              tol: float = DEFAULT_VERDICT_TOL) -> WitnessReport:
     """Full witness report for one state at one LO phase."""
-    var, partial, full = ordered_variances(state, theta)
+    var = homodyne_variance(state, theta)
     shot = mean_photon(state.lo)
-    if shot <= 0.0:
-        raise ValueError("shot-noise reference undefined: LO has zero mean photon number")
-    noise_db = -np.inf if var <= ZERO_VARIANCE_TOL else float(10.0 * np.log10(var / shot))
+    values = witness_values(var, shot, mean_photon(state.si), tol)
     return WitnessReport(
-        theta=float(theta), var_L=var, partial_no=partial, full_no=full,
-        shot_noise=shot, noise_db=noise_db, verdict=_verdict(partial, tol),
+        theta=float(theta), var_L=var, partial_no=float(values.partial_no),
+        full_no=float(values.full_no), shot_noise=shot,
+        noise_db=float(values.noise_db),
+        verdict=NONCLASSICAL if values.nonclassical else CLASSICAL,
     )
-
-
-def sweep(states: Iterable[TwoModeProduct], theta_grid: Sequence[float],
-          tol: float = DEFAULT_VERDICT_TOL) -> list[WitnessReport]:
-    """One report per (state, theta) pair, states outermost, grid order kept."""
-    thetas = list(theta_grid)
-    if not thetas:
-        raise ValueError("theta grid must be nonempty")
-    return [evaluate(state, theta, tol) for state in states for theta in thetas]
 
 
 def optimize_lo(si: SingleModeGaussian,
@@ -191,7 +201,7 @@ def optimize_lo(si: SingleModeGaussian,
     best: tuple[tuple[StateParams, float], float] | None = None
     for params, theta in candidates:
         state = TwoModeProduct(si=si, lo=make_state(params))
-        noise_db = noise_parameter(state, theta)
+        noise_db = evaluate(state, theta).noise_db
         key = (noise_db, params.zeta, theta, params.phi)
         if best_key is None or key < best_key:
             best_key = key

@@ -34,7 +34,6 @@ from squeezewitness.witness import (
     TwoModeProduct,
     evaluate,
     homodyne_variance,
-    noise_parameter,
     ordered_variances,
 )
 
@@ -92,10 +91,10 @@ def test_criterion_3_noise_sweep(report):
     coherent_noise = [row[4] for row in figure.rows if row[0] == "coherent"]
     decreasing = all(b < a for a, b in zip(coherent_noise, coherent_noise[1:]))
 
-    n_at_10 = noise_parameter(
-        TwoModeProduct(si=si, lo=coherent(np.sqrt(10.0))), 0.0)
-    n_at_1e4 = noise_parameter(
-        TwoModeProduct(si=si, lo=coherent(100.0)), 0.0)
+    n_at_10 = evaluate(
+        TwoModeProduct(si=si, lo=coherent(np.sqrt(10.0))), 0.0).noise_db
+    n_at_1e4 = evaluate(
+        TwoModeProduct(si=si, lo=coherent(100.0)), 0.0).noise_db
 
     lo = squeezed_vacuum(ZETA_3DB)
     dip = evaluate(TwoModeProduct(si=si, lo=lo), np.pi / 2.0)

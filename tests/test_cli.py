@@ -1,18 +1,22 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import squeezewitness
 from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     InputError,
-    MomentRecord,
     RunConfig,
     cmd_reproduce,
     cmd_witness,
@@ -20,20 +24,6 @@ from squeezewitness.cli import (
     read_moment_records,
 )
 from squeezewitness.figures import build_figure, render_csv
-
-
-class TestMomentRecord:
-    def test_valid_row(self):
-        record = MomentRecord(theta_rad=0.1, var_L=0.2, nb=0.3, na=0.4)
-        assert record.nb == 0.3
-
-    def test_invariants(self):
-        with pytest.raises(ValueError, match="var_L"):
-            MomentRecord(theta_rad=0.0, var_L=-1.0, nb=0.1)
-        with pytest.raises(ValueError, match="nb"):
-            MomentRecord(theta_rad=0.0, var_L=1.0, nb=0.0)
-        with pytest.raises(ValueError, match="na"):
-            MomentRecord(theta_rad=0.0, var_L=1.0, nb=0.1, na=-0.5)
 
 
 class TestFigures:
@@ -57,6 +47,15 @@ class TestFigures:
         coherent_rows = [row for row in figure.rows if row[0] == "coherent"]
         noise = [row[4] for row in coherent_rows]
         assert all(b < a for a, b in zip(noise, noise[1:]))
+
+    @pytest.mark.parametrize("points", [2, 7, 60, 61, 400])
+    def test_noise_sweep_summary_minima_are_column_minima(self, points):
+        figure = build_figure("noise-sweep", points=points)
+        for kind in ("coherent", "squeezed"):
+            column_min = min(row[4] for row in figure.rows if row[0] == kind)
+            summary_min = figure.summary[f"{kind}_lo"]["min_noise_db"]
+            assert summary_min == ("-inf" if column_min == -np.inf else column_min)
+        assert figure.summary["squeezed_lo"]["min_noise_db"] == "-inf"
 
     def test_robustness_laws_hold_on_grid(self):
         figure = build_figure("robustness", points=11)
@@ -161,7 +160,7 @@ class TestWitnessCommand:
             tmp_path,
             "theta_rad,var_L,nb\n0.0,0.1,0.2\n0.1,0.1,0.0\n")
         with pytest.raises(InputError, match="line 3"):
-            read_moment_records(path)
+            cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,abc,0.2\n")
@@ -184,7 +183,7 @@ class TestWitnessCommand:
             "theta_rad,var_L,nb,detector_id\n0.0,0.2,0.1,7\n")
         records, warnings = read_moment_records(path)
         assert len(records) == 1
-        assert records[0].var_L == 0.2
+        assert records["var_L"][0] == 0.2
         assert any("detector_id" in w for w in warnings)
         code = main(["witness", "--input", path,
                      "--out", str(tmp_path / "r.json")])
@@ -207,6 +206,109 @@ class TestWitnessCommand:
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n\n")
         records, _ = read_moment_records(path)
         assert len(records) == 1
+
+    def test_columns_parsed_exactly(self, tmp_path):
+        path = write_csv(tmp_path, "na,nb,var_L,theta_rad\n0.4,0.3,0.2,0.1\n\n,3,2,1\n")
+        records, warnings = read_moment_records(path)
+        assert warnings == []
+        assert records["line"].tolist() == [2, 4]
+        assert records["theta_rad"].tolist() == [0.1, 1.0]
+        assert records["var_L"].tolist() == [0.2, 2.0]
+        assert records["nb"].tolist() == [0.3, 3.0]
+        assert records["has_na"].tolist() == [True, False]
+        assert records["na"][0] == 0.4
+
+    @pytest.mark.parametrize("row, column", [
+        ("0.0,-1.0,0.1,", "var_L"),
+        ("0.0,1.0,0.0,", "nb"),
+        ("0.0,1.0,0.1,-0.5", "na"),
+        ("nan,1.0,0.1,", "theta_rad"),
+        ("0.0,inf,0.1,", "var_L"),
+        ("0.0,1.0,nan,", "nb"),
+        ("0.0,1.0,0.1,inf", "na"),
+    ], ids=["var_L-negative", "nb-zero", "na-negative", "theta_rad-nan", "var_L-inf",
+            "nb-nan", "na-inf"])
+    def test_out_of_range_cells_report_column_and_line(self, tmp_path, row, column):
+        path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n0.0,0.2,0.1,0.3\n{row}\n")
+        with pytest.raises(InputError, match=rf"^line 3: {column} = "):
+            cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n")
+        code = main(["witness", "--input", path, "--tol", tol,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT_ERROR
+        assert "tol" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+nonnegative = st.floats(0.0, 1e6)
+positive = st.floats(1e-6, 1e6)
+VALID_ROWS = st.lists(
+    st.tuples(finite, nonnegative, positive, st.none() | nonnegative), max_size=6)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+# Per column, cells that are finite but out of range.
+OUT_OF_RANGE = {
+    "theta_rad": st.nothing(),
+    "var_L": st.floats(-1e6, -1e-300).map(repr),
+    "nb": st.floats(-1e6, 0.0).map(repr),
+    "na": st.floats(-1e6, -1e-300).map(repr),
+}
+
+
+def moments_csv(rows, bad=None) -> str:
+    lines = ["theta_rad,var_L,nb,na"]
+    for theta, var_l, nb, na in rows:
+        lines.append(f"{theta!r},{var_l!r},{nb!r},{'' if na is None else repr(na)}")
+    if bad is not None:
+        column, cell = bad
+        cells = {"theta_rad": "0.5", "var_L": "1.5", "nb": "1.0", "na": "0.25"}
+        cells[column] = cell
+        lines.append(",".join(cells.values()))
+    return "\n".join(lines) + "\n"
+
+
+class TestWitnessInputBoundaries:
+    """The witness command fails closed on every cell it cannot interpret."""
+
+    @given(VALID_ROWS, st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
+        lambda column: st.tuples(st.just(column), NON_FINITE | OUT_OF_RANGE[column])))
+    @settings(max_examples=120, deadline=None)
+    def test_bad_cell_exits_2_naming_its_line(self, rows, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "moments.csv"
+            path.write_text(moments_csv(rows, bad), encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            stderr = io.StringIO()
+            with redirect_stderr(stderr):
+                code = main(["witness", "--input", str(path), "--out", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert re.search(rf"\bline {len(rows) + 2}: {bad[0]} = ", stderr.getvalue())
+            assert not out.exists()
+
+    @given(VALID_ROWS, st.floats(0.0, 10.0))
+    @settings(max_examples=120, deadline=None)
+    def test_valid_rows_give_strict_json_and_counts(self, rows, tol):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "moments.csv"
+            path.write_text(moments_csv(rows), encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            code = main(["witness", "--input", str(path), "--tol", repr(tol),
+                         "--out", str(out)])
+            assert code == EXIT_OK
+            report = json.loads(out.read_text(encoding="utf-8"),
+                                parse_constant=_reject_constant)
+        nonclassical = sum(1 for _, var_l, nb, _ in rows if var_l - nb < -tol)
+        assert report["summary"] == {"n_rows": len(rows),
+                                     "nonclassical_SI": nonclassical,
+                                     "classical_consistent": len(rows) - nonclassical}
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
 
 
 class TestValidateCommand:

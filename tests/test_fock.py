@@ -253,13 +253,19 @@ class TestWitnessGeneral:
 class TestConvergedCutoff:
     def test_vacuum_converges_immediately(self):
         ell = difference_observable(0.0)
-        assert converged_cutoff(StateParams(), StateParams(), ell * ell, 1e-9) == 2
+        cutoff, state = converged_cutoff(StateParams(), StateParams(), ell * ell, 1e-9)
+        assert cutoff == 2
+        assert state.cutoff == 4
 
     def test_typical_scenario_converges_modestly(self):
         ell = difference_observable(0.0)
-        cutoff = converged_cutoff(
-            StateParams(alpha=1.0), StateParams(zeta=ZETA_3DB), ell * ell, 1e-9)
+        params_si, params_lo = StateParams(alpha=1.0), StateParams(zeta=ZETA_3DB)
+        cutoff, state = converged_cutoff(params_si, params_lo, ell * ell, 1e-9)
         assert cutoff <= 64
+        # The returned state is the one fock_state builds at the next doubling.
+        fresh = fock_state(params_si, params_lo, 2 * cutoff)
+        assert state.kind == fresh.kind and state.deficit == fresh.deficit
+        np.testing.assert_array_equal(state.data, fresh.data)
 
     def test_heavy_tail_with_small_budget_fails(self):
         ell = difference_observable(0.0)

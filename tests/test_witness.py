@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,15 +15,14 @@ from squeezewitness.gaussian import (
 from squeezewitness.witness import (
     CLASSICAL,
     NONCLASSICAL,
+    ZERO_VARIANCE_TOL,
+    ColumnError,
     TwoModeProduct,
-    WitnessReport,
-    classify,
     evaluate,
     homodyne_variance,
-    noise_parameter,
     optimize_lo,
     ordered_variances,
-    sweep,
+    witness_values,
 )
 
 ZETA_3DB = db_to_squeeze(3.0)
@@ -168,14 +165,14 @@ class TestOrderedVariances:
 class TestNoiseParameter:
     def test_blocked_signal_sits_at_shot_noise(self):
         pair = TwoModeProduct(si=vacuum(), lo=coherent(1.3))
-        assert noise_parameter(pair, 0.9) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate(pair, 0.9).noise_db == pytest.approx(0.0, abs=1e-12)
 
     def test_squeezed_si_with_strong_coherent_lo(self):
         pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB),
                               lo=coherent(np.sqrt(10.0)))
         expected = 10.0 * np.log10(
             (np.sinh(ZETA_3DB) ** 2 + 10.0 * E_MINUS) / 10.0)
-        got = noise_parameter(pair, 0.0)
+        got = evaluate(pair, 0.0).noise_db
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(-2.8936, abs=2e-4)
 
@@ -183,12 +180,14 @@ class TestNoiseParameter:
         lo = squeezed_vacuum(ZETA_3DB)
         assert mean_photon(lo) == pytest.approx(0.124112, abs=1e-6)
         pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB), lo=lo)
-        assert noise_parameter(pair, np.pi / 2.0) == -np.inf
+        report = evaluate(pair, np.pi / 2.0)
+        assert report.noise_db == -np.inf
+        assert report.verdict == NONCLASSICAL
 
     def test_rejects_dark_lo(self):
         pair = TwoModeProduct(si=coherent(1.0), lo=vacuum())
         with pytest.raises(ValueError, match="shot-noise"):
-            noise_parameter(pair, 0.0)
+            evaluate(pair, 0.0)
 
     @given(params_strategy(), params_strategy(max_alpha=2.0),
            st.floats(0.0, 2 * np.pi))
@@ -199,19 +198,72 @@ class TestNoiseParameter:
             return
         pair = TwoModeProduct(si=make_state(si_params), lo=lo)
         _, partial, _ = ordered_variances(pair, theta)
-        noise_db = noise_parameter(pair, theta)
+        noise_db = evaluate(pair, theta).noise_db
         if partial < -1e-12:
             assert noise_db < 0
         if noise_db < -1e-12:
             assert partial < 0
 
 
+class TestWitnessValues:
+    """The verdict kernel shared by ``evaluate``, the figures and ``witness``."""
+
+    def test_quantities(self):
+        values = witness_values([0.25, 0.5, 2.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.25],
+                                tol=0.0)
+        np.testing.assert_array_equal(values.partial_no, [-0.25, 0.0, 1.5])
+        np.testing.assert_array_equal(values.full_no, [-1.25, 0.0, 1.25])
+        np.testing.assert_array_equal(values.nonclassical, [True, False, False])
+        np.testing.assert_array_equal(values.standard_negativity, [True, False, False])
+        np.testing.assert_allclose(values.noise_db, [-3.0103, 0.0, 6.0206], atol=1e-4)
+
+    def test_full_ordering_only_with_na(self):
+        values = witness_values([0.1], [0.2])
+        assert values.full_no is None and values.standard_negativity is None
+
+    def test_vanishing_variance_gives_minus_infinity(self):
+        values = witness_values([0.0, ZERO_VARIANCE_TOL, -1e-17, 2 * ZERO_VARIANCE_TOL],
+                                [0.1] * 4)
+        np.testing.assert_array_equal(values.noise_db[:3], [-np.inf] * 3)
+        assert np.isfinite(values.noise_db[3])
+
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        var_l = rng.uniform(0.0, 10.0, 257)
+        nb = rng.uniform(0.01, 10.0, 257)
+        na = rng.uniform(0.0, 5.0, 257)
+        whole = witness_values(var_l, nb, na, tol=0.01)
+        for i in range(257):
+            one = witness_values(float(var_l[i]), float(nb[i]), float(na[i]), tol=0.01)
+            for got, want in zip(whole, one):
+                assert got[i] == want
+
+    @pytest.mark.parametrize("column", ["var_L", "nb", "na"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_column_and_index(self, column, bad):
+        cells = {"var_L": [0.1, 0.2, 0.3], "nb": [0.1, 0.2, 0.3], "na": [0.0, 0.1, 0.2]}
+        cells[column][1] = bad
+        with pytest.raises(ColumnError, match=rf"{column}\[1\]") as caught:
+            witness_values(cells["var_L"], cells["nb"], cells["na"])
+        assert (caught.value.column, caught.value.index) == (column, 1)
+
+    @pytest.mark.parametrize("nb", [0.0, -0.5])
+    def test_rejects_nonpositive_nb(self, nb):
+        with pytest.raises(ColumnError, match="shot-noise") as caught:
+            witness_values([0.1, 0.2, 0.3], [0.2, 0.1, nb])
+        assert (caught.value.column, caught.value.index) == ("nb", 2)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            witness_values([0.1], [0.2], tol=tol)
+
+
 class TestClassifyAndReports:
     def test_negative_witness_detected(self):
-        report = WitnessReport(theta=0.0, var_L=0.1, partial_no=-0.3,
-                               full_no=-0.5, shot_noise=0.4, noise_db=-6.0,
-                               verdict="")
-        assert classify(report, 1e-9) == NONCLASSICAL
+        values = witness_values(0.1, 0.4, 0.2, tol=1e-9)
+        assert values.partial_no == pytest.approx(-0.3)
+        assert values.nonclassical
 
     def test_false_positive_is_exposed(self):
         report = evaluate(fig2_pair(), 0.0)
@@ -220,39 +272,36 @@ class TestClassifyAndReports:
         assert report.verdict == CLASSICAL
 
     def test_boundary_is_classical(self):
-        report = WitnessReport(theta=0.0, var_L=0.1, partial_no=0.0,
-                               full_no=-0.1, shot_noise=0.1, noise_db=0.0,
-                               verdict="")
-        assert classify(report, 1e-9) == CLASSICAL
-        assert classify(report, 0.0) == CLASSICAL
+        assert not witness_values(0.1, 0.1, tol=1e-9).nonclassical
+        assert not witness_values(0.1, 0.1, tol=0.0).nonclassical
+        # partial_no == -tol exactly is not below -tol.
+        values = witness_values(0.5, 0.75, tol=0.25)
+        assert values.partial_no == -0.25
+        assert not values.nonclassical
 
     def test_rejects_negative_tol(self):
-        report = evaluate(fig2_pair(), 0.0)
-        with pytest.raises(ValueError):
-            classify(report, -1.0)
+        with pytest.raises(ValueError, match="tol"):
+            evaluate(fig2_pair(), 0.0, tol=-1.0)
 
     def test_report_ordering_identities_are_exact(self):
         report = evaluate(fig2_pair(), 0.7)
         assert report.var_L - report.shot_noise == report.partial_no
         assert report.partial_no - report.full_no == mean_photon(fig2_pair().si)
 
-    def test_json_serialization(self):
-        report = evaluate(
-            TwoModeProduct(si=squeezed_vacuum(ZETA_3DB),
-                           lo=squeezed_vacuum(ZETA_3DB)), np.pi / 2.0)
-        payload = report.to_json_dict()
-        assert payload["noise_db"] == "-inf"
-        assert payload["verdict"] == NONCLASSICAL
-        text = json.dumps(payload)
-        assert json.loads(text)["noise_db"] == "-inf"
-        assert set(payload) == {"theta", "var_L", "partial_no", "full_no",
-                                "shot_noise", "noise_db", "verdict"}
+    def test_matches_closed_form_ordered_variances(self):
+        pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB), lo=coherent(1.5))
+        for theta in np.linspace(0.0, np.pi, 7):
+            report = evaluate(pair, float(theta))
+            assert (report.var_L, report.partial_no, report.full_no) == \
+                ordered_variances(pair, float(theta))
+            assert report.verdict == (NONCLASSICAL if report.partial_no < -1e-9
+                                      else CLASSICAL)
 
 
 class TestSweep:
     def test_fig2_family(self):
         thetas = [2.0 * np.pi * k / 361 for k in range(361)]
-        reports = sweep([fig2_pair()], thetas)
+        reports = [evaluate(fig2_pair(), theta) for theta in thetas]
         assert len(reports) == 361
         assert min(r.partial_no for r in reports) >= -1e-12
         assert min(r.full_no for r in reports) == pytest.approx(-0.498813, abs=1e-4)
@@ -261,27 +310,10 @@ class TestSweep:
     def test_noise_sweep_family_decreases(self):
         si = squeezed_vacuum(ZETA_3DB)
         intensities = [10.0 ** e for e in np.linspace(-2, 4, 25)]
-        pairs = [TwoModeProduct(si=si, lo=coherent(np.sqrt(nb)))
+        noise = [evaluate(TwoModeProduct(si=si, lo=coherent(np.sqrt(nb))), 0.0).noise_db
                  for nb in intensities]
-        reports = sweep(pairs, [0.0])
-        noise = [r.noise_db for r in reports]
         assert all(b < a for a, b in zip(noise, noise[1:]))
         assert noise[-1] > -3.0
-
-    def test_single_pair_single_theta(self):
-        reports = sweep([fig2_pair()], [0.3])
-        assert len(reports) == 1
-        assert reports[0].theta == 0.3
-
-    def test_deterministic_order(self):
-        pairs = [fig2_pair(), TwoModeProduct(si=vacuum(), lo=coherent(1.0))]
-        reports = sweep(pairs, [0.1, 0.2])
-        assert [r.theta for r in reports] == [0.1, 0.2, 0.1, 0.2]
-        assert reports[0].shot_noise == reports[1].shot_noise
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep([fig2_pair()], [])
 
 
 class TestOptimizeLO:
