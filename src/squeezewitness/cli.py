@@ -30,10 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .figures import FIGURE_IDS, build_figure, db_json_value, render_csv
-from .svgplot import DEFAULT_DB_FLOOR, line_plot_svg
-from .validate import run_all_suites
-from .witness import (CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, ColumnError, require,
-                      witness_values)
+from .svgplot import line_plot_svg
+from .witness import (CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, ColumnError,
+                      WitnessValues, require, witness_values)
 
 __all__ = ["RunConfig", "InputError", "main", "read_moment_records",
            "cmd_reproduce", "cmd_witness", "cmd_validate"]
@@ -66,7 +65,6 @@ class RunConfig:
     seed: int = 42
     trials: int = 200
     cutoff_max: int = 256
-    db_floor: float = DEFAULT_DB_FLOOR
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= 0):
@@ -115,7 +113,7 @@ def cmd_reproduce(config: RunConfig) -> list[Path]:
         svg_path = out_dir / f"{stem}.svg"
         _write_text(svg_path, line_plot_svg(
             figure.series, title=figure.name, x_label=figure.x_label,
-            y_label=figure.y_label, log_x=figure.log_x, floor=config.db_floor))
+            y_label=figure.y_label, log_x=figure.log_x))
         written.append(svg_path)
     return written
 
@@ -167,28 +165,46 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     return np.array(records, dtype=RECORD_DTYPE), warnings
 
 
+def _measured_values(records: np.ndarray, tol: float) -> WitnessValues:
+    """The kernel's values for measured rows.
+
+    Measured rows also need a finite ``theta_rad``, ``var_L >= 0`` and
+    ``na >= 0`` where given.  Raises :class:`ColumnError` at the first bad
+    row of the first rule that fails.
+    """
+    theta, var_L, na = records["theta_rad"], records["var_L"], records["na"]
+    require("theta_rad", theta, np.isfinite(theta), "is not finite")
+    # NaN passes these two; the kernel rejects it.
+    require("var_L", var_L, ~(var_L < 0), "is not >= 0")
+    require("na", na, ~(na < 0), "is not >= 0")
+    # An empty na cell becomes 0 so that only given cells meet the kernel.
+    return witness_values(var_L, records["nb"], np.where(records["has_na"], na, 0.0), tol)
+
+
 def cmd_witness(config: RunConfig) -> dict:
     """Evaluate measured moment records and write the JSON report.
 
-    Measured rows also need a finite ``theta_rad``, ``var_L >= 0`` and
-    ``na >= 0`` where given; a rejected cell is an error naming its line.
+    A rejected cell is an error naming the first bad line of the file.
     """
     records, warnings = read_moment_records(config.input_path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    end, error = len(records), None
+    while True:
+        try:
+            values = _measured_values(records[:end], config.tol)
+        except ColumnError as exc:
+            # The rows above a rule's first bad row may break another rule;
+            # each rule fires at most once, so this ends within 7 rounds.
+            end, error = exc.index, exc
+        else:
+            break
+    if error is not None:
+        raise InputError(f"line {records['line'][error.index]}: "
+                         f"{error.column} = {error.value!r} {error.rule}") from error
+
     theta, var_L, nb, na, has_na = (
         records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
-    try:
-        require("theta_rad", theta, np.isfinite(theta), "is not finite")
-        # NaN passes these two; the kernel rejects it.
-        require("var_L", var_L, ~(var_L < 0), "is not >= 0")
-        require("na", na, ~(na < 0), "is not >= 0")
-        # An empty na cell becomes 0 so that only given cells meet the kernel.
-        values = witness_values(var_L, nb, np.where(has_na, na, 0.0), config.tol)
-    except ColumnError as exc:
-        raise InputError(f"line {records['line'][exc.index]}: "
-                         f"{exc.column} = {exc.value!r} {exc.rule}") from exc
-
     rows = []
     for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
             theta.tolist(), var_L.tolist(), nb.tolist(), values.partial_no.tolist(),
@@ -225,6 +241,8 @@ def cmd_validate(config: RunConfig) -> tuple[dict, int]:
     if config.trials == 0:
         print("warning: zero trials requested; suites pass vacuously",
               file=sys.stderr)
+    from .validate import run_all_suites  # the oracle: only this command needs it
+
     results = run_all_suites(trials=config.trials, seed=config.seed,
                              cutoff_max=config.cutoff_max)
     report = {
@@ -293,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
                            cutoff_max=args.cutoff_max, out=args.out)
         _, code = cmd_validate(config)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -30,7 +30,6 @@ from .opexpr import MODE, IS_DAGGER, OperatorExpr, ExpressionError, reorder, \
     formal_normal_order, adjoint_product
 
 __all__ = [
-    "LadderMatrices",
     "FockState",
     "TruncationError",
     "ConvergenceError",
@@ -57,49 +56,39 @@ class ConvergenceError(Exception):
     """The doubling schedule ran out before expectation values settled."""
 
 
-@dataclass(frozen=True)
-class LadderMatrices:
-    """Truncated annihilation matrix, shared by both modes.
+@lru_cache(maxsize=None)
+def build_ladder(cutoff: int) -> np.ndarray:
+    """Truncated annihilation matrix ``<n-1|a|n> = sqrt(n)``, read-only.
 
-    ``a_mat`` holds the single-mode matrix with elements
-    ``<n-1|a|n> = sqrt(n)``; it acts on mode A or B of a two-mode state by
-    (implicit) tensor product with the identity on the other mode.
+    It acts on mode A or B of a two-mode state by (implicit) tensor product
+    with the identity on the other mode.
     """
-
-    cutoff: int
-    a_mat: np.ndarray
-
-
-def build_ladder(cutoff: int) -> LadderMatrices:
-    """Construct truncated ladder matrices for the given cutoff."""
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
     a.setflags(write=False)
-    return LadderMatrices(cutoff=cutoff, a_mat=a)
+    return a
 
 
 @lru_cache(maxsize=None)
-def _single_mode_matrix(cutoff: int, daggers: int, lowers: int) -> np.ndarray:
-    """Matrix of ``ad^daggers a^lowers`` on one truncated mode."""
-    a = build_ladder(cutoff).a_mat
+def _mode_matrix(daggers: tuple[bool, ...], cutoff: int) -> np.ndarray:
+    """Matrix of one mode's letters in written order, ``True`` for a dagger.
+
+    Accumulates from the right, so the last letter acts first.
+    """
+    a = build_ladder(cutoff)
     out = np.eye(cutoff, dtype=complex)
-    for _ in range(lowers):
-        out = a @ out
-    for _ in range(daggers):
-        out = a.conj().T @ out
+    for dagger in reversed(daggers):
+        out = (a.conj().T if dagger else a) @ out
     out.setflags(write=False)
     return out
 
 
-def _word_factors(word: tuple[str, ...], cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode matrices of a word, letters applied in written order."""
-    mats = {"A": np.eye(cutoff, dtype=complex), "B": np.eye(cutoff, dtype=complex)}
-    a = build_ladder(cutoff).a_mat
-    for letter in word:
-        op = a.conj().T if IS_DAGGER[letter] else a
-        mats[MODE[letter]] = mats[MODE[letter]] @ op
-    return mats["A"], mats["B"]
+def _word_matrices(word: tuple[str, ...], cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of a word's mode-A and mode-B letters."""
+    return tuple(_mode_matrix(tuple(IS_DAGGER[letter] for letter in word
+                                    if MODE[letter] == mode), cutoff)
+                 for mode in "AB")
 
 
 def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
@@ -110,8 +99,7 @@ def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
     """
     out = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for word, coeff in expr.terms:
-        mat_a, mat_b = _word_factors(word, cutoff)
-        out += coeff * np.kron(mat_a, mat_b)
+        out += coeff * np.kron(*_word_matrices(word, cutoff))
     return out
 
 
@@ -325,11 +313,7 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
 # ---------------------------------------------------------------------------
 
 def _expect_word(word: tuple[str, ...], state: FockState) -> complex:
-    counts = {"A": [0, 0], "B": [0, 0]}
-    for letter in word:
-        counts[MODE[letter]][0 if IS_DAGGER[letter] else 1] += 1
-    mat_a = _single_mode_matrix(state.cutoff, *counts["A"])
-    mat_b = _single_mode_matrix(state.cutoff, *counts["B"])
+    mat_a, mat_b = _word_matrices(word, state.cutoff)
     if state.kind == "pure":
         psi = state.data
         return complex(np.vdot(psi, mat_a @ psi @ mat_b.T))

@@ -2,17 +2,17 @@
 
 Just axes, polylines, tick labels, and a legend; every coordinate is
 formatted with fixed precision so identical data produces identical bytes.
-Infinite values are clamped to a configurable floor before plotting (the
-data files keep them unclamped).
+Infinite values are clamped to a fixed floor of -60 dB before plotting
+(the data files keep them unclamped).
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["line_plot_svg", "DEFAULT_DB_FLOOR"]
+__all__ = ["line_plot_svg", "DB_FLOOR"]
 
-DEFAULT_DB_FLOOR = -60.0
+DB_FLOOR = -60.0
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT = 70, 20
@@ -35,11 +35,11 @@ def _tick_label(x: float) -> str:
 
 
 def line_plot_svg(series, title: str, x_label: str, y_label: str,
-                  log_x: bool = False, floor: float = DEFAULT_DB_FLOOR) -> str:
+                  log_x: bool = False) -> str:
     """Render series of ``(label, xs, ys)`` to an SVG document string."""
     clamped = []
     for label, xs, ys in series:
-        ys = [max(float(y), floor) for y in ys]
+        ys = [max(float(y), DB_FLOOR) for y in ys]
         xs = [math.log10(x) for x in xs] if log_x else [float(x) for x in xs]
         clamped.append((label, xs, ys))
 

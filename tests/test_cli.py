@@ -234,6 +234,16 @@ class TestWitnessCommand:
             cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,nan,0.1\n0.1,0.2,0.1\nnan,0.2,0.1\n", "line 2: var_L = nan is not finite"),
+        ("0.0,0.2,0\n0.1,-1,0.1\n", "line 2: nb = 0.0 is not > 0"),
+    ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule"])
+    def test_first_bad_line_is_named(self, tmp_path, capsys, rows, message):
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n" + rows)
+        code = main(["witness", "--input", path, "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n")
@@ -259,12 +269,12 @@ OUT_OF_RANGE = {
 }
 
 
-def moments_csv(rows, bad=None) -> str:
+def moments_csv(rows, *bad) -> str:
+    """CSV of the valid ``rows``, then one row per ``(column, cell)`` in ``bad``."""
     lines = ["theta_rad,var_L,nb,na"]
     for theta, var_l, nb, na in rows:
         lines.append(f"{theta!r},{var_l!r},{nb!r},{'' if na is None else repr(na)}")
-    if bad is not None:
-        column, cell = bad
+    for column, cell in bad:
         cells = {"theta_rad": "0.5", "var_L": "1.5", "nb": "1.0", "na": "0.25"}
         cells[column] = cell
         lines.append(",".join(cells.values()))
@@ -274,13 +284,17 @@ def moments_csv(rows, bad=None) -> str:
 class TestWitnessInputBoundaries:
     """The witness command fails closed on every cell it cannot interpret."""
 
-    @given(VALID_ROWS, st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
-        lambda column: st.tuples(st.just(column), NON_FINITE | OUT_OF_RANGE[column])))
+    @given(VALID_ROWS, st.permutations(["theta_rad", "var_L", "nb", "na"]).flatmap(
+        lambda columns: st.tuples(*(st.tuples(st.just(column),
+                                              NON_FINITE | OUT_OF_RANGE[column])
+                                    for column in columns[:2]))))
     @settings(max_examples=120, deadline=None)
-    def test_bad_cell_exits_2_naming_its_line(self, rows, bad):
+    def test_bad_cell_exits_2_naming_its_line(self, rows, bads):
+        # A second bad row, in another column, follows the first one.
+        bad = bads[0]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "moments.csv"
-            path.write_text(moments_csv(rows, bad), encoding="utf-8")
+            path.write_text(moments_csv(rows, *bads), encoding="utf-8")
             out = Path(tmp) / "report.json"
             stderr = io.StringIO()
             with redirect_stderr(stderr):
@@ -347,13 +361,43 @@ class TestValidateCommand:
         assert "settle" in gauss["detail"]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is needed only by the bath fold inside ``validate``.
-    code = ("import sys, squeezewitness.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this package."""
     src = str(Path(squeezewitness.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True, env=env)
-    assert result.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by the bath fold inside ``validate``, and the
+    # Fock oracle with its operator algebra only by the ``validate`` command.
+    code = ("import sys, squeezewitness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('squeezewitness.fock', 'squeezewitness.opexpr', "
+            "'squeezewitness.validate')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_package_surface_resolves_on_first_use():
+    code = """
+import types, squeezewitness
+for name in squeezewitness.__all__:
+    getattr(squeezewitness, name)
+namespace = {}
+exec("from squeezewitness import *", namespace)
+missing = set(squeezewitness.__all__) - namespace.keys()
+assert not missing, missing
+assert isinstance(squeezewitness.fock, types.ModuleType)
+assert squeezewitness.fock.fock_state is squeezewitness.fock_state
+for name in ("LadderMatrices", "no_such_name"):
+    try:
+        getattr(squeezewitness, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(name)
+print("ok")
+"""
+    assert _fresh_python(code).strip() == "ok"

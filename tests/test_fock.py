@@ -41,15 +41,15 @@ NUMBER_B = OperatorExpr.word(("bd", "b"))
 class TestLadder:
     def test_cutoff_two(self):
         np.testing.assert_array_equal(
-            build_ladder(2).a_mat, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            build_ladder(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_number_operator(self):
-        a = build_ladder(3).a_mat
+        a = build_ladder(3)
         np.testing.assert_allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0]))
 
     def test_commutator_has_corner_defect(self):
         cutoff = 9
-        a = build_ladder(cutoff).a_mat
+        a = build_ladder(cutoff)
         commutator = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(cutoff)
         expected[-1, -1] = -(cutoff - 1)
@@ -110,7 +110,7 @@ class TestStateConstruction:
         params = StateParams(zeta=0.45, phi=0.8, alpha=0.9 - 0.6j)
         vec, deficit = pure_mode_amplitudes(params, 64)
         assert deficit < 1e-10
-        a = build_ladder(64).a_mat
+        a = build_ladder(64)
         moments = field_moments(make_state(params))
         assert np.vdot(vec, a @ vec) == pytest.approx(moments.mean_a, abs=1e-9)
         assert np.vdot(vec, a @ a @ vec) == pytest.approx(moments.a_sq, abs=1e-9)
