@@ -21,9 +21,8 @@ _EXPORTS = {
                  "make_state", "mean_photon", "rotate", "squeeze_to_db",
                  "squeezed_vacuum", "vacuum"),
     "channels": ("apply_gain_noise", "apply_loss"),
-    "witness": ("CLASSICAL", "NONCLASSICAL", "TwoModeProduct", "WitnessReport",
-                "evaluate", "homodyne_variance", "optimize_lo", "ordered_variances",
-                "witness_values"),
+    "witness": ("CLASSICAL", "NONCLASSICAL", "TwoModeProduct", "WitnessValues",
+                "evaluate", "homodyne_variance", "optimize_lo", "witness_values"),
     "opexpr": ("ExpressionError", "ExpressionSyntaxError", "OperatorExpr",
                "adjoint_product", "difference_observable", "formal_normal_order",
                "parse", "reorder"),

@@ -30,7 +30,7 @@ from .gaussian import (
     mean_photon,
     squeezed_vacuum,
 )
-from .witness import TwoModeProduct, homodyne_variance, ordered_variances, witness_values
+from .witness import TwoModeProduct, evaluate, homodyne_variance, witness_values
 
 __all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "format_value",
            "render_csv"]
@@ -81,13 +81,10 @@ def figure_fluctuations(points: int = 361) -> FigureData:
         raise ValueError(f"need at least 2 grid points, got {points}")
     zeta_lo = db_to_squeeze(SQUEEZING_DB)
     pair = TwoModeProduct(si=coherent(1.0), lo=squeezed_vacuum(zeta_lo))
-    thetas = [2.0 * np.pi * k / points for k in range(points)]
-    rows = []
-    for theta in thetas:
-        _, partial, full = ordered_variances(pair, theta)
-        rows.append((theta, partial, full))
-    partials = [row[1] for row in rows]
-    fulls = [row[2] for row in rows]
+    grid = 2.0 * np.pi * np.arange(points) / points
+    values = evaluate(pair, grid)
+    thetas, partials, fulls = grid.tolist(), values.partial_no.tolist(), values.full_no.tolist()
+    rows = list(zip(thetas, partials, fulls))
     summary = {
         "figure": "fluctuations",
         "points": points,
@@ -95,8 +92,8 @@ def figure_fluctuations(points: int = 361) -> FigureData:
         "lo": f"squeezed vacuum, {SQUEEZING_DB} dB",
         "min_partial_no": min(partials),
         "min_full_no": min(fulls),
-        "theta_at_min_full_no": rows[int(np.argmin(fulls))][0],
-        "full_no_negative_fraction": sum(1 for v in fulls if v < 0) / points,
+        "theta_at_min_full_no": thetas[int(np.argmin(fulls))],
+        "full_no_negative_fraction": int(np.count_nonzero(values.full_no < 0)) / points,
     }
     return FigureData(
         name="fluctuations",
@@ -170,22 +167,16 @@ def figure_robustness(points: int = 21) -> FigureData:
     lo = squeezed_vacuum(zeta)
     theta = np.pi / 2.0
     nb = mean_photon(lo)
-    _, ideal, _ = ordered_variances(TwoModeProduct(si=si, lo=lo), theta)
-
-    rows = []
-    loss_curve: list[tuple[float, float]] = []
-    gain_curve: list[tuple[float, float]] = []
-    for eta in np.linspace(0.0, 1.0, points):
-        _, partial, _ = ordered_variances(
-            TwoModeProduct(si=apply_loss(si, float(eta)), lo=lo), theta)
-        rows.append(("loss", float(eta), partial, float(eta) * ideal))
-        loss_curve.append((float(eta), partial))
-    for g in np.linspace(1.0, 2.0, points):
-        _, partial, _ = ordered_variances(
-            TwoModeProduct(si=apply_gain_noise(si, float(g)), lo=lo), theta)
-        predicted = float(g) * ideal + (float(g) - 1.0) * (2.0 * nb + 1.0)
-        rows.append(("gain", float(g), partial, predicted))
-        gain_curve.append((float(g), partial))
+    etas = np.linspace(0.0, 1.0, points).tolist()
+    gains = np.linspace(1.0, 2.0, points).tolist()
+    signals = ([si] + [apply_loss(si, eta) for eta in etas]
+               + [apply_gain_noise(si, g) for g in gains])
+    var = [homodyne_variance(TwoModeProduct(si=signal, lo=lo), theta) for signal in signals]
+    partials = witness_values(var, nb).partial_no.tolist()
+    ideal, lossy, noisy = partials[0], partials[1:points + 1], partials[points + 1:]
+    rows = [("loss", eta, p, eta * ideal) for eta, p in zip(etas, lossy)]
+    rows += [("gain", g, p, g * ideal + (g - 1.0) * (2.0 * nb + 1.0))
+             for g, p in zip(gains, noisy)]
 
     summary = {
         "figure": "robustness",
@@ -204,10 +195,7 @@ def figure_robustness(points: int = 21) -> FigureData:
         header=("channel", "param", "partial_no", "predicted"),
         rows=rows,
         summary=summary,
-        series=[
-            ("loss (vs eta)", [x for x, _ in loss_curve], [y for _, y in loss_curve]),
-            ("gain (vs g)", [x for x, _ in gain_curve], [y for _, y in gain_curve]),
-        ],
+        series=[("loss (vs eta)", etas, lossy), ("gain (vs g)", gains, noisy)],
         x_label="channel parameter",
         y_label="LO-agnostic variance",
     )

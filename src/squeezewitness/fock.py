@@ -339,8 +339,10 @@ def expect(expr: OperatorExpr, state: FockState) -> complex:
 def witness_general(f: OperatorExpr, state: FockState) -> float:
     """Evaluate the subsystem-A witness ``< :A: f^dag f :A: >``.
 
-    Negative values certify that the A mode cannot be a statistical
-    mixture of coherent states, no matter what occupies mode B.
+    A negative value rules out every joint state ``int P(alpha)
+    |alpha><alpha| (x) rho_B(alpha) d^2 alpha`` with ``P >= 0``.  It does
+    not certify the A marginal alone: an entangled input with a classical
+    A marginal can make it negative.
     """
     if f.degree > 4:
         raise ExpressionError(f"witness operand degree {f.degree} exceeds the cap of 4")

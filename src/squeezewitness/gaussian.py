@@ -178,8 +178,8 @@ def rotate(state: SingleModeGaussian, theta: float) -> SingleModeGaussian:
 
 
 def mean_photon(state: SingleModeGaussian) -> float:
-    """Mean photon number, ``(tr(cov) - 1 + disp . disp) / 2``."""
-    return float((np.trace(state.cov) - 1.0 + state.disp @ state.disp) / 2.0)
+    """Mean photon number ``<a^dag a>``, as :func:`field_moments` gives it."""
+    return field_moments(state).n_a
 
 
 def field_moments(state: SingleModeGaussian) -> FieldMoments:
@@ -202,20 +202,18 @@ def field_moments(state: SingleModeGaussian) -> FieldMoments:
     )
 
 
-def is_physical(state: SingleModeGaussian, tol: float = 0.0) -> bool:
-    """Check the uncertainty bound det(cov) >= 1/4 and positive definiteness.
+def is_physical(state: SingleModeGaussian) -> bool:
+    """Check positive definiteness and the uncertainty bound det(cov) >= 1/4.
 
-    The determinant comparison includes a machine-epsilon guard scaled with
-    the matrix magnitude, so that states sitting exactly on the
-    minimum-uncertainty boundary are not rejected by rounding noise.
+    Positive definiteness is Sylvester's criterion, ``cov[0, 0] > 0`` and
+    ``det(cov) > 0``.  The uncertainty bound includes a machine-epsilon
+    guard scaled with the matrix magnitude, so that states sitting exactly
+    on the minimum-uncertainty boundary are not rejected by rounding noise.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     cov = state.cov
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     guard = 64.0 * np.finfo(float).eps * max(1.0, np.trace(cov) ** 2)
-    eigs = np.linalg.eigvalsh(cov)
-    return bool(det >= 0.25 - tol - guard and eigs[0] > 0.0)
+    return bool(cov[0, 0] > 0.0 and det > 0.0 and det >= 0.25 - guard)
 
 
 def diagonalize(cov: np.ndarray) -> tuple[float, float, float]:

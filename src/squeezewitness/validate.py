@@ -25,7 +25,7 @@ from .fock import (
 )
 from .gaussian import StateParams, field_moments, make_state, mean_photon
 from .opexpr import LETTERS, OperatorExpr, difference_observable, reorder
-from .witness import TwoModeProduct, ordered_variances
+from .witness import TwoModeProduct, evaluate
 
 __all__ = [
     "SuiteResult",
@@ -104,7 +104,7 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     """Closed-form variances versus brute-force Fock expectations.
 
     For each draw, the raw, partially ordered, and fully ordered variances
-    from the covariance formulas are compared against the truncated-space
+    from the field-moment closed forms are compared against the truncated-space
     evaluation of the difference observable at a converged cutoff.
     """
     name = "gaussian_fock_agreement"
@@ -117,11 +117,11 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         ell = difference_observable(theta)
 
         pair = TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo))
-        closed = ordered_variances(pair, theta)
+        closed = evaluate(pair, theta)
         # The convergence tolerance only decides how hard the oracle refines;
         # size it to the magnitude of the compared quantity, then evaluate at
         # the next doubling above the certified cutoff for extra margin.
-        scale = max(1.0, abs(closed[0]))
+        scale = max(1.0, abs(closed.var_L))
         try:
             _, state = converged_cutoff(params_si, params_lo, ell * ell,
                                         tol=1e-7 * scale, max_cutoff=cutoff_max)
@@ -133,7 +133,7 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         na_f = expect(OperatorExpr.word(("ad", "a")), state).real
         oracle = (var_f, var_f - nb_f, var_f - na_f - nb_f)
 
-        for a, b in zip(closed, oracle):
+        for a, b in zip((closed.var_L, closed.partial_no, closed.full_no), oracle):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return SuiteResult(name, trials, worst, bool(worst <= GAUSSIAN_FOCK_RTOL))
 
@@ -224,15 +224,14 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
         gain = rng.uniform(1.0, 3.0)
         si = make_state(params_si)
         lo = make_state(params_lo)
-        _, partial, _ = ordered_variances(TwoModeProduct(si=si, lo=lo), theta)
+        partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
         nb = mean_photon(lo)
 
-        _, lossy, _ = ordered_variances(
-            TwoModeProduct(si=apply_loss(si, eta), lo=lo), theta)
+        lossy = evaluate(TwoModeProduct(si=apply_loss(si, eta), lo=lo), theta).partial_no
         worst = max(worst, abs(lossy - eta * partial))
 
-        _, noisy, _ = ordered_variances(
-            TwoModeProduct(si=apply_gain_noise(si, gain), lo=lo), theta)
+        noisy = evaluate(TwoModeProduct(si=apply_gain_noise(si, gain), lo=lo),
+                         theta).partial_no
         worst = max(worst, abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
     if trials > 0 and worst > CHANNEL_LAW_TOL:
         return SuiteResult(name, trials, worst, False)

@@ -1,13 +1,14 @@
 """Homodyne-difference statistics and the LO-agnostic squeezing witness.
 
 The measured observable is the photon-number difference behind a balanced
-beam splitter with LO phase control.  Its variance on a product of two
-Gaussian modes is evaluated in closed form from the covariance data; the
-witness subtracts the LO shot-noise reference ``<b^dag b>`` so that a
-negative value certifies nonclassicality of the signal mode alone,
-independent of what the LO is.  Subtracting the signal intensity as well
-yields the conventional two-mode criterion, which is reported alongside
-but never drives the verdict.
+beam splitter with LO phase control.  On a product of two modes its
+variance depends only on each mode's field moments ``<a>``, ``<a^2>`` and
+``<a^dag a>``, and is evaluated in closed form from them; the witness
+subtracts the LO shot-noise reference ``<b^dag b>`` so that a negative
+value certifies nonclassicality of the signal mode alone, independent of
+what the LO is.  Subtracting the signal intensity as well yields the
+conventional two-mode criterion, which is reported alongside but never
+drives the verdict.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ import numpy as np
 from .gaussian import (
     SingleModeGaussian,
     StateParams,
+    field_moments,
     is_physical,
     make_state,
     mean_photon,
-    rotation_matrix,
 )
 
 __all__ = [
     "TwoModeProduct",
-    "WitnessReport",
     "WitnessValues",
     "ColumnError",
     "NONCLASSICAL",
@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_VERDICT_TOL",
     "ZERO_VARIANCE_TOL",
     "homodyne_variance",
-    "ordered_variances",
     "require",
     "witness_values",
     "evaluate",
@@ -67,57 +66,29 @@ class TwoModeProduct:
                 raise ValueError(f"{name} state violates the uncertainty bound")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Witness evaluation at one LO phase.
+def homodyne_variance(state: TwoModeProduct, theta):
+    """Variance of the measured photon-number difference, elementwise in
+    ``theta``, which may be a scalar or an array.
 
-    ``partial_no`` is the LO-agnostic ordered variance
-    (``var_L - shot_noise``), ``full_no`` additionally subtracts the signal
-    intensity.  ``noise_db`` may be ``-inf`` when the variance vanishes.
+    With ``L = e^(i theta) a^dag b + e^(-i theta) a b^dag`` on a product
+    state, ``Var(L) = 2 Re(e^(2 i theta) <a^2>* <b^2>) + <a^dag a><b b^dag>
+    + <a a^dag><b^dag b> - (2 Re(e^(i theta) <a>* <b>))^2``, read from each
+    mode's :func:`field_moments`.
     """
-
-    theta: float
-    var_L: float
-    partial_no: float
-    full_no: float
-    shot_noise: float
-    noise_db: float
-    verdict: str
-
-
-def homodyne_variance(state: TwoModeProduct, theta: float) -> float:
-    """Variance of the measured photon-number difference.
-
-    Evaluates ``tr(C R^T C' R) - 1/2 + xi^T R^T C' R xi + xi'^T R C R^T xi'``
-    with ``R = R_theta`` and primed quantities belonging to the LO.
-    """
-    r = rotation_matrix(theta)
-    c_si, c_lo = state.si.cov, state.lo.cov
-    xi_si, xi_lo = state.si.disp, state.lo.disp
-    rot_lo = r.T @ c_lo @ r
-    return float(
-        np.trace(c_si @ rot_lo) - 0.5
-        + xi_si @ rot_lo @ xi_si
-        + xi_lo @ r @ c_si @ r.T @ xi_lo
-    )
-
-
-def ordered_variances(state: TwoModeProduct, theta: float) -> tuple[float, float, float]:
-    """Raw, LO-agnostic, and fully ordered variances of the difference signal.
-
-    Returns ``(var_L, partial_no, full_no)`` where
-    ``partial_no = var_L - <b^dag b>`` and
-    ``full_no = var_L - <a^dag a> - <b^dag b>``.
-    """
-    var = homodyne_variance(state, theta)
-    partial = var - mean_photon(state.lo)
-    return var, partial, partial - mean_photon(state.si)
+    a, b = field_moments(state.si), field_moments(state.lo)
+    theta = np.asarray(theta, dtype=float)
+    sq = np.conj(a.a_sq) * b.a_sq
+    mean = np.conj(a.mean_a) * b.mean_a
+    half_mean = np.cos(theta) * mean.real - np.sin(theta) * mean.imag  # <L> / 2
+    return (2.0 * (np.cos(2.0 * theta) * sq.real - np.sin(2.0 * theta) * sq.imag)
+            + a.n_a * b.aa_dag + a.aa_dag * b.n_a - 4.0 * (half_mean * half_mean))
 
 
 class WitnessValues(NamedTuple):
     """Elementwise results of :func:`witness_values`; the last two are
     ``None`` unless the signal intensity ``na`` was given."""
 
+    var_L: np.ndarray
     partial_no: np.ndarray
     noise_db: np.ndarray
     nonclassical: np.ndarray
@@ -169,23 +140,18 @@ def witness_values(var_L, nb, na=None,
         noise_db = np.where(var_L <= ZERO_VARIANCE_TOL, -np.inf,
                             10.0 * np.log10(var_L / nb))
     if na is None:
-        return WitnessValues(partial, noise_db, partial < -tol)
+        return WitnessValues(var_L, partial, noise_db, partial < -tol)
     full = partial - na
-    return WitnessValues(partial, noise_db, partial < -tol, full, full < -tol)
+    return WitnessValues(var_L, partial, noise_db, partial < -tol, full, full < -tol)
 
 
-def evaluate(state: TwoModeProduct, theta: float,
-             tol: float = DEFAULT_VERDICT_TOL) -> WitnessReport:
-    """Full witness report for one state at one LO phase."""
-    var = homodyne_variance(state, theta)
-    shot = mean_photon(state.lo)
-    values = witness_values(var, shot, mean_photon(state.si), tol)
-    return WitnessReport(
-        theta=float(theta), var_L=var, partial_no=float(values.partial_no),
-        full_no=float(values.full_no), shot_noise=shot,
-        noise_db=float(values.noise_db),
-        verdict=NONCLASSICAL if values.nonclassical else CLASSICAL,
-    )
+def evaluate(state: TwoModeProduct, theta,
+             tol: float = DEFAULT_VERDICT_TOL) -> WitnessValues:
+    """The kernel's values for one state at LO phase ``theta``, which may be
+    a scalar or an array; a dark LO (``<b^dag b> <= 0``) raises
+    :class:`ColumnError` naming ``nb``."""
+    return witness_values(homodyne_variance(state, theta), mean_photon(state.lo),
+                          mean_photon(state.si), tol)
 
 
 def optimize_lo(si: SingleModeGaussian,

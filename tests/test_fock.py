@@ -249,6 +249,23 @@ class TestWitnessGeneral:
         with pytest.raises(ExpressionError):
             witness_general(OperatorExpr.word(("a",) * 5), state)
 
+    @pytest.mark.parametrize("r, excess", [(0.2, 0.128), (0.5, 1.110), (0.8, 4.855)])
+    def test_entangled_input_with_classical_marginal(self, r, excess):
+        # The two-mode squeezed vacuum has a thermal, hence classical, A
+        # marginal, yet the joint state is no mixture of |alpha> x rho_B.
+        n = np.arange(60)
+        state = FockState.pure(np.diag(np.tanh(r) ** n / np.cosh(r)))
+        f = parse("ad") - OperatorExpr.word(("b",), 1.0 / np.tanh(r))
+        assert witness_general(f, state) == pytest.approx(-1.0, abs=1e-9)
+        # The homodyne witness Var(L) - <b^dag b> = 4 nbar^2 + 3 nbar stays positive.
+        nbar = np.sinh(r) ** 2
+        for theta in (0.0, 1.0):
+            ell = difference_observable(theta)
+            var = (expect(ell * ell, state) - expect(ell, state) ** 2).real
+            partial = var - expect(NUMBER_B, state).real
+            assert partial == pytest.approx(4.0 * nbar**2 + 3.0 * nbar, abs=1e-9)
+            assert partial == pytest.approx(excess, abs=1e-3)
+
 
 class TestConvergedCutoff:
     def test_vacuum_converges_immediately(self):

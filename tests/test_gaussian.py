@@ -18,6 +18,7 @@ from squeezewitness.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
+from squeezewitness.witness import TwoModeProduct
 
 ZETA_3DB = db_to_squeeze(3.0)
 
@@ -81,7 +82,7 @@ class TestMakeState:
     @given(params_strategy())
     @settings(max_examples=60, deadline=None)
     def test_always_physical(self, params):
-        assert is_physical(make_state(params), 0.0)
+        assert is_physical(make_state(params))
 
     @given(params_strategy(max_nbar=0.0))
     @settings(max_examples=60, deadline=None)
@@ -202,20 +203,28 @@ class TestFieldMoments:
 
 class TestIsPhysical:
     def test_vacuum(self):
-        assert is_physical(vacuum(), 0.0)
+        assert is_physical(vacuum())
 
     def test_below_uncertainty_bound(self):
         state = SingleModeGaussian(cov=np.diag([0.2, 0.2]))
-        assert not is_physical(state, 0.0)
+        assert not is_physical(state)
 
     def test_minimum_uncertainty_boundary(self):
         state = squeezed_vacuum(0.8, phi=0.9)
-        assert is_physical(state, 0.0)
+        assert is_physical(state)
         assert np.linalg.det(state.cov) == pytest.approx(0.25, abs=1e-14)
 
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            is_physical(vacuum(), -1.0)
+    def test_negative_definite_rejected(self):
+        # det = 1 passes the uncertainty bound; positivity must reject it.
+        state = SingleModeGaussian(cov=-np.eye(2))
+        assert np.linalg.det(state.cov) == pytest.approx(1.0)
+        assert not is_physical(state)
+        with pytest.raises(ValueError, match="si"):
+            TwoModeProduct(si=state, lo=vacuum())
+
+    def test_indefinite_rejected_where_the_guard_is_wide(self):
+        # At trace 1e7 the rounding guard exceeds 1/4, so det < 0 must still fail.
+        assert not is_physical(SingleModeGaussian(cov=np.diag([1e7, -1e-8])))
 
 
 class TestDiagonalize:

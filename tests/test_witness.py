@@ -7,21 +7,21 @@ from squeezewitness.gaussian import (
     StateParams,
     coherent,
     db_to_squeeze,
+    field_moments,
     make_state,
     mean_photon,
+    rotation_matrix,
     squeezed_vacuum,
     vacuum,
 )
+from squeezewitness.validate import random_state_params
 from squeezewitness.witness import (
-    CLASSICAL,
-    NONCLASSICAL,
     ZERO_VARIANCE_TOL,
     ColumnError,
     TwoModeProduct,
     evaluate,
     homodyne_variance,
     optimize_lo,
-    ordered_variances,
     witness_values,
 )
 
@@ -45,6 +45,16 @@ def fig2_pair():
     return TwoModeProduct(si=coherent(1.0), lo=squeezed_vacuum(ZETA_3DB))
 
 
+def evaluate_lit(pair, theta):
+    """``evaluate(pair, theta)``, or ``None`` for a dark LO (drawn LOs can
+    shrink to the vacuum) after checking that ``evaluate`` rejects it."""
+    if mean_photon(pair.lo) > 0:
+        return evaluate(pair, theta)
+    with pytest.raises(ColumnError, match=r"^nb\[0\] = .*shot-noise"):
+        evaluate(pair, theta)
+    return None
+
+
 class TestTwoModeProduct:
     def test_rejects_unphysical_mode(self):
         bad = SingleModeGaussian(cov=np.diag([0.2, 0.2]))
@@ -59,8 +69,7 @@ class TestHomodyneVariance:
     @settings(max_examples=80, deadline=None)
     def test_blocked_signal_measures_lo_intensity(self, lo_params, theta):
         pair = TwoModeProduct(si=vacuum(), lo=make_state(lo_params))
-        assert homodyne_variance(pair, theta) == pytest.approx(
-            mean_photon(pair.lo), abs=1e-12)
+        assert homodyne_variance(pair, theta) == mean_photon(pair.lo)
 
     def test_twin_squeezing_cancels(self):
         pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB),
@@ -85,13 +94,16 @@ class TestHomodyneVariance:
     @given(params_strategy(), params_strategy(), st.floats(0.0, 2 * np.pi))
     @settings(max_examples=80, deadline=None)
     def test_moment_expansion_oracle(self, si_params, lo_params, theta):
-        """Third route: expand the difference-signal variance in first and
-        second ladder moments of each mode and compare with the
-        covariance-matrix formula."""
-        from squeezewitness.gaussian import field_moments
-
+        """Second closed-form route: the covariance-matrix sandwich
+        ``tr(C R^T C' R) - 1/2 + xi^T R^T C' R xi + xi'^T R C R^T xi'``
+        (primes for the LO) against the moment expansion, with a literal
+        transcription of ``<L^2> - <L>^2`` in ladder moments alongside."""
         si = make_state(si_params)
         lo = make_state(lo_params)
+        r = rotation_matrix(theta)
+        rot_lo = r.T @ lo.cov @ r
+        sandwich = (np.trace(si.cov @ rot_lo) - 0.5 + si.disp @ rot_lo @ si.disp
+                    + lo.disp @ r @ si.cov @ r.T @ lo.disp)
         ma, mb = field_moments(si), field_moments(lo)
         phase = np.exp(1j * theta)
         second = (phase**2 * np.conj(ma.a_sq) * mb.a_sq
@@ -99,9 +111,23 @@ class TestHomodyneVariance:
                   + ma.n_a * mb.aa_dag + ma.aa_dag * mb.n_a)
         first = (phase * np.conj(ma.mean_a) * mb.mean_a
                  + np.conj(phase) * ma.mean_a * np.conj(mb.mean_a))
-        expected = (second - first**2).real
         pair = TwoModeProduct(si=si, lo=lo)
-        assert homodyne_variance(pair, theta) == pytest.approx(expected, abs=1e-11)
+        got = homodyne_variance(pair, theta)
+        assert got == pytest.approx(sandwich, abs=1e-11)
+        assert got == pytest.approx((second - first**2).real, abs=1e-11)
+
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        pair = TwoModeProduct(
+            si=make_state(StateParams(zeta=0.4, nbar=0.3, phi=0.7, alpha=1.2 - 0.5j)),
+            lo=make_state(StateParams(zeta=-0.6, nbar=0.1, phi=2.1, alpha=0.3 + 1.9j)))
+        thetas = np.random.default_rng(17).uniform(-10.0, 10.0, 257)
+        var = homodyne_variance(pair, thetas)
+        whole = evaluate(pair, thetas)
+        assert var.shape == (257,)
+        for i, theta in enumerate(thetas.tolist()):
+            assert var[i] == homodyne_variance(pair, theta)
+            for got, want in zip(whole, evaluate(pair, theta)):
+                assert got[i] == want
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
            st.floats(0.0, 2 * np.pi))
@@ -117,49 +143,55 @@ class TestHomodyneVariance:
 
 class TestOrderedVariances:
     def test_false_positive_point(self):
-        var, partial, full = ordered_variances(fig2_pair(), 0.0)
+        values = evaluate(fig2_pair(), 0.0)
+        partial, full = values.partial_no, values.full_no
         assert partial == pytest.approx(E_MINUS, rel=1e-12)
         assert partial == pytest.approx(0.501187, abs=1e-6)
         assert full == pytest.approx(E_MINUS - 1.0, rel=1e-12)
         assert full == pytest.approx(-0.498813, abs=1e-6)
 
     def test_quarter_phase_point(self):
-        _, partial, full = ordered_variances(fig2_pair(), np.pi / 2.0)
+        values = evaluate(fig2_pair(), np.pi / 2.0)
+        partial, full = values.partial_no, values.full_no
         assert partial == pytest.approx(E_PLUS, rel=1e-12)
         assert partial == pytest.approx(1.995262, abs=1e-6)
         assert full == pytest.approx(0.995262, abs=1e-6)
 
     def test_double_vacuum_is_all_zero(self):
-        var, partial, full = ordered_variances(
-            TwoModeProduct(si=vacuum(), lo=vacuum()), 0.7)
-        assert var == pytest.approx(0.0, abs=1e-15)
-        assert partial == pytest.approx(0.0, abs=1e-15)
-        assert full == pytest.approx(0.0, abs=1e-15)
+        # Zero variance, but a dark LO gives no shot-noise reference.
+        pair = TwoModeProduct(si=vacuum(), lo=vacuum())
+        assert homodyne_variance(pair, 0.7) == 0.0
+        assert evaluate_lit(pair, 0.7) is None
 
     def test_closed_form_phase_dependence(self):
         # partial_no(theta) = cos^2 e^(-2 zeta') + sin^2 e^(2 zeta') for a
         # unit coherent signal and a squeezed LO.
-        pair = fig2_pair()
-        for theta in np.linspace(0.0, 2.0 * np.pi, 17):
-            _, partial, _ = ordered_variances(pair, float(theta))
-            expected = np.cos(theta) ** 2 * E_MINUS + np.sin(theta) ** 2 * E_PLUS
-            assert partial == pytest.approx(expected, rel=1e-12)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 17)
+        expected = np.cos(thetas) ** 2 * E_MINUS + np.sin(thetas) ** 2 * E_PLUS
+        np.testing.assert_allclose(evaluate(fig2_pair(), thetas).partial_no, expected,
+                                   rtol=1e-12)
 
     @given(params_strategy(), params_strategy(), st.floats(0.0, 2 * np.pi))
     @settings(max_examples=60, deadline=None)
     def test_ordering_differences_are_intensities(self, si_params, lo_params, theta):
         pair = TwoModeProduct(si=make_state(si_params), lo=make_state(lo_params))
-        var, partial, full = ordered_variances(pair, theta)
-        assert var - partial == pytest.approx(mean_photon(pair.lo), abs=1e-12)
-        assert partial - full == pytest.approx(mean_photon(pair.si), abs=1e-12)
+        values = evaluate_lit(pair, theta)
+        if values is None:
+            return
+        assert values.var_L - values.partial_no == pytest.approx(
+            mean_photon(pair.lo), abs=1e-12)
+        assert values.partial_no - values.full_no == pytest.approx(
+            mean_photon(pair.si), abs=1e-12)
 
     @given(params_strategy(max_alpha=2.0), st.floats(0.0, 2 * np.pi))
     @settings(max_examples=80, deadline=None)
     def test_classical_signal_never_negative(self, lo_params, theta):
         for alpha in (0.0, 1.0, 0.5 - 1.5j):
             pair = TwoModeProduct(si=coherent(alpha), lo=make_state(lo_params))
-            _, partial, _ = ordered_variances(pair, theta)
-            assert partial >= -1e-12
+            values = evaluate_lit(pair, theta)
+            if values is None:
+                return
+            assert values.partial_no >= -1e-12
 
 
 class TestNoiseParameter:
@@ -182,23 +214,33 @@ class TestNoiseParameter:
         pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB), lo=lo)
         report = evaluate(pair, np.pi / 2.0)
         assert report.noise_db == -np.inf
-        assert report.verdict == NONCLASSICAL
+        assert report.nonclassical
 
     def test_rejects_dark_lo(self):
         pair = TwoModeProduct(si=coherent(1.0), lo=vacuum())
-        with pytest.raises(ValueError, match="shot-noise"):
-            evaluate(pair, 0.0)
+        for theta in (0.0, np.linspace(0.0, np.pi, 5)):
+            with pytest.raises(ColumnError, match="shot-noise") as caught:
+                evaluate(pair, theta)
+            assert caught.value.column == "nb"
+
+    def test_blocked_signal_calibration_is_exact(self):
+        # A vacuum signal sits exactly at shot noise, over criterion 1's
+        # envelope of LOs.
+        rng = np.random.default_rng(123)
+        for _ in range(2000):
+            lo = make_state(random_state_params(rng, 3.0, 1.5, 3.0))
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            assert evaluate(TwoModeProduct(si=vacuum(), lo=lo), theta).partial_no == 0.0
 
     @given(params_strategy(), params_strategy(max_alpha=2.0),
            st.floats(0.0, 2 * np.pi))
     @settings(max_examples=60, deadline=None)
     def test_sign_equivalence_with_witness(self, si_params, lo_params, theta):
         lo = make_state(lo_params)
-        if mean_photon(lo) <= 1e-12:
+        values = evaluate_lit(TwoModeProduct(si=make_state(si_params), lo=lo), theta)
+        if values is None or mean_photon(lo) <= 1e-12:
             return
-        pair = TwoModeProduct(si=make_state(si_params), lo=lo)
-        _, partial, _ = ordered_variances(pair, theta)
-        noise_db = evaluate(pair, theta).noise_db
+        partial, noise_db = values.partial_no, values.noise_db
         if partial < -1e-12:
             assert noise_db < 0
         if noise_db < -1e-12:
@@ -269,7 +311,7 @@ class TestClassifyAndReports:
         report = evaluate(fig2_pair(), 0.0)
         assert report.partial_no == pytest.approx(0.501187, abs=1e-6)
         assert report.full_no == pytest.approx(-0.498813, abs=1e-6)
-        assert report.verdict == CLASSICAL
+        assert not report.nonclassical
 
     def test_boundary_is_classical(self):
         assert not witness_values(0.1, 0.1, tol=1e-9).nonclassical
@@ -285,27 +327,27 @@ class TestClassifyAndReports:
 
     def test_report_ordering_identities_are_exact(self):
         report = evaluate(fig2_pair(), 0.7)
-        assert report.var_L - report.shot_noise == report.partial_no
+        assert report.var_L - mean_photon(fig2_pair().lo) == report.partial_no
         assert report.partial_no - report.full_no == mean_photon(fig2_pair().si)
 
     def test_matches_closed_form_ordered_variances(self):
         pair = TwoModeProduct(si=squeezed_vacuum(ZETA_3DB), lo=coherent(1.5))
+        nb, na = mean_photon(pair.lo), mean_photon(pair.si)
         for theta in np.linspace(0.0, np.pi, 7):
             report = evaluate(pair, float(theta))
+            var = homodyne_variance(pair, float(theta))
             assert (report.var_L, report.partial_no, report.full_no) == \
-                ordered_variances(pair, float(theta))
-            assert report.verdict == (NONCLASSICAL if report.partial_no < -1e-9
-                                      else CLASSICAL)
+                (var, var - nb, var - nb - na)
+            assert report.nonclassical == (report.partial_no < -1e-9)
 
 
 class TestSweep:
     def test_fig2_family(self):
-        thetas = [2.0 * np.pi * k / 361 for k in range(361)]
-        reports = [evaluate(fig2_pair(), theta) for theta in thetas]
-        assert len(reports) == 361
-        assert min(r.partial_no for r in reports) >= -1e-12
-        assert min(r.full_no for r in reports) == pytest.approx(-0.498813, abs=1e-4)
-        assert all(r.verdict == CLASSICAL for r in reports)
+        values = evaluate(fig2_pair(), 2.0 * np.pi * np.arange(361) / 361)
+        assert len(values.partial_no) == 361
+        assert values.partial_no.min() >= -1e-12
+        assert values.full_no.min() == pytest.approx(-0.498813, abs=1e-4)
+        assert not values.nonclassical.any()
 
     def test_noise_sweep_family_decreases(self):
         si = squeezed_vacuum(ZETA_3DB)
