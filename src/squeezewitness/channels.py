@@ -1,10 +1,10 @@
-"""Loss and excess-noise channels acting on a single Gaussian mode.
+"""Loss and excess-noise channels acting on a single mode.
 
 Both channels model a linear coupling to a vacuum bath: attenuation with
 quantum efficiency ``eta`` and phase-insensitive amplification with gain
-``g``.  They act on the covariance/displacement pair and therefore induce
-the usual moment maps (``<a> -> sqrt(eta) <a>``, ``<a^dag a> -> eta
-<a^dag a>``, and so on).
+``g``.  They act on the mode's mean field and central second moments
+(``<a> -> sqrt(eta) <a>``, ``<a^dag a> -> eta <a^dag a>``, and so on);
+these moment maps hold for any input state, Gaussian or not.
 """
 
 from __future__ import annotations
@@ -19,24 +19,26 @@ __all__ = ["apply_loss", "apply_gain_noise"]
 def apply_loss(state: SingleModeGaussian, eta: float) -> SingleModeGaussian:
     """Attenuate a mode with quantum efficiency ``eta`` in [0, 1].
 
-    ``cov -> eta cov + (1 - eta)/2 I`` and ``disp -> sqrt(eta) disp``.
-    ``eta = 1`` is the identity, ``eta = 0`` maps every state to vacuum.
+    ``alpha -> sqrt(eta) alpha``, ``delta_sq -> eta delta_sq`` and
+    ``delta_n -> eta delta_n``.  ``eta = 1`` is the identity, ``eta = 0``
+    maps every state to vacuum.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    cov = eta * state.cov + (1.0 - eta) * 0.5 * np.eye(2)
-    cov = (cov + cov.T) / 2.0
-    return SingleModeGaussian(cov=cov, disp=np.sqrt(eta) * state.disp)
+    return SingleModeGaussian(alpha=np.sqrt(eta) * state.alpha,
+                              delta_sq=eta * state.delta_sq,
+                              delta_n=eta * state.delta_n)
 
 
 def apply_gain_noise(state: SingleModeGaussian, g: float) -> SingleModeGaussian:
     """Amplify a mode with gain ``g >= 1``, adding bath-induced excess noise.
 
-    ``cov -> g cov + (g - 1)/2 I`` and ``disp -> sqrt(g) disp``, which
-    adds ``g - 1`` thermal photons on top of the amplified signal.
+    ``alpha -> sqrt(g) alpha``, ``delta_sq -> g delta_sq`` and ``delta_n ->
+    g delta_n + (g - 1)``: ``g - 1`` thermal photons on top of the amplified
+    signal.
     """
     if g < 1.0:
         raise ValueError(f"g must be >= 1, got {g}")
-    cov = g * state.cov + (g - 1.0) * 0.5 * np.eye(2)
-    cov = (cov + cov.T) / 2.0
-    return SingleModeGaussian(cov=cov, disp=np.sqrt(g) * state.disp)
+    return SingleModeGaussian(alpha=np.sqrt(g) * state.alpha,
+                              delta_sq=g * state.delta_sq,
+                              delta_n=g * state.delta_n + (g - 1.0))

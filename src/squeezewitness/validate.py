@@ -211,7 +211,7 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
 
     Checks ``partial(loss) = eta * partial`` and ``partial(gain) = g *
     partial + (g - 1)(2 <b^dag b> + 1)`` on random scenarios, plus one
-    explicit bath-unitary fold against the covariance-level channels.
+    explicit bath-unitary fold against the channels' moment maps.
     """
     name = "channel_laws"
     rng = np.random.default_rng(seed)

@@ -55,7 +55,12 @@ ZERO_VARIANCE_TOL = 1e-15
 
 @dataclass(frozen=True)
 class TwoModeProduct:
-    """An uncorrelated signal/local-oscillator pair of Gaussian modes."""
+    """An uncorrelated signal/local-oscillator pair.
+
+    The closed forms read each mode only through its mean field and central
+    second moments, so they hold for any product input; construction checks
+    each mode with :func:`is_physical`.
+    """
 
     si: SingleModeGaussian
     lo: SingleModeGaussian
@@ -118,7 +123,8 @@ def witness_values(var_L, nb, na=None,
 
     ``partial_no = var_L - nb`` is the LO-agnostic ordered variance and
     drives the verdict ``partial_no < -tol``; ``noise_db = 10 log10(var_L /
-    nb)``, ``-inf`` where ``var_L <= ZERO_VARIANCE_TOL``.  ``full_no =
+    nb)``, ``-inf`` where ``var_L <= ZERO_VARIANCE_TOL`` and taken as a
+    difference of logarithms where the ratio overflows.  ``full_no =
     partial_no - na``, the conventional criterion, never drives the verdict:
     the LO alone can make it negative.  Raises :class:`ColumnError` at the
     first non-finite ``var_L``, ``nb`` or ``na`` or ``nb <= 0``, and
@@ -136,9 +142,14 @@ def witness_values(var_L, nb, na=None,
     require("nb", nb, nb > 0, "is not > 0: the shot-noise reference is undefined")
 
     partial = var_L - nb
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         noise_db = np.where(var_L <= ZERO_VARIANCE_TOL, -np.inf,
                             10.0 * np.log10(var_L / nb))
+        # +inf only where the ratio overflowed; the fallback's full-size
+        # temporaries are paid only when some row needs it.
+        if np.max(noise_db, initial=-np.inf) == np.inf:
+            noise_db = np.where(np.isposinf(noise_db),
+                                10.0 * (np.log10(var_L) - np.log10(nb)), noise_db)
     if na is None:
         return WitnessValues(var_L, partial, noise_db, partial < -tol)
     full = partial - na

@@ -30,6 +30,11 @@ def partial_no(si, lo, theta):
     return None
 
 
+def assert_same_moments(state, expected, atol):
+    for name in ("alpha", "delta_sq", "delta_n"):
+        assert getattr(state, name) == pytest.approx(getattr(expected, name), abs=atol)
+
+
 def params_strategy():
     return st.builds(
         StateParams,
@@ -45,22 +50,21 @@ class TestLoss:
     def test_unit_efficiency_is_identity(self):
         state = make_state(StateParams(zeta=0.4, nbar=0.3, alpha=1 + 2j))
         out = apply_loss(state, 1.0)
-        np.testing.assert_allclose(out.cov, state.cov, atol=1e-15)
-        np.testing.assert_allclose(out.disp, state.disp, atol=1e-15)
+        assert_same_moments(out, state, atol=1e-15)
 
     def test_full_loss_gives_vacuum(self):
         state = make_state(StateParams(zeta=0.8, nbar=1.0, alpha=2.0))
         out = apply_loss(state, 0.0)
-        np.testing.assert_allclose(out.cov, 0.5 * np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(out.disp, np.zeros(2), atol=1e-15)
+        assert_same_moments(out, vacuum(), atol=1e-15)
 
     def test_half_loss_on_squeezed(self):
         out = apply_loss(squeezed_vacuum(ZETA_3DB), 0.5)
         # Frozen from the channel formula; cross-checked against a
         # beam-splitter fold in the Fock tests.
-        np.testing.assert_allclose(
-            np.diag(out.cov), [0.37529680840681806, 0.7488155787422199], rtol=1e-13)
-        assert out.cov[0, 1] == 0.0
+        cxx, cpp = 0.37529680840681806, 0.7488155787422199
+        assert out.delta_n == pytest.approx((cxx + cpp - 1.0) / 2.0, rel=1e-13)
+        assert out.delta_sq.real == pytest.approx((cxx - cpp) / 2.0, rel=1e-13)
+        assert out.delta_sq.imag == 0.0
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1, 2.0])
     def test_rejects_bad_efficiency(self, eta):
@@ -84,8 +88,7 @@ class TestLoss:
         state = make_state(params)
         twice = apply_loss(apply_loss(state, eta1), eta2)
         once = apply_loss(state, eta1 * eta2)
-        np.testing.assert_allclose(twice.cov, once.cov, atol=1e-12)
-        np.testing.assert_allclose(twice.disp, once.disp, atol=1e-12)
+        assert_same_moments(twice, once, atol=1e-12)
 
     @given(params_strategy(), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -97,17 +100,16 @@ class TestGainNoise:
     def test_unit_gain_is_identity(self):
         state = make_state(StateParams(zeta=0.4, nbar=0.3, alpha=1 + 2j))
         out = apply_gain_noise(state, 1.0)
-        np.testing.assert_allclose(out.cov, state.cov, atol=1e-15)
-        np.testing.assert_allclose(out.disp, state.disp, atol=1e-15)
+        assert_same_moments(out, state, atol=1e-15)
 
     def test_vacuum_gain_two(self):
         out = apply_gain_noise(vacuum(), 2.0)
-        np.testing.assert_allclose(out.cov, 1.5 * np.eye(2), atol=1e-15)
+        assert_same_moments(out, make_state(StateParams(nbar=1.0)), atol=1e-15)
         assert mean_photon(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_gain_two(self):
         out = apply_gain_noise(coherent(1.0), 2.0)
-        np.testing.assert_allclose(out.disp, [2.0, 0.0], atol=1e-14)
+        assert out.alpha == pytest.approx(np.sqrt(2.0), abs=1e-14)
         assert mean_photon(out) == pytest.approx(3.0, abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 0.999])

@@ -155,6 +155,15 @@ class TestWitnessCommand:
         assert report["rows"][0]["noise_db"] == "-inf"
         assert report["rows"][0]["verdict"] == "nonclassical_SI"
 
+    def test_overflowing_ratio_gives_finite_noise_db(self, tmp_path):
+        # var_L / nb overflows a float; the noise parameter must not.
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n0,1e10,1e-300\n")
+        out = tmp_path / "report.json"
+        assert main(["witness", "--input", path, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"),
+                            parse_constant=_reject_constant)
+        assert report["rows"][0]["noise_db"] == 3100.0
+
     def test_bad_calibration_reports_line(self, tmp_path):
         path = write_csv(
             tmp_path,

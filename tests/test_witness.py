@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from covariance_reference import covariance, quadrature_means, rotation_matrix
 from hypothesis import given, settings, strategies as st
 
 from squeezewitness.gaussian import (
@@ -10,7 +11,6 @@ from squeezewitness.gaussian import (
     field_moments,
     make_state,
     mean_photon,
-    rotation_matrix,
     squeezed_vacuum,
     vacuum,
 )
@@ -57,7 +57,7 @@ def evaluate_lit(pair, theta):
 
 class TestTwoModeProduct:
     def test_rejects_unphysical_mode(self):
-        bad = SingleModeGaussian(cov=np.diag([0.2, 0.2]))
+        bad = SingleModeGaussian(delta_n=-0.3)
         with pytest.raises(ValueError, match="si"):
             TwoModeProduct(si=bad, lo=vacuum())
         with pytest.raises(ValueError, match="lo"):
@@ -96,14 +96,17 @@ class TestHomodyneVariance:
     def test_moment_expansion_oracle(self, si_params, lo_params, theta):
         """Second closed-form route: the covariance-matrix sandwich
         ``tr(C R^T C' R) - 1/2 + xi^T R^T C' R xi + xi'^T R C R^T xi'``
-        (primes for the LO) against the moment expansion, with a literal
-        transcription of ``<L^2> - <L>^2`` in ladder moments alongside."""
+        (primes for the LO) on the reference covariances, against the moment
+        expansion, with a literal transcription of ``<L^2> - <L>^2`` in
+        ladder moments alongside."""
         si = make_state(si_params)
         lo = make_state(lo_params)
+        c_si, c_lo = covariance(si_params), covariance(lo_params)
+        xi_si, xi_lo = quadrature_means(si_params), quadrature_means(lo_params)
         r = rotation_matrix(theta)
-        rot_lo = r.T @ lo.cov @ r
-        sandwich = (np.trace(si.cov @ rot_lo) - 0.5 + si.disp @ rot_lo @ si.disp
-                    + lo.disp @ r @ si.cov @ r.T @ lo.disp)
+        rot_lo = r.T @ c_lo @ r
+        sandwich = (np.trace(c_si @ rot_lo) - 0.5 + xi_si @ rot_lo @ xi_si
+                    + xi_lo @ r @ c_si @ r.T @ xi_lo)
         ma, mb = field_moments(si), field_moments(lo)
         phase = np.exp(1j * theta)
         second = (phase**2 * np.conj(ma.a_sq) * mb.a_sq
@@ -115,6 +118,23 @@ class TestHomodyneVariance:
         got = homodyne_variance(pair, theta)
         assert got == pytest.approx(sandwich, abs=1e-11)
         assert got == pytest.approx((second - first**2).real, abs=1e-11)
+
+    @given(params_strategy(), params_strategy(), st.floats(-7.0, 7.0),
+           st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_common_phase_shift_invariance(self, si_params, lo_params, phi0, theta):
+        def shifted(params):
+            return make_state(StateParams(zeta=params.zeta, nbar=params.nbar,
+                                          phi=params.phi + phi0,
+                                          alpha=params.alpha * np.exp(1j * phi0)))
+
+        pair = TwoModeProduct(si=make_state(si_params), lo=make_state(lo_params))
+        turned = TwoModeProduct(si=shifted(si_params), lo=shifted(lo_params))
+        assert homodyne_variance(turned, theta) == pytest.approx(
+            homodyne_variance(pair, theta), abs=1e-12)
+        for mode in ("si", "lo"):
+            assert mean_photon(getattr(turned, mode)) == pytest.approx(
+                mean_photon(getattr(pair, mode)), abs=1e-12)
 
     def test_arrays_match_scalar_calls_bit_for_bit(self):
         pair = TwoModeProduct(
@@ -215,6 +235,15 @@ class TestNoiseParameter:
         report = evaluate(pair, np.pi / 2.0)
         assert report.noise_db == -np.inf
         assert report.nonclassical
+
+    def test_near_dark_lo_gives_finite_noise_db(self):
+        # Var(L) / <b^dag b> overflows; the noise parameter stays finite.
+        lo = make_state(StateParams(alpha=5.98e-155))
+        values = evaluate(TwoModeProduct(si=coherent(2.0), lo=lo), 0.3)
+        assert np.isfinite(values.noise_db)
+        assert values.noise_db == pytest.approx(
+            10.0 * (np.log10(values.var_L) - np.log10(mean_photon(lo))), rel=1e-15)
+        assert values.noise_db == pytest.approx(3090.49, abs=0.01)
 
     def test_rejects_dark_lo(self):
         pair = TwoModeProduct(si=coherent(1.0), lo=vacuum())
