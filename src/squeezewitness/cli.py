@@ -10,7 +10,9 @@ Commands
 ``witness --input <csv> [--tol T] --out <json>``
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
-    blocked-signal (vacuum) calibration of the difference variance.
+    blocked-signal (vacuum) calibration of the difference variance.  The
+    first bad line of the file, malformed or out of range, is an error
+    naming that line.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites; exit status 1 if any fails.
 
@@ -23,54 +25,41 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .figures import FIGURE_IDS, build_figure, db_json_value, render_csv
 from .svgplot import line_plot_svg
-from .witness import (CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, ColumnError,
-                      WitnessValues, require, witness_values)
+from .witness import CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, witness_values
 
-__all__ = ["RunConfig", "InputError", "main", "read_moment_records",
+__all__ = ["InputError", "main", "read_moment_records",
            "cmd_reproduce", "cmd_witness", "cmd_validate"]
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
-WITNESS_COLUMNS = ("theta_rad", "var_L", "nb", "na")
-# One measured row: its 1-based line in the CSV, its cells, and whether the
-# optional ``na`` cell was given (``na`` is NaN where it was left empty).
-RECORD_DTYPE = np.dtype([("line", np.int64), ("theta_rad", float), ("var_L", float),
-                         ("nb", float), ("na", float), ("has_na", bool)])
+# The witness schema in column order.  Every given cell must be finite; the
+# comparison against 0 and its rule text state the range each column needs.
+# Only ``na`` may be left empty.
+CELL_RULES = (
+    ("theta_rad", None, ""),
+    ("var_L", operator.ge, "is not >= 0"),
+    ("nb", operator.gt, "is not > 0: the shot-noise reference is undefined"),
+    ("na", operator.ge, "is not >= 0"),
+)
+WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
+# One measured row: its cells, and whether the optional ``na`` cell was
+# given (``na`` is NaN where it was left empty).
+RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
+                         ("na", float), ("has_na", bool)])
 
 
 class InputError(Exception):
     """Bad user input (malformed CSV, unknown figure, unwritable path)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command parameters."""
-
-    figure: str = ""
-    out: str = ""
-    svg: bool = False
-    points: int | None = None
-    input_path: str = ""
-    tol: float = DEFAULT_VERDICT_TOL
-    seed: int = 42
-    trials: int = 200
-    cutoff_max: int = 256
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.cutoff_max < 2:
-            raise ValueError(f"cutoff_max must be >= 2, got {self.cutoff_max}")
 
 
 def _dump_json(payload: dict) -> str:
@@ -89,15 +78,16 @@ def _write_text(path: Path, text: str) -> None:
 # reproduce
 # ---------------------------------------------------------------------------
 
-def cmd_reproduce(config: RunConfig) -> list[Path]:
+def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
+                  points: int | None = None) -> list[Path]:
     """Generate one figure's CSV, JSON summary, and optional SVG."""
     try:
-        figure = build_figure(config.figure, points=config.points)
+        figure = build_figure(figure_id, points=points)
     except KeyError:
         raise InputError(
-            f"unknown figure {config.figure!r}; choose from {', '.join(FIGURE_IDS)}"
+            f"unknown figure {figure_id!r}; choose from {', '.join(FIGURE_IDS)}"
         ) from None
-    out_dir = Path(config.out)
+    out_dir = Path(out)
     stem = figure.name.replace("-", "_")
     written = []
 
@@ -109,7 +99,7 @@ def cmd_reproduce(config: RunConfig) -> list[Path]:
     _write_text(summary_path, _dump_json(figure.summary))
     written.append(summary_path)
 
-    if config.svg:
+    if svg:
         svg_path = out_dir / f"{stem}.svg"
         _write_text(svg_path, line_plot_svg(
             figure.series, title=figure.name, x_label=figure.x_label,
@@ -123,15 +113,16 @@ def cmd_reproduce(config: RunConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
-    """Parse a measured-moments CSV; returns the rows and warnings.
+    """Parse and check a measured-moments CSV; returns the rows and warnings.
 
     The rows form a structured array of :data:`RECORD_DTYPE`, one element
-    per data row, so ``records["var_L"]`` is a column.  Only the syntax is
-    checked here; :func:`cmd_witness` checks the values.  Errors carry the
-    1-based line number of the offending row.
+    per data row, so ``records["var_L"]`` is a column.  Each row is checked
+    by :data:`CELL_RULES` as soon as it is parsed, so the first bad line of
+    the file, malformed or out of range, is the error, and it carries that
+    line's 1-based number.  A UTF-8 byte-order mark is accepted.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -145,7 +136,9 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     extras = [name for name in header if name not in WITNESS_COLUMNS]
     if extras:
         warnings.append(f"ignoring extra columns: {', '.join(extras)}")
-    index = {name: header.index(name) for name in WITNESS_COLUMNS if name in header}
+    theta_at, var_L_at, nb_at = (header.index(name)
+                                 for name in ("theta_rad", "var_L", "nb"))
+    na_at = header.index("na") if "na" in header else None
 
     records = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -155,56 +148,32 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
         if len(cells) != len(header):
             raise InputError(
                 f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
-        na = cells[index["na"]].strip() if "na" in index else ""
+        na = cells[na_at].strip() if na_at is not None else ""
         try:
-            records.append((line_no, float(cells[index["theta_rad"]]),
-                            float(cells[index["var_L"]]), float(cells[index["nb"]]),
-                            float(na) if na else np.nan, bool(na)))
+            row = [float(cells[theta_at]), float(cells[var_L_at]), float(cells[nb_at])]
+            if na:
+                row.append(float(na))
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from exc
+        # zip stops before the rule for an empty na cell.
+        for value, (column, in_range, rule) in zip(row, CELL_RULES):
+            if not math.isfinite(value):
+                raise InputError(f"line {line_no}: {column} = {value!r} is not finite")
+            if in_range is not None and not in_range(value, 0.0):
+                raise InputError(f"line {line_no}: {column} = {value!r} {rule}")
+        records.append((*row, True) if na else (*row, np.nan, False))
     return np.array(records, dtype=RECORD_DTYPE), warnings
 
 
-def _measured_values(records: np.ndarray, tol: float) -> WitnessValues:
-    """The kernel's values for measured rows.
-
-    Measured rows also need a finite ``theta_rad``, ``var_L >= 0`` and
-    ``na >= 0`` where given.  Raises :class:`ColumnError` at the first bad
-    row of the first rule that fails.
-    """
-    theta, var_L, na = records["theta_rad"], records["var_L"], records["na"]
-    require("theta_rad", theta, np.isfinite(theta), "is not finite")
-    # NaN passes these two; the kernel rejects it.
-    require("var_L", var_L, ~(var_L < 0), "is not >= 0")
-    require("na", na, ~(na < 0), "is not >= 0")
-    # An empty na cell becomes 0 so that only given cells meet the kernel.
-    return witness_values(var_L, records["nb"], np.where(records["has_na"], na, 0.0), tol)
-
-
-def cmd_witness(config: RunConfig) -> dict:
-    """Evaluate measured moment records and write the JSON report.
-
-    A rejected cell is an error naming the first bad line of the file.
-    """
-    records, warnings = read_moment_records(config.input_path)
+def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
+    """Evaluate measured moment records and write the JSON report."""
+    records, warnings = read_moment_records(input_path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    end, error = len(records), None
-    while True:
-        try:
-            values = _measured_values(records[:end], config.tol)
-        except ColumnError as exc:
-            # The rows above a rule's first bad row may break another rule;
-            # each rule fires at most once, so this ends within 7 rounds.
-            end, error = exc.index, exc
-        else:
-            break
-    if error is not None:
-        raise InputError(f"line {records['line'][error.index]}: "
-                         f"{error.column} = {error.value!r} {error.rule}") from error
-
     theta, var_L, nb, na, has_na = (
         records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
+    # An empty na cell becomes 0 so that only given cells meet the kernel.
+    values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
     rows = []
     for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
             theta.tolist(), var_L.tolist(), nb.tolist(), values.partial_no.tolist(),
@@ -218,7 +187,7 @@ def cmd_witness(config: RunConfig) -> dict:
         rows.append(row)
     n_nonclassical = int(values.nonclassical.sum())
     report = {
-        "tol": config.tol,
+        "tol": tol,
         "rows": rows,
         "summary": {
             "n_rows": len(rows),
@@ -226,7 +195,7 @@ def cmd_witness(config: RunConfig) -> dict:
             "classical_consistent": len(rows) - n_nonclassical,
         },
     }
-    _write_text(Path(config.out), _dump_json(report))
+    _write_text(Path(out), _dump_json(report))
     return report
 
 
@@ -234,29 +203,29 @@ def cmd_witness(config: RunConfig) -> dict:
 # validate
 # ---------------------------------------------------------------------------
 
-def cmd_validate(config: RunConfig) -> tuple[dict, int]:
+def cmd_validate(trials: int, seed: int, cutoff_max: int,
+                 out: str = "") -> tuple[dict, int]:
     """Run the property suites; returns the report and the exit code."""
-    if config.trials < 0:
-        raise InputError(f"trials must be >= 0, got {config.trials}")
-    if config.trials == 0:
+    if trials < 0:
+        raise InputError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    if cutoff_max < 2:
+        raise InputError(f"cutoff_max must be >= 2, got {cutoff_max}")
+    if trials == 0:
         print("warning: zero trials requested; suites pass vacuously",
               file=sys.stderr)
     from .validate import run_all_suites  # the oracle: only this command needs it
 
-    results = run_all_suites(trials=config.trials, seed=config.seed,
-                             cutoff_max=config.cutoff_max)
+    results = run_all_suites(trials=trials, seed=seed, cutoff_max=cutoff_max)
     report = {
-        "config": {
-            "trials": config.trials,
-            "seed": config.seed,
-            "cutoff_max": config.cutoff_max,
-        },
+        "config": {"trials": trials, "seed": seed, "cutoff_max": cutoff_max},
         "suites": [result.to_json_dict() for result in results],
         "all_passed": all(result.passed for result in results),
     }
     text = _dump_json(report)
-    if config.out:
-        _write_text(Path(config.out), text)
+    if out:
+        _write_text(Path(out), text)
     else:
         sys.stdout.write(text)
     return report, EXIT_OK if report["all_passed"] else EXIT_VALIDATION_FAILURE
@@ -297,19 +266,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            config = RunConfig(figure=args.figure, out=args.out, svg=args.svg,
-                               points=args.points)
-            for path in cmd_reproduce(config):
+            for path in cmd_reproduce(args.figure, args.out, args.svg, args.points):
                 print(path)
             return EXIT_OK
         if args.command == "witness":
-            config = RunConfig(input_path=args.input, tol=args.tol, out=args.out)
-            cmd_witness(config)
+            cmd_witness(args.input, args.out, args.tol)
             print(args.out)
             return EXIT_OK
-        config = RunConfig(trials=args.trials, seed=args.seed,
-                           cutoff_max=args.cutoff_max, out=args.out)
-        _, code = cmd_validate(config)
+        _, code = cmd_validate(args.trials, args.seed, args.cutoff_max, args.out)
         return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,8 +77,6 @@ def render_csv(figure: FigureData) -> str:
 
 def figure_fluctuations(points: int = 361) -> FigureData:
     """Ordered variances versus LO phase for a coherent signal."""
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
     zeta_lo = db_to_squeeze(SQUEEZING_DB)
     pair = TwoModeProduct(si=coherent(1.0), lo=squeezed_vacuum(zeta_lo))
     grid = 2.0 * np.pi * np.arange(points) / points
@@ -108,8 +106,6 @@ def figure_fluctuations(points: int = 361) -> FigureData:
 
 def figure_noise_sweep(points: int = 61) -> FigureData:
     """Noise parameter versus LO intensity for coherent and squeezed LOs."""
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
     zeta_si = db_to_squeeze(SQUEEZING_DB)
     si = squeezed_vacuum(zeta_si)
     grid = [10.0 ** e for e in np.linspace(-2.0, 4.0, points)]
@@ -160,8 +156,6 @@ def figure_noise_sweep(points: int = 61) -> FigureData:
 
 def figure_robustness(points: int = 21) -> FigureData:
     """Witness value under signal loss and under amplifier excess noise."""
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
     zeta = db_to_squeeze(SQUEEZING_DB)
     si = squeezed_vacuum(zeta)
     lo = squeezed_vacuum(zeta)
@@ -202,7 +196,8 @@ def figure_robustness(points: int = 21) -> FigureData:
 
 
 def build_figure(figure_id: str, points: int | None = None) -> FigureData:
-    """Build one of the known figures; unknown ids raise ``KeyError``."""
+    """Build one of the known figures; unknown ids raise ``KeyError`` and
+    fewer than 2 ``points`` raise ``ValueError``."""
     builders = {
         "fluctuations": figure_fluctuations,
         "noise-sweep": figure_noise_sweep,
@@ -212,4 +207,6 @@ def build_figure(figure_id: str, points: int | None = None) -> FigureData:
         raise KeyError(figure_id)
     if points is None:
         return builders[figure_id]()
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points, got {points}")
     return builders[figure_id](points=points)

@@ -328,8 +328,6 @@ def expect(expr: OperatorExpr, state: FockState) -> complex:
     ``M`` is the matrix of ``reorder(expr)``, so every word is evaluated in
     its operator-preserving canonical form.
     """
-    if expr.degree > 8:
-        raise ExpressionError(f"expression degree {expr.degree} exceeds the cap of 8")
     value = 0j
     for word, coeff in reorder(expr).terms:
         value += coeff * _expect_word(word, state)

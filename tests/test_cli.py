@@ -17,7 +17,6 @@ from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     InputError,
-    RunConfig,
     cmd_reproduce,
     cmd_witness,
     main,
@@ -78,9 +77,8 @@ class TestFigures:
 
 class TestReproduceCommand:
     def test_writes_expected_files(self, tmp_path):
-        config = RunConfig(figure="fluctuations", out=str(tmp_path / "out"),
-                           svg=True, points=19)
-        written = cmd_reproduce(config)
+        written = cmd_reproduce("fluctuations", str(tmp_path / "out"),
+                                svg=True, points=19)
         names = [p.name for p in written]
         assert names == ["fluctuations.csv", "fluctuations_summary.json",
                          "fluctuations.svg"]
@@ -92,13 +90,12 @@ class TestReproduceCommand:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
     def test_no_svg_by_default(self, tmp_path):
-        config = RunConfig(figure="robustness", out=str(tmp_path), points=5)
-        written = cmd_reproduce(config)
+        written = cmd_reproduce("robustness", str(tmp_path), points=5)
         assert [p.suffix for p in written] == [".csv", ".json"]
 
     def test_unknown_figure_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="unknown figure"):
-            cmd_reproduce(RunConfig(figure="bogus", out=str(tmp_path)))
+            cmd_reproduce("bogus", str(tmp_path))
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         assert main(["reproduce", "--figure", "bogus",
@@ -122,7 +119,7 @@ class TestWitnessCommand:
             "1.5708,0.0620,0.1241\n"
             "0,0.1241,0.1241\n")
         out = tmp_path / "report.json"
-        report = cmd_witness(RunConfig(input_path=path, out=str(out)))
+        report = cmd_witness(path, str(out))
         rows = report["rows"]
         assert rows[0]["partial_no"] == pytest.approx(-0.0621, abs=1e-12)
         assert rows[0]["noise_db"] == pytest.approx(-3.01, abs=5e-3)
@@ -139,19 +136,19 @@ class TestWitnessCommand:
             tmp_path,
             "theta_rad,var_L,nb,na\n"
             "0.0,0.62530,0.12411,1.0\n")
-        report = cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
+        report = cmd_witness(path, str(tmp_path / "r.json"))
         row = report["rows"][0]
         assert row["full_no"] == pytest.approx(0.62530 - 0.12411 - 1.0, abs=1e-12)
         assert row["standard_negativity"] is True
         assert row["verdict"] == "classical_consistent"
 
         path2 = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.62530,0.12411\n")
-        report2 = cmd_witness(RunConfig(input_path=path2, out=str(tmp_path / "r2.json")))
+        report2 = cmd_witness(path2, str(tmp_path / "r2.json"))
         assert "full_no" not in report2["rows"][0]
 
     def test_zero_variance_row(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.5,0.0,0.1\n")
-        report = cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
+        report = cmd_witness(path, str(tmp_path / "r.json"))
         assert report["rows"][0]["noise_db"] == "-inf"
         assert report["rows"][0]["verdict"] == "nonclassical_SI"
 
@@ -169,7 +166,7 @@ class TestWitnessCommand:
             tmp_path,
             "theta_rad,var_L,nb\n0.0,0.1,0.2\n0.1,0.1,0.0\n")
         with pytest.raises(InputError, match="line 3"):
-            cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
+            cmd_witness(path, str(tmp_path / "r.json"))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,abc,0.2\n")
@@ -220,7 +217,6 @@ class TestWitnessCommand:
         path = write_csv(tmp_path, "na,nb,var_L,theta_rad\n0.4,0.3,0.2,0.1\n\n,3,2,1\n")
         records, warnings = read_moment_records(path)
         assert warnings == []
-        assert records["line"].tolist() == [2, 4]
         assert records["theta_rad"].tolist() == [0.1, 1.0]
         assert records["var_L"].tolist() == [0.2, 2.0]
         assert records["nb"].tolist() == [0.3, 3.0]
@@ -235,23 +231,39 @@ class TestWitnessCommand:
         ("0.0,inf,0.1,", "var_L"),
         ("0.0,1.0,nan,", "nb"),
         ("0.0,1.0,0.1,inf", "na"),
+        ("0.0,nan,0.1,-0.5", "var_L"),
     ], ids=["var_L-negative", "nb-zero", "na-negative", "theta_rad-nan", "var_L-inf",
-            "nb-nan", "na-inf"])
+            "nb-nan", "na-inf", "var_L-nan-before-na-negative"])
     def test_out_of_range_cells_report_column_and_line(self, tmp_path, row, column):
         path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n0.0,0.2,0.1,0.3\n{row}\n")
         with pytest.raises(InputError, match=rf"^line 3: {column} = "):
-            cmd_witness(RunConfig(input_path=path, out=str(tmp_path / "r.json")))
+            cmd_witness(path, str(tmp_path / "r.json"))
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("rows, message", [
         ("0.0,nan,0.1\n0.1,0.2,0.1\nnan,0.2,0.1\n", "line 2: var_L = nan is not finite"),
         ("0.0,0.2,0\n0.1,-1,0.1\n", "line 2: nb = 0.0 is not > 0"),
-    ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule"])
+        ("0,nan,1\nx,1,1\n", "line 2: var_L = nan is not finite"),
+        ("0,nan,1\n0,1\n", "line 2: var_L = nan is not finite"),
+    ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule",
+            "out-of-range-above-malformed", "out-of-range-above-short-row"])
     def test_first_bad_line_is_named(self, tmp_path, capsys, rows, message):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n" + rows)
         code = main(["witness", "--input", path, "--out", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with this mark.
+        plain = b"theta_rad,var_L,nb\n0,0.5,1\n"
+        reports = []
+        for name, data in [("plain", plain), ("marked", b"\xef\xbb\xbf" + plain)]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            out = tmp_path / f"{name}.json"
+            assert main(["witness", "--input", str(path), "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
@@ -278,15 +290,27 @@ OUT_OF_RANGE = {
 }
 
 
+BAD_CELL = st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
+    lambda column: st.tuples(st.just(column), NON_FINITE | OUT_OF_RANGE[column]))
+# Lines that cannot be parsed: a non-number, an empty required cell, too few
+# or too many cells.
+MALFORMED = st.sampled_from(["x,1.5,1.0,0.25", "0.5,,1.0,0.25", "0.5,1.5,1.0,1e",
+                             "0.5,1.5", "0.5,1.5,1.0,0.25,7"])
+
+
+def bad_line(column, cell) -> str:
+    """A row of valid cells but for ``cell`` in ``column``."""
+    cells = {"theta_rad": "0.5", "var_L": "1.5", "nb": "1.0", "na": "0.25"}
+    cells[column] = cell
+    return ",".join(cells.values())
+
+
 def moments_csv(rows, *bad) -> str:
     """CSV of the valid ``rows``, then one row per ``(column, cell)`` in ``bad``."""
     lines = ["theta_rad,var_L,nb,na"]
     for theta, var_l, nb, na in rows:
         lines.append(f"{theta!r},{var_l!r},{nb!r},{'' if na is None else repr(na)}")
-    for column, cell in bad:
-        cells = {"theta_rad": "0.5", "var_L": "1.5", "nb": "1.0", "na": "0.25"}
-        cells[column] = cell
-        lines.append(",".join(cells.values()))
+    lines.extend(bad_line(column, cell) for column, cell in bad)
     return "\n".join(lines) + "\n"
 
 
@@ -310,6 +334,28 @@ class TestWitnessInputBoundaries:
                 code = main(["witness", "--input", str(path), "--out", str(out)])
             assert code == EXIT_INPUT_ERROR
             assert re.search(rf"\bline {len(rows) + 2}: {bad[0]} = ", stderr.getvalue())
+            assert not out.exists()
+
+    @given(VALID_ROWS, MALFORMED, BAD_CELL, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_earlier_of_malformed_and_out_of_range_line_is_named(
+            self, rows, malformed, bad, data):
+        body = moments_csv(rows).splitlines()[1:]
+        body.insert(data.draw(st.integers(0, len(body)), label="malformed at"), malformed)
+        out_of_range = bad_line(*bad)
+        body.insert(data.draw(st.integers(0, len(body)), label="out of range at"),
+                    out_of_range)
+        first = min(body.index(malformed), body.index(out_of_range)) + 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "moments.csv"
+            path.write_text("\n".join(["theta_rad,var_L,nb,na", *body]) + "\n",
+                            encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            stderr = io.StringIO()
+            with redirect_stderr(stderr):
+                code = main(["witness", "--input", str(path), "--out", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert stderr.getvalue().startswith(f"error: line {first}: ")
             assert not out.exists()
 
     @given(VALID_ROWS, st.floats(0.0, 10.0))
@@ -356,6 +402,17 @@ class TestValidateCommand:
         gauss = [s for s in report["suites"]
                  if s["name"] == "gaussian_fock_agreement"][0]
         assert gauss["max_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--cutoff-max", "1", "cutoff_max must be >= 2, got 1"),
+        ("--trials", "-1", "trials must be >= 0, got -1"),
+    ], ids=["seed", "cutoff-max", "trials"])
+    def test_bad_argument_exits_2_naming_it(self, capsys, flag, value, message):
+        assert main(["validate", flag, value]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_forced_truncation_failure_is_reported_not_raised(self, capsys):
         # A tiny cutoff ceiling cannot hold alpha up to 2; the suite must
