@@ -23,6 +23,9 @@ from squeezewitness.cli import (
     read_moment_records,
 )
 from squeezewitness.figures import build_figure, render_csv
+from squeezewitness.witness import witness_values
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestFigures:
@@ -265,6 +268,16 @@ class TestWitnessCommand:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_header_only_file_writes_no_rows(self, tmp_path):
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n")
+        out = tmp_path / "r.json"
+        assert main(["witness", "--input", path, "--out", str(out)]) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        assert '\n  "rows": [],\n' in text
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert report["rows"] == []
+        assert report["summary"]["n_rows"] == 0
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n")
@@ -378,6 +391,62 @@ class TestWitnessInputBoundaries:
 
 def _reject_constant(name):
     raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def reference_report(rows, tol) -> str:
+    """The witness report for ``rows`` (``(theta_rad, var_L, nb, na or
+    None)``) as one ``json.dumps`` call lays it out: the reference layout for
+    the report file, with its values from the kernel."""
+    values = witness_values([row[1] for row in rows], [row[2] for row in rows],
+                            [0.0 if row[3] is None else row[3] for row in rows], tol)
+    report_rows = []
+    for i, (theta, var_l, nb, na) in enumerate(rows):
+        noise_db = float(values.noise_db[i])
+        row = {"theta_rad": theta, "var_L": var_l, "nb": nb,
+               "partial_no": float(values.partial_no[i]),
+               "noise_db": "-inf" if noise_db == -np.inf else noise_db,
+               "verdict": ("nonclassical_SI" if values.nonclassical[i]
+                           else "classical_consistent")}
+        if na is not None:
+            row.update(na=na, full_no=float(values.full_no[i]),
+                       standard_negativity=bool(values.standard_negativity[i]))
+        report_rows.append(row)
+    n_nonclassical = int(values.nonclassical.sum())
+    payload = {"tol": tol, "rows": report_rows,
+               "summary": {"n_rows": len(rows), "nonclassical_SI": n_nonclassical,
+                           "classical_consistent": len(rows) - n_nonclassical}}
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Valid rows over the whole float range short of an overflowing full_no, so
+# that every exponent form of a float's repr and var_L = 0 turn up.
+WIDE_ROWS = st.lists(st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1e300),
+    st.floats(0.0, 1e300, exclude_min=True), st.none() | st.floats(0.0, 1e300)),
+    max_size=6)
+
+
+class TestWitnessReportLayout:
+    """The witness report file, byte for byte."""
+
+    def test_golden_report(self, tmp_path):
+        # witness_golden.csv holds eight seeded rows (numpy default_rng(9)),
+        # then var_L = 0 with and without na, a row at shot noise, the
+        # overflowing ratio 1e10 / 1e-300 and a negative theta_rad.
+        out = tmp_path / "report.json"
+        cmd_witness(str(DATA / "witness_golden.csv"), str(out))
+        assert out.read_bytes() == (DATA / "witness_golden.json").read_bytes()
+
+    @given(VALID_ROWS | WIDE_ROWS, st.floats(0.0, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_report_is_json_dumps_layout(self, rows, tol):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "moments.csv"
+            path.write_text(moments_csv(rows), encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            cmd_witness(str(path), str(out), tol)
+            written = out.read_bytes()
+        assert written == reference_report(rows, tol).encode("utf-8")
 
 
 class TestValidateCommand:
