@@ -12,7 +12,9 @@ Commands
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
     blocked-signal (vacuum) calibration of the difference variance.  The
     first bad line of the file, malformed or out of range, is an error
-    naming that line.
+    naming that line; a repeated schema column is an error before any row
+    is read.  The report is written row by row, and ``cmd_witness``
+    returns only its ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites; exit status 1 if any fails.
 
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .figures import FIGURE_IDS, build_figure, db_json_value, render_csv
+from .figures import FIGURE_IDS, build_figure, render_csv
 from .svgplot import line_plot_svg
 from .witness import CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, witness_values
 
@@ -44,7 +46,8 @@ EXIT_INPUT_ERROR = 2
 
 # The witness schema in column order.  Every given cell must be finite; the
 # comparison against 0 and its rule text state the range each column needs.
-# Only ``na`` may be left empty.
+# Only ``na`` may be left empty.  Where ``na`` is given, ``full_no = var_L -
+# nb - na`` must be finite too: three finite cells can overflow it.
 CELL_RULES = (
     ("theta_rad", None, ""),
     ("var_L", operator.ge, "is not >= 0"),
@@ -56,6 +59,18 @@ WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
 # given (``na`` is NaN where it was left empty).
 RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
                          ("na", float), ("has_na", bool)])
+# One witness report row as ``_dump_json`` lays it out (indent 2, keys
+# sorted), without and with the ``na`` columns.  The first field is the comma
+# after the previous row; ``%r`` of a float is ``float.__repr__``, which is
+# how ``json`` writes floats.
+_ROW = ('%s\n    {\n      "nb": %r,\n      "noise_db": %s,\n      "partial_no": %r,'
+        '\n      "theta_rad": %r,\n      "var_L": %r,\n      "verdict": %s\n    }')
+_ROW_NA = ('%s\n    {\n      "full_no": %r,\n      "na": %r,\n      "nb": %r,'
+           '\n      "noise_db": %s,\n      "partial_no": %r,'
+           '\n      "standard_negativity": %s,\n      "theta_rad": %r,'
+           '\n      "var_L": %r,\n      "verdict": %s\n    }')
+_JSON_BOOL = ("false", "true")
+_JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
 
 
 class InputError(Exception):
@@ -66,10 +81,12 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks) -> None:
+    """Write the strings of ``chunks``, in order, as one UTF-8 file."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -92,18 +109,18 @@ def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
     written = []
 
     csv_path = out_dir / f"{stem}.csv"
-    _write_text(csv_path, render_csv(figure))
+    _write_text(csv_path, [render_csv(figure)])
     written.append(csv_path)
 
     summary_path = out_dir / f"{stem}_summary.json"
-    _write_text(summary_path, _dump_json(figure.summary))
+    _write_text(summary_path, [_dump_json(figure.summary)])
     written.append(summary_path)
 
     if svg:
         svg_path = out_dir / f"{stem}.svg"
-        _write_text(svg_path, line_plot_svg(
+        _write_text(svg_path, [line_plot_svg(
             figure.series, title=figure.name, x_label=figure.x_label,
-            y_label=figure.y_label, log_x=figure.log_x))
+            y_label=figure.y_label, log_x=figure.log_x)])
         written.append(svg_path)
     return written
 
@@ -119,7 +136,9 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     per data row, so ``records["var_L"]`` is a column.  Each row is checked
     by :data:`CELL_RULES` as soon as it is parsed, so the first bad line of
     the file, malformed or out of range, is the error, and it carries that
-    line's 1-based number.  A UTF-8 byte-order mark is accepted.
+    line's 1-based number.  A schema column named twice in the header is an
+    error, since which of its cells is meant cannot be known; a repeated
+    extra column is only ignored.  A UTF-8 byte-order mark is accepted.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -129,9 +148,12 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     if not lines:
         raise InputError(f"{path}: empty file")
     header = [cell.strip() for cell in lines[0].split(",")]
-    for required in ("theta_rad", "var_L", "nb"):
-        if required not in header:
-            raise InputError(f"{path}: missing required column {required!r}")
+    for column in WITNESS_COLUMNS:
+        count = header.count(column)
+        if count > 1:
+            raise InputError(f"{path}: column {column!r} appears {count} times")
+        if not count and column != "na":
+            raise InputError(f"{path}: missing required column {column!r}")
     warnings = []
     extras = [name for name in header if name not in WITNESS_COLUMNS]
     if extras:
@@ -161,12 +183,38 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
                 raise InputError(f"line {line_no}: {column} = {value!r} is not finite")
             if in_range is not None and not in_range(value, 0.0):
                 raise InputError(f"line {line_no}: {column} = {value!r} {rule}")
+        if na and not math.isfinite(full_no := row[1] - row[2] - row[3]):
+            raise InputError(
+                f"line {line_no}: full_no = var_L - nb - na = {full_no!r} is not finite")
         records.append((*row, True) if na else (*row, np.nan, False))
     return np.array(records, dtype=RECORD_DTYPE), warnings
 
 
+def _report_chunks(columns, tail: dict):
+    """Yield the witness report in ``_dump_json``'s layout: the ``rows``
+    frame with one chunk per row of ``columns``, then ``tail``."""
+    yield '{\n  "rows": ['
+    separator = ""
+    for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
+            *(column.tolist() for column in columns)):
+        noise_db = '"-inf"' if n == -math.inf else repr(n)
+        if given:
+            yield _ROW_NA % (separator, f, a, b, noise_db, p, _JSON_BOOL[negative],
+                             t, v, _JSON_VERDICT[nonclassical])
+        else:
+            yield _ROW % (separator, b, noise_db, p, t, v, _JSON_VERDICT[nonclassical])
+        separator = ","
+    yield "\n  ],\n" if separator else "],\n"
+    yield _dump_json(tail)[2:]  # the rest of the object, after its "{\n"
+
+
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
-    """Evaluate measured moment records and write the JSON report."""
+    """Evaluate measured moment records and write the JSON report.
+
+    Every input check runs before the report file is opened; the report is
+    then written row by row, never held whole.  Returns the report's
+    ``tol`` and ``summary``, without its rows.
+    """
     records, warnings = read_moment_records(input_path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -174,29 +222,28 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
         records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
     # An empty na cell becomes 0 so that only given cells meet the kernel.
     values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
-    rows = []
-    for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
-            theta.tolist(), var_L.tolist(), nb.tolist(), values.partial_no.tolist(),
-            values.noise_db.tolist(), values.nonclassical.tolist(), has_na.tolist(),
-            na.tolist(), values.full_no.tolist(), values.standard_negativity.tolist()):
-        row = {"theta_rad": t, "var_L": v, "nb": b, "partial_no": p,
-               "noise_db": db_json_value(n),
-               "verdict": NONCLASSICAL if nonclassical else CLASSICAL}
-        if given:
-            row.update(na=a, full_no=f, standard_negativity=negative)
-        rows.append(row)
+    # The reader's rules leave no other non-finite value; this check keeps
+    # the report strict JSON even so, as allow_nan=False does in _dump_json.
+    noise_db = values.noise_db
+    for column, cells in (("theta_rad", theta), ("var_L", var_L), ("nb", nb),
+                          ("partial_no", values.partial_no),
+                          ("noise_db", noise_db[noise_db != -np.inf]),
+                          ("na", na[has_na]), ("full_no", values.full_no[has_na])):
+        if not np.isfinite(cells).all():
+            raise ValueError(f"{column} holds a value that JSON cannot represent")
     n_nonclassical = int(values.nonclassical.sum())
-    report = {
-        "tol": tol,
-        "rows": rows,
+    tail = {
         "summary": {
-            "n_rows": len(rows),
+            "n_rows": len(records),
             "nonclassical_SI": n_nonclassical,
-            "classical_consistent": len(rows) - n_nonclassical,
+            "classical_consistent": len(records) - n_nonclassical,
         },
+        "tol": tol,
     }
-    _write_text(Path(out), _dump_json(report))
-    return report
+    columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
+               has_na, na, values.full_no, values.standard_negativity)
+    _write_text(Path(out), _report_chunks(columns, tail))
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +272,7 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
     }
     text = _dump_json(report)
     if out:
-        _write_text(Path(out), text)
+        _write_text(Path(out), [text])
     else:
         sys.stdout.write(text)
     return report, EXIT_OK if report["all_passed"] else EXIT_VALIDATION_FAILURE

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -114,6 +115,12 @@ def write_csv(tmp_path, text):
     return str(path)
 
 
+def read_report(path):
+    """A written witness report, parsed as strict JSON."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
+
+
 class TestWitnessCommand:
     def test_example_rows(self, tmp_path):
         path = write_csv(
@@ -123,7 +130,7 @@ class TestWitnessCommand:
             "0,0.1241,0.1241\n")
         out = tmp_path / "report.json"
         report = cmd_witness(path, str(out))
-        rows = report["rows"]
+        rows = read_report(out)["rows"]
         assert rows[0]["partial_no"] == pytest.approx(-0.0621, abs=1e-12)
         assert rows[0]["noise_db"] == pytest.approx(-3.01, abs=5e-3)
         assert rows[0]["verdict"] == "nonclassical_SI"
@@ -139,19 +146,20 @@ class TestWitnessCommand:
             tmp_path,
             "theta_rad,var_L,nb,na\n"
             "0.0,0.62530,0.12411,1.0\n")
-        report = cmd_witness(path, str(tmp_path / "r.json"))
-        row = report["rows"][0]
+        cmd_witness(path, str(tmp_path / "r.json"))
+        row = read_report(tmp_path / "r.json")["rows"][0]
         assert row["full_no"] == pytest.approx(0.62530 - 0.12411 - 1.0, abs=1e-12)
         assert row["standard_negativity"] is True
         assert row["verdict"] == "classical_consistent"
 
         path2 = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.62530,0.12411\n")
-        report2 = cmd_witness(path2, str(tmp_path / "r2.json"))
-        assert "full_no" not in report2["rows"][0]
+        cmd_witness(path2, str(tmp_path / "r2.json"))
+        assert "full_no" not in read_report(tmp_path / "r2.json")["rows"][0]
 
     def test_zero_variance_row(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.5,0.0,0.1\n")
-        report = cmd_witness(path, str(tmp_path / "r.json"))
+        cmd_witness(path, str(tmp_path / "r.json"))
+        report = read_report(tmp_path / "r.json")
         assert report["rows"][0]["noise_db"] == "-inf"
         assert report["rows"][0]["verdict"] == "nonclassical_SI"
 
@@ -267,6 +275,41 @@ class TestWitnessCommand:
             assert main(["witness", "--input", str(path), "--out", str(out)]) == EXIT_OK
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("row", ["0,0,1.7e308,1.7e308", "0,1e308,1.7e308,1.7e308"])
+    def test_overflowing_full_no_reports_line(self, tmp_path, capsys, row):
+        # Each cell is finite, but var_L - nb - na is not.
+        path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n{row}\nx,1,1,1\n")
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["witness", "--input", path, "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: line 2: full_no = ")
+        assert not out.exists()
+
+    def test_largest_finite_full_no_is_reported(self, tmp_path):
+        path = write_csv(tmp_path, "theta_rad,var_L,nb,na\n0,0,1e308,7e307\n")
+        cmd_witness(path, str(tmp_path / "r.json"))
+        assert read_report(tmp_path / "r.json")["rows"][0]["full_no"] == -1e308 - 7e307
+
+    @pytest.mark.parametrize("column", ["theta_rad", "var_L", "nb", "na"])
+    def test_repeated_schema_column_is_an_error(self, tmp_path, capsys, column):
+        # The data row is malformed too: the header is judged before any row.
+        path = write_csv(tmp_path, f"theta_rad,var_L,nb,na,{column}\n0,x\n")
+        out = tmp_path / "r.json"
+        assert main(["witness", "--input", path, "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"column {column!r} appears 2 times" in err
+        assert "line" not in err
+        assert not out.exists()
+
+    def test_repeated_extra_column_is_warned_and_ignored(self, tmp_path, capsys):
+        path = write_csv(tmp_path, "theta_rad,run_id,var_L,nb,run_id\n0,a,0.5,1,b\n")
+        out = tmp_path / "r.json"
+        assert main(["witness", "--input", path, "--out", str(out)]) == EXIT_OK
+        assert "ignoring extra columns: run_id, run_id" in capsys.readouterr().err
+        assert read_report(out)["rows"][0]["var_L"] == 0.5
 
     def test_header_only_file_writes_no_rows(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n")
