@@ -133,12 +133,14 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     """Parse and check a measured-moments CSV; returns the rows and warnings.
 
     The rows form a structured array of :data:`RECORD_DTYPE`, one element
-    per data row, so ``records["var_L"]`` is a column.  Each row is checked
-    by :data:`CELL_RULES` as soon as it is parsed, so the first bad line of
-    the file, malformed or out of range, is the error, and it carries that
-    line's 1-based number.  A schema column named twice in the header is an
-    error, since which of its cells is meant cannot be known; a repeated
-    extra column is only ignored.  A UTF-8 byte-order mark is accepted.
+    per data row, so ``records["var_L"]`` is a column.  Every cell is checked
+    by :data:`CELL_RULES`.  A file that breaks no rule is parsed a column at
+    a time; any other file is parsed again line by line, so that the first
+    bad line of the file, malformed or out of range, is the error, and it
+    carries that line's 1-based number.  A schema column named twice in the
+    header is an error, since which of its cells is meant cannot be known; a
+    repeated extra column is only ignored.  A UTF-8 byte-order mark is
+    accepted.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -158,18 +160,66 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     extras = [name for name in header if name not in WITNESS_COLUMNS]
     if extras:
         warnings.append(f"ignoring extra columns: {', '.join(extras)}")
-    theta_at, var_L_at, nb_at = (header.index(name)
-                                 for name in ("theta_rad", "var_L", "nb"))
-    na_at = header.index("na") if "na" in header else None
+    at = tuple(header.index(name) if name in header else None
+               for name in WITNESS_COLUMNS)
+    records = _read_columns(lines[1:], len(header), at)
+    if records is None:
+        records = _read_lines(lines[1:], len(header), at)
+    return records, warnings
 
+
+def _read_columns(lines: list[str], width: int, at: tuple) -> np.ndarray | None:
+    """The records of ``lines``, parsed a column at a time, or None if any
+    line breaks a rule; :func:`_read_lines` then names the first such line.
+
+    ``at`` holds each schema column's index in a line, None for a missing
+    ``na``.  Blank lines are skipped, as :func:`_read_lines` skips them.
+    """
+    lines = list(filter(str.strip, lines))
+    n = len(lines)
+    records = np.empty(n, dtype=RECORD_DTYPE)
+    if not n:
+        return records
+    if set(map(operator.methodcaller("count", ","), lines)) != {width - 1}:
+        return None
+    cells = ",".join(lines).split(",")
+    theta_at, var_L_at, nb_at, na_at = at
+    has_na, na = records["has_na"], records["na"]
+    try:
+        for column, k in (("theta_rad", theta_at), ("var_L", var_L_at), ("nb", nb_at)):
+            records[column] = np.fromiter(map(float, cells[k::width]), float, n)
+        na_cells = list(map(str.strip, cells[na_at::width])) if na_at is not None else []
+        has_na[:] = np.fromiter(map(bool, na_cells), bool, n) if na_cells else False
+        na[:] = np.nan
+        na[has_na] = np.fromiter(map(float, filter(None, na_cells)), float)
+    except ValueError:
+        return None
+    valid = np.ones(n, dtype=bool)
+    for column, in_range, _ in CELL_RULES:
+        ok = np.isfinite(records[column])
+        if in_range is not None:
+            ok &= in_range(records[column], 0.0)
+        if column == "na":  # the rule holds where the cell was given
+            ok |= ~has_na
+        valid &= ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid &= ~has_na | np.isfinite(records["var_L"] - records["nb"] - na)
+    return records if valid.all() else None
+
+
+def _read_lines(lines: list[str], width: int, at: tuple) -> np.ndarray:
+    """The records of ``lines``, parsed and checked one line at a time; the
+    first bad line raises :class:`InputError` with its 1-based file line
+    number (the header is line 1)."""
+    theta_at, var_L_at, nb_at, na_at = at
     records = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != len(header):
+        if len(cells) != width:
             raise InputError(
-                f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
+                f"line {line_no}: expected {width} cells, got {len(cells)}")
         na = cells[na_at].strip() if na_at is not None else ""
         try:
             row = [float(cells[theta_at]), float(cells[var_L_at]), float(cells[nb_at])]
@@ -187,7 +237,7 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
             raise InputError(
                 f"line {line_no}: full_no = var_L - nb - na = {full_no!r} is not finite")
         records.append((*row, True) if na else (*row, np.nan, False))
-    return np.array(records, dtype=RECORD_DTYPE), warnings
+    return np.array(records, dtype=RECORD_DTYPE)
 
 
 def _report_chunks(columns, tail: dict):

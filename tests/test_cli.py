@@ -17,7 +17,10 @@ import squeezewitness
 from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    WITNESS_COLUMNS,
     InputError,
+    _read_columns,
+    _read_lines,
     cmd_reproduce,
     cmd_witness,
     main,
@@ -345,6 +348,22 @@ OUT_OF_RANGE = {
 }
 
 
+# Cells for the reader, per column: in range, with the spaces and the
+# underscore that float() accepts, empty for na, and 1.7e308, which can
+# overflow full_no = var_L - nb - na.
+READER_NUMBERS = {"theta_rad": finite, "var_L": nonnegative, "nb": positive,
+                  "na": nonnegative, "run_id": finite}
+
+
+def reader_cell(column):
+    number = READER_NUMBERS[column].map(repr) | st.sampled_from(["1_0", "1.7e308"])
+    if column == "na":
+        number = number | st.just("")
+    return number | number.map(" {} ".format)
+
+
+
+
 BAD_CELL = st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
     lambda column: st.tuples(st.just(column), NON_FINITE | OUT_OF_RANGE[column]))
 # Lines that cannot be parsed: a non-number, an empty required cell, too few
@@ -429,6 +448,46 @@ class TestWitnessInputBoundaries:
         assert report["summary"] == {"n_rows": len(rows),
                                      "nonclassical_SI": nonclassical,
                                      "classical_consistent": len(rows) - nonclassical}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_parse_agrees_with_line_parse(self, data):
+        # The column parse must accept exactly the files the line parse
+        # accepts, and read the same records from them.
+        names = ["theta_rad", "var_L", "nb"]
+        names += [name for name in ("na", "run_id") if data.draw(st.booleans())]
+        header = data.draw(st.permutations(names), label="header")
+        width = len(header)
+        cells = [reader_cell(column) for column in header]
+        line = st.tuples(*cells).map(",".join)
+        lines = data.draw(st.lists(line | st.sampled_from(["", "   "]), max_size=8),
+                          label="lines")
+        # Half the files get one bad line: a bad cell, an overflowing
+        # full_no, or a cell too few or too many.
+        bad_at = st.sampled_from([k for k, column in enumerate(header)
+                                  if column in WITNESS_COLUMNS])
+        bad_cell = bad_at.flatmap(lambda k: st.tuples(
+            *cells[:k], OUT_OF_RANGE[header[k]] | NON_FINITE | st.sampled_from(["x", "1e"]),
+            *cells[k + 1:])).map(",".join)
+        overflow = {"var_L": "0", "nb": "1.7e308", "na": "1.7e308"}
+        overflow_line = line.map(lambda text: ",".join(
+            overflow.get(column, cell) for column, cell in zip(header, text.split(","))))
+        wrong_width = st.sampled_from([width - 1, width + 1]).map(lambda k: ",".join("1" * k))
+        if data.draw(st.booleans(), label="one bad line"):
+            lines.insert(data.draw(st.integers(0, len(lines)), label="at"),
+                         data.draw(bad_cell | overflow_line | wrong_width, label="bad"))
+        at = tuple(header.index(name) if name in header else None
+                   for name in WITNESS_COLUMNS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _read_columns(lines, width, at)
+        try:
+            slow = _read_lines(lines, width, at)
+        except InputError:
+            assert fast is None
+        else:
+            assert fast is not None
+            assert fast.tobytes() == slow.tobytes()
 
 
 def _reject_constant(name):
