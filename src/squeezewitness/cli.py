@@ -272,13 +272,13 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
         records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
     # An empty na cell becomes 0 so that only given cells meet the kernel.
     values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
-    # The reader's rules leave no other non-finite value; this check keeps
-    # the report strict JSON even so, as allow_nan=False does in _dump_json.
+    # The kernel keeps partial_no and full_no finite and the reader's rules
+    # leave no other non-finite value; this check keeps the report strict
+    # JSON even so, as allow_nan=False does in _dump_json.
     noise_db = values.noise_db
     for column, cells in (("theta_rad", theta), ("var_L", var_L), ("nb", nb),
-                          ("partial_no", values.partial_no),
                           ("noise_db", noise_db[noise_db != -np.inf]),
-                          ("na", na[has_na]), ("full_no", values.full_no[has_na])):
+                          ("na", na[has_na])):
         if not np.isfinite(cells).all():
             raise ValueError(f"{column} holds a value that JSON cannot represent")
     n_nonclassical = int(values.nonclassical.sum())

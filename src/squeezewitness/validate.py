@@ -16,6 +16,7 @@ from .channels import apply_gain_noise, apply_loss
 from .fock import (
     ConvergenceError,
     FockState,
+    build_ladder,
     coherent_amplitudes,
     converged_cutoff,
     expect,
@@ -161,35 +162,54 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
+def _bath_evolve(psi: np.ndarray, kind: str, strength: float) -> np.ndarray:
+    """``exp(G) psi`` for the two-mode tensor ``psi[n_signal, n_ancilla]``.
+
+    ``G = angle (a^dag R - a R^dag)`` with ``R`` the ancilla's ``a`` (loss)
+    or ``a^dag`` (gain).  The signal's ladder acts from the left, the
+    ancilla's from the right transposed; the real ladder's transpose is its
+    adjoint.  The Taylor series runs over steps of norm at most one, each
+    summed to machine precision, as ``expm_multiply`` does (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    """
+    a = build_ladder(psi.shape[0])
+    if kind == "loss":
+        if not 0.0 <= strength <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {strength}")
+        angle, right = np.arccos(np.sqrt(strength)), a.T
+    elif kind == "gain":
+        if not 1.0 <= strength < np.inf:
+            raise ValueError(f"g must be finite and >= 1, got {strength}")
+        angle, right = np.arccosh(np.sqrt(strength)), a
+    else:
+        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
+    # ||a|| = sqrt(cutoff - 1) bounds ||G|| by this count.
+    steps = max(1, int(np.ceil(2.0 * angle * (psi.shape[0] - 1))))
+    for _ in range(steps):
+        floor = np.finfo(float).eps * np.abs(psi).max()
+        term, k = psi, 0
+        while np.abs(term).max() > floor:
+            k += 1
+            term = angle / (steps * k) * (a.T @ term @ right - a @ term @ right.T)
+            psi = psi + term
+    return psi
+
+
 def bath_fold_moments(params: StateParams, kind: str, strength: float,
                       cutoff: int) -> tuple[complex, complex, float]:
     """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after a bath-unitary fold.
 
     Couples the pure signal ``params`` to a vacuum ancilla with a beam
     splitter of transmissivity ``strength`` (``kind == "loss"``) or a
-    two-mode squeezer of gain ``strength`` (``kind == "gain"``), evolved by
-    a sparse matrix exponential on the truncated two-mode space.
+    two-mode squeezer of gain ``strength`` (``kind == "gain"``), evolved on
+    the truncated two-mode space.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import expm_multiply
-
-    a = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1, format="csr")
-    eye = sparse.identity(cutoff, format="csr")
-    # Real matrices, so transposes are adjoints.
-    a_sys = sparse.kron(a, eye, format="csr")
-    a_anc = sparse.kron(eye, a, format="csr")
-    if kind == "loss":
-        gen = np.arccos(np.sqrt(strength)) * (a_sys.T @ a_anc - a_sys @ a_anc.T)
-    elif kind == "gain":
-        gen = np.arccosh(np.sqrt(strength)) * (a_sys.T @ a_anc.T - a_sys @ a_anc)
-    else:
-        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
-    vec, _ = pure_mode_amplitudes(params, cutoff)
-    ancilla_vacuum = np.zeros(cutoff, dtype=complex)
-    ancilla_vacuum[0] = 1.0
-    evolved = expm_multiply(gen, np.kron(vec, ancilla_vacuum))
-    lowered = a_sys @ evolved
-    return (complex(np.vdot(evolved, lowered)), complex(np.vdot(evolved, a_sys @ lowered)),
+    psi = np.zeros((cutoff, cutoff), dtype=complex)
+    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
+    psi = _bath_evolve(psi, kind, strength)
+    a = build_ladder(cutoff)
+    lowered = a @ psi
+    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, a @ lowered)),
             float(np.vdot(lowered, lowered).real))
 
 
@@ -233,11 +253,8 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
         noisy = evaluate(TwoModeProduct(si=apply_gain_noise(si, gain), lo=lo),
                          theta).partial_no
         worst = max(worst, abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
-    if trials > 0 and worst > CHANNEL_LAW_TOL:
-        return SuiteResult(name, trials, worst, False)
-
     fold = _bath_fold_deviation()
-    passed = fold <= CHANNEL_FOLD_TOL and (trials == 0 or worst <= CHANNEL_LAW_TOL)
+    passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL
     return SuiteResult(name, trials, max(worst, fold), bool(passed),
                        detail=f"bath-fold deviation {fold:.3e}")
 

@@ -127,7 +127,8 @@ def witness_values(var_L, nb, na=None,
     difference of logarithms where the ratio overflows.  ``full_no =
     partial_no - na``, the conventional criterion, never drives the verdict:
     the LO alone can make it negative.  Raises :class:`ColumnError` at the
-    first non-finite ``var_L``, ``nb`` or ``na`` or ``nb <= 0``, and
+    first non-finite ``var_L``, ``nb`` or ``na`` or ``nb <= 0``, then at the
+    first ``partial_no`` or ``full_no`` that overflows to infinity, and
     ``ValueError`` for a non-finite or negative ``tol``.
     """
     if not (math.isfinite(tol) and tol >= 0):
@@ -141,7 +142,13 @@ def witness_values(var_L, nb, na=None,
         require(column, values, np.isfinite(values), "is not finite")
     require("nb", nb, nb > 0, "is not > 0: the shot-noise reference is undefined")
 
-    partial = var_L - nb
+    # Finite cells can still overflow a difference; name the first such row.
+    with np.errstate(over="ignore"):
+        partial = var_L - nb
+        full = None if na is None else partial - na
+    require("partial_no", partial, np.isfinite(partial), "is not finite")
+    if full is not None:
+        require("full_no", full, np.isfinite(full), "is not finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         noise_db = np.where(var_L <= ZERO_VARIANCE_TOL, -np.inf,
                             10.0 * np.log10(var_L / nb))
@@ -150,9 +157,8 @@ def witness_values(var_L, nb, na=None,
         if np.max(noise_db, initial=-np.inf) == np.inf:
             noise_db = np.where(np.isposinf(noise_db),
                                 10.0 * (np.log10(var_L) - np.log10(nb)), noise_db)
-    if na is None:
+    if full is None:
         return WitnessValues(var_L, partial, noise_db, partial < -tol)
-    full = partial - na
     return WitnessValues(var_L, partial, noise_db, partial < -tol, full, full < -tol)
 
 

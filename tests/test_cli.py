@@ -606,14 +606,22 @@ def _fresh_python(code: str) -> str:
                           text=True, check=True, env=env).stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is needed only by the bath fold inside ``validate``, and the
-    # Fock oracle with its operator algebra only by the ``validate`` command.
+def test_cli_import_loads_no_oracle():
+    # The Fock oracle with its operator algebra is needed only by the
+    # ``validate`` command.
     code = ("import sys, squeezewitness.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m in ('squeezewitness.fock', 'squeezewitness.opexpr', "
-            "'squeezewitness.validate')))")
+            "print(sorted(m for m in sys.modules if m in ('squeezewitness.fock', "
+            "'squeezewitness.opexpr', 'squeezewitness.validate')))")
     assert _fresh_python(code).strip() == "[]"
+
+
+def test_validate_command_loads_no_scipy(tmp_path):
+    # The package depends on numpy alone, the bath fold included.
+    code = ("import sys; from squeezewitness.cli import main; "
+            f"code = main(['validate', '--trials', '2', '--cutoff-max', '128', "
+            f"'--out', {str(tmp_path / 'v.json')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "0 []"
 
 
 def test_package_surface_resolves_on_first_use():

@@ -31,7 +31,7 @@ from squeezewitness.opexpr import (
     parse,
     reorder,
 )
-from squeezewitness.validate import bath_fold_moments, random_expression
+from squeezewitness.validate import _bath_evolve, bath_fold_moments, random_expression
 
 ZETA_3DB = db_to_squeeze(3.0)
 NUMBER_A = OperatorExpr.word(("ad", "a"))
@@ -321,6 +321,57 @@ class TestChannelFolds:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             bath_fold_moments(StateParams(), "dephasing", 0.5, cutoff=4)
+
+    @staticmethod
+    def _dense_fold_moments(params, kind, strength, cutoff):
+        """The fold by a dense exponential: eigh of the Hermitian ``1j G``."""
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+        signal, ancilla = np.kron(a, np.eye(cutoff)), np.kron(np.eye(cutoff), a)
+        if kind == "loss":
+            gen = np.arccos(np.sqrt(strength)) * (signal.T @ ancilla - signal @ ancilla.T)
+        else:
+            gen = np.arccosh(np.sqrt(strength)) * (signal.T @ ancilla.T - signal @ ancilla)
+        w, v = np.linalg.eigh(1j * gen)
+        vec, _ = pure_mode_amplitudes(params, cutoff)
+        start = np.kron(vec, np.eye(cutoff)[0])
+        evolved = v @ (np.exp(-1j * w) * (v.conj().T @ start))
+        lowered = signal @ evolved
+        return (np.vdot(evolved, lowered), np.vdot(evolved, signal @ lowered),
+                np.vdot(lowered, lowered).real)
+
+    @pytest.mark.parametrize("kind, strength", [("loss", 0.3), ("loss", 0.75),
+                                                ("gain", 1.4), ("gain", 2.5)])
+    def test_matches_dense_exponential(self, kind, strength):
+        params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
+        got = bath_fold_moments(params, kind, strength, cutoff=8)
+        want = self._dense_fold_moments(params, kind, strength, cutoff=8)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["loss", "gain"])
+    def test_unit_strength_returns_input_moments(self, kind):
+        params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
+        vec, _ = pure_mode_amplitudes(params, 16)
+        a = build_ladder(16)
+        want = (np.vdot(vec, a @ vec), np.vdot(vec, a @ a @ vec),
+                np.vdot(a @ vec, a @ vec).real)
+        for g, w in zip(bath_fold_moments(params, kind, 1.0, cutoff=16), want):
+            assert abs(g - w) < 1e-14
+
+    @pytest.mark.parametrize("kind, strength", [("loss", 0.05), ("gain", 3.0)])
+    def test_preserves_norm(self, kind, strength):
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        psi /= np.linalg.norm(psi)
+        assert abs(np.linalg.norm(_bath_evolve(psi, kind, strength)) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("kind, strength", [
+        ("loss", -0.1), ("loss", 1.1), ("loss", np.nan),
+        ("gain", 0.5), ("gain", np.nan), ("gain", np.inf),
+    ])
+    def test_rejects_out_of_range_strength(self, kind, strength):
+        with pytest.raises(ValueError, match="must"):
+            bath_fold_moments(StateParams(), kind, strength, cutoff=4)
 
 
 # Corners of the ``random_state_params`` envelope: |alpha| <= 2,

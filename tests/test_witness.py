@@ -318,6 +318,16 @@ class TestWitnessValues:
             witness_values(cells["var_L"], cells["nb"], cells["na"])
         assert (caught.value.column, caught.value.index) == (column, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cells, column", [
+        (([0.1, 0.0], [0.2, 1.7e308], [0.0, 1.7e308]), "full_no"),
+        (([0.1, -1.7e308], [0.2, 1.7e308]), "partial_no"),
+    ])
+    def test_rejects_overflowing_difference(self, cells, column):
+        with pytest.raises(ColumnError, match=rf"{column}\[1\] = -inf") as caught:
+            witness_values(*cells)
+        assert (caught.value.column, caught.value.index) == (column, 1)
+
     @pytest.mark.parametrize("nb", [0.0, -0.5])
     def test_rejects_nonpositive_nb(self, nb):
         with pytest.raises(ColumnError, match="shot-noise") as caught:
