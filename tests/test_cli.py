@@ -96,6 +96,13 @@ class TestReproduceCommand:
         svg = written[2].read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("figure", ["fluctuations", "noise-sweep", "robustness"])
+    def test_golden_figure(self, tmp_path, figure):
+        # tests/data/figures holds `reproduce --svg` of each figure at its
+        # default points: the CSV, the summary JSON and the SVG.
+        for path in cmd_reproduce(figure, str(tmp_path), svg=True):
+            assert path.read_bytes() == (DATA / "figures" / path.name).read_bytes(), path.name
+
     def test_no_svg_by_default(self, tmp_path):
         written = cmd_reproduce("robustness", str(tmp_path), points=5)
         assert [p.suffix for p in written] == [".csv", ".json"]
