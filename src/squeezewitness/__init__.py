@@ -21,7 +21,7 @@ _EXPORTS = {
                  "mean_photon", "squeeze_to_db", "squeezed_vacuum", "vacuum"),
     "channels": ("apply_gain_noise", "apply_loss"),
     "witness": ("CLASSICAL", "NONCLASSICAL", "TwoModeProduct", "WitnessValues",
-                "evaluate", "homodyne_variance", "optimize_lo", "witness_values"),
+                "evaluate", "homodyne_variance", "witness_values"),
     "opexpr": ("ExpressionError", "ExpressionSyntaxError", "OperatorExpr",
                "adjoint_product", "difference_observable", "formal_normal_order",
                "parse", "reorder"),

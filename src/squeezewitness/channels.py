@@ -4,7 +4,11 @@ Both channels model a linear coupling to a vacuum bath: attenuation with
 quantum efficiency ``eta`` and phase-insensitive amplification with gain
 ``g``.  They act on the mode's mean field and central second moments
 (``<a> -> sqrt(eta) <a>``, ``<a^dag a> -> eta <a^dag a>``, and so on);
-these moment maps hold for any input state, Gaussian or not.
+these moment maps hold for any input state, Gaussian or not.  ``eta`` and
+``g`` may be arrays, one channel per element, and broadcast against the
+mode's fields.  A real times a complex is ``np.multiply``, as in
+:func:`~squeezewitness.gaussian.make_state`, so that a scalar and an array
+share one rounding.
 """
 
 from __future__ import annotations
@@ -23,22 +27,25 @@ def apply_loss(state: SingleModeGaussian, eta: float) -> SingleModeGaussian:
     ``delta_n -> eta delta_n``.  ``eta = 1`` is the identity, ``eta = 0``
     maps every state to vacuum.
     """
-    if not 0.0 <= eta <= 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return SingleModeGaussian(alpha=np.sqrt(eta) * state.alpha,
-                              delta_sq=eta * state.delta_sq,
+    return SingleModeGaussian(alpha=np.multiply(np.sqrt(eta), state.alpha),
+                              delta_sq=np.multiply(eta, state.delta_sq),
                               delta_n=eta * state.delta_n)
 
 
 def apply_gain_noise(state: SingleModeGaussian, g: float) -> SingleModeGaussian:
-    """Amplify a mode with gain ``g >= 1``, adding bath-induced excess noise.
+    """Amplify a mode with a finite gain ``g >= 1``, adding bath-induced
+    excess noise.
 
     ``alpha -> sqrt(g) alpha``, ``delta_sq -> g delta_sq`` and ``delta_n ->
     g delta_n + (g - 1)``: ``g - 1`` thermal photons on top of the amplified
     signal.
     """
-    if g < 1.0:
-        raise ValueError(f"g must be >= 1, got {g}")
-    return SingleModeGaussian(alpha=np.sqrt(g) * state.alpha,
-                              delta_sq=g * state.delta_sq,
+    g = np.asarray(g, dtype=float)
+    if not np.all((1.0 <= g) & (g < np.inf)):
+        raise ValueError(f"g must be >= 1 and finite, got {g}")
+    return SingleModeGaussian(alpha=np.multiply(np.sqrt(g), state.alpha),
+                              delta_sq=np.multiply(g, state.delta_sq),
                               delta_n=g * state.delta_n + (g - 1.0))

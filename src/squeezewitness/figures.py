@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_gain_noise, apply_loss
-from .gaussian import (
-    StateParams,
-    coherent,
-    db_to_squeeze,
-    make_state,
-    mean_photon,
-    squeezed_vacuum,
-)
+from .gaussian import coherent, db_to_squeeze, mean_photon, squeezed_vacuum
 from .witness import TwoModeProduct, evaluate, homodyne_variance, witness_values
 
 __all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "format_value",
@@ -112,20 +105,18 @@ def figure_noise_sweep(points: int = 61) -> FigureData:
     dip_nb = float(np.sinh(zeta_si) ** 2)
 
     squeezed_nbs = sorted(set(grid) | {dip_nb})
-    curves = {  # kind: (LO mean photon numbers, theta, LO states)
-        "coherent": (grid, 0.0, [coherent(np.sqrt(nb)) for nb in grid]),
+    curves = {  # kind: (LO mean photon numbers, theta, one LO per element)
+        "coherent": (grid, 0.0, coherent(np.sqrt(grid))),
         "squeezed": (squeezed_nbs, np.pi / 2.0,
-                     [squeezed_vacuum(float(np.arcsinh(np.sqrt(nb))))
-                      for nb in squeezed_nbs]),
+                     squeezed_vacuum(np.arcsinh(np.sqrt(squeezed_nbs)))),
     }
     rows = []
     noise: dict[str, list[float]] = {}
     for kind, (nbs, theta, los) in curves.items():
-        pairs = [TwoModeProduct(si=si, lo=lo) for lo in los]
-        var = [homodyne_variance(pair, theta) for pair in pairs]
-        noise[kind] = witness_values(
-            var, [mean_photon(lo) for lo in los]).noise_db.tolist()
-        rows.extend((kind, nb, theta, v, n) for nb, v, n in zip(nbs, var, noise[kind]))
+        var = homodyne_variance(TwoModeProduct(si=si, lo=los), theta)
+        noise[kind] = witness_values(var, mean_photon(los)).noise_db.tolist()
+        rows.extend((kind, nb, theta, v, n)
+                    for nb, v, n in zip(nbs, var.tolist(), noise[kind]))
 
     summary = {
         "figure": "noise-sweep",
@@ -163,10 +154,9 @@ def figure_robustness(points: int = 21) -> FigureData:
     nb = mean_photon(lo)
     etas = np.linspace(0.0, 1.0, points).tolist()
     gains = np.linspace(1.0, 2.0, points).tolist()
-    signals = ([si] + [apply_loss(si, eta) for eta in etas]
-               + [apply_gain_noise(si, g) for g in gains])
-    var = [homodyne_variance(TwoModeProduct(si=signal, lo=lo), theta) for signal in signals]
-    partials = witness_values(var, nb).partial_no.tolist()
+    var = [homodyne_variance(TwoModeProduct(si=signal, lo=lo), theta)
+           for signal in (si, apply_loss(si, etas), apply_gain_noise(si, gains))]
+    partials = witness_values(np.hstack(var), nb).partial_no.tolist()
     ideal, lossy, noisy = partials[0], partials[1:points + 1], partials[points + 1:]
     rows = [("loss", eta, p, eta * ideal) for eta, p in zip(etas, lossy)]
     rows += [("gain", g, p, g * ideal + (g - 1.0) * (2.0 * nb + 1.0))

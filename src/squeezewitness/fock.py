@@ -14,8 +14,7 @@ continuation of the Husimi function.  Pure amplitudes follow a 3-term
 Hermite recurrence at O(c) cost, and density matrices a 2-D recurrence at
 O(c^2).  Neither involves quadrature or a matrix exponential, and the
 elements at cutoff ``c`` are exactly the leading block of those at ``2c``.
-``coherent_amplitudes`` and ``squeezed_amplitudes`` are independent
-closed-form references.
+``coherent_amplitudes`` is an independent closed-form reference.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "converged_cutoff",
     "expr_matrix",
     "coherent_amplitudes",
-    "squeezed_amplitudes",
     "pure_mode_amplitudes",
 ]
 
@@ -123,21 +121,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
                        - 0.5 * _log_factorials(cutoff))
     phase = np.exp(1j * n * np.angle(complex(alpha)))
     return magnitude * phase
-
-
-def squeezed_amplitudes(zeta: float, cutoff: int) -> np.ndarray:
-    """Squeezed-vacuum amplitudes, even numbers only.
-
-    ``c_{2m} = (-tanh zeta)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh zeta)``.
-    """
-    v = np.zeros(cutoff, dtype=complex)
-    v[0] = 1.0
-    t = np.tanh(zeta)
-    log_fact = _log_factorials(cutoff)
-    for k in range(2, cutoff, 2):
-        m = k // 2
-        v[k] = (-t) ** m * np.exp(0.5 * log_fact[k] - m * np.log(2.0) - log_fact[m])
-    return v / np.sqrt(np.cosh(zeta))
 
 
 def _husimi_coefficients(params: StateParams) -> tuple[float, complex, float, complex]:

@@ -45,6 +45,9 @@ def squeeze_to_db(zeta: float) -> float:
 class StateParams:
     """Parameters of a displaced, rotated, squeezed state with thermal background.
 
+    Each field is a scalar or an array; arrays of one shape (or shapes that
+    broadcast) describe one state per element.
+
     Parameters
     ----------
     zeta : float
@@ -65,16 +68,17 @@ class StateParams:
 
     def __post_init__(self):
         for name in ("zeta", "nbar", "phi", "alpha"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.nbar < 0:
+        if np.any(self.nbar < 0):
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 
 
 @dataclass(frozen=True)
 class SingleModeGaussian:
     """A single bosonic mode described by its mean field and central second
-    moments; the defaults are the vacuum.
+    moments; the defaults are the vacuum.  The fields may be arrays of one
+    shape, one mode per element.
 
     Attributes
     ----------
@@ -102,16 +106,22 @@ class FieldMoments:
 
 
 def make_state(params: StateParams) -> SingleModeGaussian:
-    """Build the Gaussian state for the given parameters.
+    """Build the Gaussian state for the given parameters, elementwise.
 
     ``delta_sq = -sinh(2 zeta) e^(2 i phi) / 2`` and ``delta_n =
     sinh(zeta)^2 + nbar``: the moments of the quadrature covariance
     ``R_phi^T diag(e^(-2 zeta)/2 + nbar, e^(2 zeta)/2 + nbar) R_phi``.
+    Real squares here and in :func:`field_moments` and :func:`is_physical`
+    are ``np.float_power``, libm ``pow`` on scalars and arrays alike:
+    numpy's array ``x ** 2`` is ``x * x``, which can differ in the last bit.
+    A real times a complex is ``np.multiply``, whose loop scalars and arrays
+    share: a numpy scalar's ``*`` can round the sign of a zero differently.
     """
+    alpha = np.asarray(params.alpha, dtype=complex)
     return SingleModeGaussian(
-        alpha=complex(params.alpha),
-        delta_sq=-0.5 * np.sinh(2.0 * params.zeta) * np.exp(2j * params.phi),
-        delta_n=np.sinh(params.zeta) ** 2 + params.nbar,
+        alpha=alpha if alpha.ndim else complex(alpha),
+        delta_sq=np.multiply(-0.5 * np.sinh(2.0 * params.zeta), np.exp(2j * params.phi)),
+        delta_n=np.float_power(np.sinh(params.zeta), 2.0) + params.nbar,
     )
 
 
@@ -137,20 +147,27 @@ def mean_photon(state: SingleModeGaussian) -> float:
 
 def field_moments(state: SingleModeGaussian) -> FieldMoments:
     """Non-central ladder-operator moments: the central moments plus the
-    products of the mean field."""
+    products of the mean field, elementwise.
+
+    ``<a>^2`` is formed in real arithmetic, as Python's complex product
+    forms it, and ``|<a>|`` as libm ``hypot``: numpy's complex array
+    multiply and absolute value can differ from both in the last bit.
+    """
     mean_a = state.alpha
-    mean_n = abs(mean_a) ** 2
+    re, im = mean_a.real, mean_a.imag
+    mean_n = np.float_power(np.hypot(re, im), 2.0)
     return FieldMoments(
         mean_a=mean_a,
-        a_sq=state.delta_sq + mean_a**2,
-        n_a=float(state.delta_n + mean_n),
-        aa_dag=float(state.delta_n + 1.0 + mean_n),
+        a_sq=state.delta_sq + ((re * re - im * im) + 1j * (re * im + im * re)),
+        n_a=state.delta_n + mean_n,
+        aa_dag=state.delta_n + 1.0 + mean_n,
     )
 
 
 def is_physical(state: SingleModeGaussian) -> bool:
     """Check the Robertson-Schroedinger bound ``(delta_n + 1/2)^2 -
-    |delta_sq|^2 >= 1/4`` with positive quadrature variances.
+    |delta_sq|^2 >= 1/4`` with positive quadrature variances; for an array
+    of modes, true only if every element passes.
 
     The left side is the determinant of the quadrature covariance, so the
     check is exact for Gaussian states and necessary for any state.
@@ -161,6 +178,7 @@ def is_physical(state: SingleModeGaussian) -> bool:
     rejected by rounding noise.
     """
     half_trace = state.delta_n + 0.5
-    det = half_trace**2 - abs(state.delta_sq) ** 2
-    guard = 64.0 * np.finfo(float).eps * max(1.0, (2.0 * half_trace) ** 2)
-    return bool(half_trace > 0.0 and det > 0.0 and det >= 0.25 - guard)
+    det = np.float_power(half_trace, 2.0) - np.float_power(np.abs(state.delta_sq), 2.0)
+    guard = 64.0 * np.finfo(float).eps * np.maximum(
+        1.0, np.float_power(2.0 * half_trace, 2.0))
+    return bool(np.all((half_trace > 0.0) & (det > 0.0) & (det >= 0.25 - guard)))

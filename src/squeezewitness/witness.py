@@ -15,18 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import (
-    SingleModeGaussian,
-    StateParams,
-    field_moments,
-    is_physical,
-    make_state,
-    mean_photon,
-)
+from .gaussian import SingleModeGaussian, field_moments, is_physical, mean_photon
 
 __all__ = [
     "TwoModeProduct",
@@ -40,7 +33,6 @@ __all__ = [
     "require",
     "witness_values",
     "evaluate",
-    "optimize_lo",
 ]
 
 NONCLASSICAL = "nonclassical_SI"
@@ -59,7 +51,8 @@ class TwoModeProduct:
 
     The closed forms read each mode only through its mean field and central
     second moments, so they hold for any product input; construction checks
-    each mode with :func:`is_physical`.
+    each mode with :func:`is_physical`.  Either mode may hold arrays, one
+    mode per element; the closed forms then broadcast over the pairs.
     """
 
     si: SingleModeGaussian
@@ -73,20 +66,27 @@ class TwoModeProduct:
 
 def homodyne_variance(state: TwoModeProduct, theta):
     """Variance of the measured photon-number difference, elementwise in
-    ``theta``, which may be a scalar or an array.
+    ``theta`` and in the pair's modes, which broadcast together.
 
     With ``L = e^(i theta) a^dag b + e^(-i theta) a b^dag`` on a product
     state, ``Var(L) = 2 Re(e^(2 i theta) <a^2>* <b^2>) + <a^dag a><b b^dag>
     + <a a^dag><b^dag b> - (2 Re(e^(i theta) <a>* <b>))^2``, read from each
-    mode's :func:`field_moments`.
+    mode's :func:`field_moments`.  The products ``<a^2>* <b^2>`` and ``<a>*
+    <b>`` are formed in real arithmetic, as Python's complex product forms
+    them, so an array call equals its scalar calls bit for bit.
     """
     a, b = field_moments(state.si), field_moments(state.lo)
     theta = np.asarray(theta, dtype=float)
-    sq = np.conj(a.a_sq) * b.a_sq
-    mean = np.conj(a.mean_a) * b.mean_a
-    half_mean = np.cos(theta) * mean.real - np.sin(theta) * mean.imag  # <L> / 2
-    return (2.0 * (np.cos(2.0 * theta) * sq.real - np.sin(2.0 * theta) * sq.imag)
+    sq_re, sq_im = _conj_product(a.a_sq, b.a_sq)
+    mean_re, mean_im = _conj_product(a.mean_a, b.mean_a)
+    half_mean = np.cos(theta) * mean_re - np.sin(theta) * mean_im  # <L> / 2
+    return (2.0 * (np.cos(2.0 * theta) * sq_re - np.sin(2.0 * theta) * sq_im)
             + a.n_a * b.aa_dag + a.aa_dag * b.n_a - 4.0 * (half_mean * half_mean))
+
+
+def _conj_product(x, y):
+    """Real and imaginary parts of ``conj(x) y``."""
+    return x.real * y.real + x.imag * y.imag, x.real * y.imag - x.imag * y.real
 
 
 class WitnessValues(NamedTuple):
@@ -164,31 +164,8 @@ def witness_values(var_L, nb, na=None,
 
 def evaluate(state: TwoModeProduct, theta,
              tol: float = DEFAULT_VERDICT_TOL) -> WitnessValues:
-    """The kernel's values for one state at LO phase ``theta``, which may be
-    a scalar or an array; a dark LO (``<b^dag b> <= 0``) raises
+    """The kernel's values for a pair at LO phase ``theta``, elementwise in
+    ``theta`` and in the pair's modes; a dark LO (``<b^dag b> <= 0``) raises
     :class:`ColumnError` naming ``nb``."""
     return witness_values(homodyne_variance(state, theta), mean_photon(state.lo),
                           mean_photon(state.si), tol)
-
-
-def optimize_lo(si: SingleModeGaussian,
-                candidates: Iterable[tuple[StateParams, float]],
-                ) -> tuple[tuple[StateParams, float], float]:
-    """Exhaustive search for the LO/phase pair with strongest noise suppression.
-
-    ``candidates`` yields ``(lo_params, theta)`` pairs.  Returns the winner
-    and its noise parameter; ties are broken by smaller squeezing, then
-    smaller phase, then smaller orientation angle.
-    """
-    best_key = None
-    best: tuple[tuple[StateParams, float], float] | None = None
-    for params, theta in candidates:
-        state = TwoModeProduct(si=si, lo=make_state(params))
-        noise_db = evaluate(state, theta).noise_db
-        key = (noise_db, params.zeta, theta, params.phi)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = ((params, theta), noise_db)
-    if best is None:
-        raise ValueError("candidate grid must be nonempty")
-    return best

@@ -66,7 +66,8 @@ class TestLoss:
         assert out.delta_sq.real == pytest.approx((cxx - cpp) / 2.0, rel=1e-13)
         assert out.delta_sq.imag == 0.0
 
-    @pytest.mark.parametrize("eta", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("eta", [-0.1, 1.1, 2.0, float("nan"),
+                                     np.array([0.5, float("nan")])])
     def test_rejects_bad_efficiency(self, eta):
         with pytest.raises(ValueError, match="eta"):
             apply_loss(vacuum(), eta)
@@ -116,6 +117,13 @@ class TestGainNoise:
     def test_rejects_gain_below_one(self, g):
         with pytest.raises(ValueError, match="g"):
             apply_gain_noise(vacuum(), g)
+
+    @pytest.mark.parametrize("g", [float("nan"), float("inf"),
+                                   np.array([1.5, float("nan"), 2.0])],
+                             ids=["nan", "inf", "array-with-nan"])
+    def test_rejects_non_finite_gain(self, g):
+        with pytest.raises(ValueError, match="^g must be >= 1 and finite"):
+            apply_gain_noise(squeezed_vacuum(ZETA_3DB), g)
 
     @given(params_strategy(), st.floats(1.0, 3.0))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from squeezed_reference import squeezed_amplitudes
 
 from squeezewitness.channels import apply_gain_noise, apply_loss
 from squeezewitness.fock import (
@@ -14,7 +15,6 @@ from squeezewitness.fock import (
     expr_matrix,
     fock_state,
     pure_mode_amplitudes,
-    squeezed_amplitudes,
     witness_general,
     _density_matrix,
 )

@@ -21,7 +21,6 @@ from squeezewitness.witness import (
     TwoModeProduct,
     evaluate,
     homodyne_variance,
-    optimize_lo,
     witness_values,
 )
 
@@ -395,46 +394,3 @@ class TestSweep:
                  for nb in intensities]
         assert all(b < a for a, b in zip(noise, noise[1:]))
         assert noise[-1] > -3.0
-
-
-class TestOptimizeLO:
-    def test_matched_squeezed_lo_wins(self):
-        si = squeezed_vacuum(ZETA_3DB)
-        grid = [(StateParams(zeta=z), theta)
-                for z in (0.1, 0.2, ZETA_3DB, 0.5)
-                for theta in (0.0, np.pi / 4, np.pi / 2)]
-        (best_params, best_theta), best_noise = optimize_lo(si, grid)
-        assert best_params.zeta == ZETA_3DB
-        assert best_theta == np.pi / 2
-        assert best_noise == -np.inf
-
-    def test_vacuum_signal_ties_break_small(self):
-        grid = [(StateParams(zeta=z), theta)
-                for z in (0.5, 0.2, 0.4) for theta in (1.0, 0.25)]
-        (best_params, best_theta), best_noise = optimize_lo(vacuum(), grid)
-        assert best_noise == pytest.approx(0.0, abs=1e-12)
-        assert best_params.zeta == 0.2
-        assert best_theta == 0.25
-
-    def test_coherent_only_grid_underperforms(self):
-        si = squeezed_vacuum(ZETA_3DB)
-        grid = [(StateParams(alpha=np.sqrt(nb)), 0.0)
-                for nb in (0.1, 1.0, 10.0, 100.0, 1000.0)]
-        _, best_noise = optimize_lo(si, grid)
-        assert -3.0 < best_noise < 0.0
-
-    @pytest.mark.parametrize("db", [1.0, 3.0, 6.0])
-    def test_matched_lo_is_optimal_across_squeezing_levels(self, db):
-        zeta = db_to_squeeze(db)
-        si = squeezed_vacuum(zeta)
-        zetas = sorted({0.05, 0.2, zeta, 0.8, 1.2})
-        thetas = np.linspace(0.0, np.pi, 13)
-        grid = [(StateParams(zeta=z), float(t)) for z in zetas for t in thetas]
-        (best_params, best_theta), best_noise = optimize_lo(si, grid)
-        assert best_params.zeta == zeta
-        assert best_theta == pytest.approx(np.pi / 2.0)
-        assert best_noise == -np.inf
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_lo(vacuum(), [])
