@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # Each submodule and the names the package exports from it.
 _EXPORTS = {
-    "gaussian": ("FieldMoments", "SingleModeGaussian", "StateParams", "coherent",
-                 "db_to_squeeze", "field_moments", "is_physical", "make_state",
-                 "mean_photon", "squeeze_to_db", "squeezed_vacuum", "vacuum"),
+    "gaussian": ("ModeMoments", "StateParams", "coherent", "db_to_squeeze",
+                 "is_physical", "make_state", "mean_photon", "squeeze_to_db",
+                 "squeezed_vacuum", "vacuum"),
     "channels": ("apply_gain_noise", "apply_loss"),
     "witness": ("CLASSICAL", "NONCLASSICAL", "TwoModeProduct", "WitnessValues",
                 "evaluate", "homodyne_variance", "witness_values"),

@@ -2,11 +2,11 @@
 
 Both channels model a linear coupling to a vacuum bath: attenuation with
 quantum efficiency ``eta`` and phase-insensitive amplification with gain
-``g``.  They act on the mode's mean field and central second moments
-(``<a> -> sqrt(eta) <a>``, ``<a^dag a> -> eta <a^dag a>``, and so on);
-these moment maps hold for any input state, Gaussian or not.  ``eta`` and
-``g`` may be arrays, one channel per element, and broadcast against the
-mode's fields.  A real times a complex is ``np.multiply``, as in
+``g``.  They map a mode's ``ModeMoments`` (``<a> -> sqrt(eta) <a>``,
+``<a^dag a> -> eta <a^dag a>``, and so on); these moment maps hold for any
+input state, Gaussian or not.  ``eta`` and ``g`` may be arrays, one
+channel per element, and broadcast against the mode's fields.  A real
+times a complex is ``np.multiply``, as in
 :func:`~squeezewitness.gaussian.make_state`, so that a scalar and an array
 share one rounding.
 """
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import SingleModeGaussian
+from .gaussian import ModeMoments, require
 
 __all__ = ["apply_loss", "apply_gain_noise"]
 
 
-def apply_loss(state: SingleModeGaussian, eta: float) -> SingleModeGaussian:
+def apply_loss(state: ModeMoments, eta: float) -> ModeMoments:
     """Attenuate a mode with quantum efficiency ``eta`` in [0, 1].
 
     ``alpha -> sqrt(eta) alpha``, ``delta_sq -> eta delta_sq`` and
@@ -28,14 +28,13 @@ def apply_loss(state: SingleModeGaussian, eta: float) -> SingleModeGaussian:
     maps every state to vacuum.
     """
     eta = np.asarray(eta, dtype=float)
-    if not np.all((0.0 <= eta) & (eta <= 1.0)):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return SingleModeGaussian(alpha=np.multiply(np.sqrt(eta), state.alpha),
-                              delta_sq=np.multiply(eta, state.delta_sq),
-                              delta_n=eta * state.delta_n)
+    require("eta", eta, (0.0 <= eta) & (eta <= 1.0), "is not in [0, 1]")
+    return ModeMoments(alpha=np.multiply(np.sqrt(eta), state.alpha),
+                       delta_sq=np.multiply(eta, state.delta_sq),
+                       delta_n=eta * state.delta_n)
 
 
-def apply_gain_noise(state: SingleModeGaussian, g: float) -> SingleModeGaussian:
+def apply_gain_noise(state: ModeMoments, g: float) -> ModeMoments:
     """Amplify a mode with a finite gain ``g >= 1``, adding bath-induced
     excess noise.
 
@@ -44,8 +43,7 @@ def apply_gain_noise(state: SingleModeGaussian, g: float) -> SingleModeGaussian:
     signal.
     """
     g = np.asarray(g, dtype=float)
-    if not np.all((1.0 <= g) & (g < np.inf)):
-        raise ValueError(f"g must be >= 1 and finite, got {g}")
-    return SingleModeGaussian(alpha=np.multiply(np.sqrt(g), state.alpha),
-                              delta_sq=np.multiply(g, state.delta_sq),
-                              delta_n=g * state.delta_n + (g - 1.0))
+    require("g", g, (1.0 <= g) & (g < np.inf), "is not >= 1 and finite")
+    return ModeMoments(alpha=np.multiply(np.sqrt(g), state.alpha),
+                       delta_sq=np.multiply(g, state.delta_sq),
+                       delta_n=g * state.delta_n + (g - 1.0))

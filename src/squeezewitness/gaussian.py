@@ -1,12 +1,12 @@
-"""Single-mode states stored as their field moments: construction and checks.
+"""Single-mode moments: one type for any mode, Gaussian construction and checks.
 
 Conventions used throughout the package: hbar = 1, [x, p] = i, and the
-vacuum quadrature variance is 1/2.  A mode is its mean field ``<a>`` and
-its central second moments ``<a^2> - <a>^2`` and ``<a^dag a> - |<a>|^2``;
-these describe any state, Gaussian or not.  The squeezing parameter
-``zeta`` squeezes the x quadrature for ``zeta > 0`` at orientation
-``phi = 0``, and a squeezing strength of ``s`` dB corresponds to
-``zeta = s * ln(10) / 20``.
+vacuum quadrature variance is 1/2.  A mode is a :class:`ModeMoments`, its
+mean field ``<a>`` and central second moments ``<a^2> - <a>^2`` and
+``<a^dag a> - |<a>|^2``; these describe any state, Gaussian or not.  The
+squeezing parameter ``zeta`` squeezes the x quadrature for ``zeta > 0`` at
+orientation ``phi = 0``, and a squeezing strength of ``s`` dB corresponds
+to ``zeta = s * ln(10) / 20``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SingleModeGaussian",
+    "ModeMoments",
     "StateParams",
-    "FieldMoments",
+    "ColumnError",
+    "require",
     "db_to_squeeze",
     "squeeze_to_db",
     "make_state",
@@ -26,7 +27,6 @@ __all__ = [
     "coherent",
     "squeezed_vacuum",
     "mean_photon",
-    "field_moments",
     "is_physical",
 ]
 
@@ -39,6 +39,24 @@ def db_to_squeeze(db: float) -> float:
 def squeeze_to_db(zeta: float) -> float:
     """Inverse of :func:`db_to_squeeze`."""
     return 20.0 * zeta / np.log(10.0)
+
+
+class ColumnError(ValueError):
+    """An element of a named input (a data column, a state field or a
+    channel parameter) breaks a rule; ``index`` is the flat index of the
+    first offending element."""
+
+    def __init__(self, column: str, index: int, value: complex, rule: str):
+        super().__init__(f"{column}[{index}] = {value!r} {rule}")
+        self.column, self.index, self.value, self.rule = column, index, value, rule
+
+
+def require(column: str, values, ok, rule: str) -> None:
+    """Raise :class:`ColumnError` at the first element where ``ok`` is false,
+    reporting its Python scalar: a complex keeps its imaginary part."""
+    if not np.all(ok):
+        index = int(np.argmin(np.ravel(ok)))
+        raise ColumnError(column, index, np.ravel(values)[index].item(), rule)
 
 
 @dataclass(frozen=True)
@@ -67,18 +85,21 @@ class StateParams:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        for name in ("zeta", "nbar", "phi", "alpha"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if np.any(self.nbar < 0):
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        for name, value in vars(self).items():
+            require(name, value, np.isfinite(value), "is not finite")
+        require("nbar", self.nbar, self.nbar >= 0, "is not >= 0")
 
 
 @dataclass(frozen=True)
-class SingleModeGaussian:
-    """A single bosonic mode described by its mean field and central second
-    moments; the defaults are the vacuum.  The fields may be arrays of one
-    shape, one mode per element.
+class ModeMoments:
+    """The moments of any single bosonic mode, Gaussian or not, with the
+    raw moments as properties; the defaults are the vacuum, and
+    :func:`make_state` is the Gaussian constructor.  The fields may be
+    arrays of one shape, one mode per element.
+
+    ``<a>^2`` is formed in real arithmetic, as Python's complex product
+    forms it, and ``|<a>|`` as libm ``hypot``: numpy's complex array
+    multiply and absolute value can differ from both in the last bit.
 
     Attributes
     ----------
@@ -94,77 +115,68 @@ class SingleModeGaussian:
     delta_sq: complex = 0j
     delta_n: float = 0.0
 
+    @property
+    def a_sq(self) -> complex:
+        """``<a^2> = delta_sq + <a>^2``."""
+        re, im = self.alpha.real, self.alpha.imag
+        return self.delta_sq + ((re * re - im * im) + 1j * (re * im + im * re))
 
-@dataclass(frozen=True)
-class FieldMoments:
-    """First and second (non-central) ladder-operator moments of one mode."""
+    @property
+    def n_a(self) -> float:
+        """``<a^dag a> = delta_n + |<a>|^2``."""
+        return self.delta_n + self._mean_n
 
-    mean_a: complex
-    a_sq: complex
-    n_a: float
-    aa_dag: float
+    @property
+    def aa_dag(self) -> float:
+        """``<a a^dag> = delta_n + 1 + |<a>|^2``."""
+        return self.delta_n + 1.0 + self._mean_n
+
+    @property
+    def _mean_n(self) -> float:
+        return np.float_power(np.hypot(self.alpha.real, self.alpha.imag), 2.0)
 
 
-def make_state(params: StateParams) -> SingleModeGaussian:
+def make_state(params: StateParams) -> ModeMoments:
     """Build the Gaussian state for the given parameters, elementwise.
 
     ``delta_sq = -sinh(2 zeta) e^(2 i phi) / 2`` and ``delta_n =
     sinh(zeta)^2 + nbar``: the moments of the quadrature covariance
     ``R_phi^T diag(e^(-2 zeta)/2 + nbar, e^(2 zeta)/2 + nbar) R_phi``.
-    Real squares here and in :func:`field_moments` and :func:`is_physical`
+    Real squares here, in :class:`ModeMoments` and in :func:`is_physical`
     are ``np.float_power``, libm ``pow`` on scalars and arrays alike:
     numpy's array ``x ** 2`` is ``x * x``, which can differ in the last bit.
     A real times a complex is ``np.multiply``, whose loop scalars and arrays
     share: a numpy scalar's ``*`` can round the sign of a zero differently.
     """
     alpha = np.asarray(params.alpha, dtype=complex)
-    return SingleModeGaussian(
+    return ModeMoments(
         alpha=alpha if alpha.ndim else complex(alpha),
         delta_sq=np.multiply(-0.5 * np.sinh(2.0 * params.zeta), np.exp(2j * params.phi)),
         delta_n=np.float_power(np.sinh(params.zeta), 2.0) + params.nbar,
     )
 
 
-def vacuum() -> SingleModeGaussian:
+def vacuum() -> ModeMoments:
     """The vacuum state."""
     return make_state(StateParams())
 
 
-def coherent(alpha: complex) -> SingleModeGaussian:
+def coherent(alpha: complex) -> ModeMoments:
     """A coherent state of amplitude ``alpha``."""
     return make_state(StateParams(alpha=alpha))
 
 
-def squeezed_vacuum(zeta: float, phi: float = 0.0) -> SingleModeGaussian:
+def squeezed_vacuum(zeta: float, phi: float = 0.0) -> ModeMoments:
     """A squeezed-vacuum state of parameter ``zeta`` at orientation ``phi``."""
     return make_state(StateParams(zeta=zeta, phi=phi))
 
 
-def mean_photon(state: SingleModeGaussian) -> float:
-    """Mean photon number ``<a^dag a>``, as :func:`field_moments` gives it."""
-    return field_moments(state).n_a
+def mean_photon(state: ModeMoments) -> float:
+    """Mean photon number ``<a^dag a>``, the mode's :attr:`~ModeMoments.n_a`."""
+    return state.n_a
 
 
-def field_moments(state: SingleModeGaussian) -> FieldMoments:
-    """Non-central ladder-operator moments: the central moments plus the
-    products of the mean field, elementwise.
-
-    ``<a>^2`` is formed in real arithmetic, as Python's complex product
-    forms it, and ``|<a>|`` as libm ``hypot``: numpy's complex array
-    multiply and absolute value can differ from both in the last bit.
-    """
-    mean_a = state.alpha
-    re, im = mean_a.real, mean_a.imag
-    mean_n = np.float_power(np.hypot(re, im), 2.0)
-    return FieldMoments(
-        mean_a=mean_a,
-        a_sq=state.delta_sq + ((re * re - im * im) + 1j * (re * im + im * re)),
-        n_a=state.delta_n + mean_n,
-        aa_dag=state.delta_n + 1.0 + mean_n,
-    )
-
-
-def is_physical(state: SingleModeGaussian) -> bool:
+def is_physical(state: ModeMoments) -> bool:
     """Check the Robertson-Schroedinger bound ``(delta_n + 1/2)^2 -
     |delta_sq|^2 >= 1/4`` with positive quadrature variances; for an array
     of modes, true only if every element passes.

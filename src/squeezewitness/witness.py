@@ -2,13 +2,13 @@
 
 The measured observable is the photon-number difference behind a balanced
 beam splitter with LO phase control.  On a product of two modes its
-variance depends only on each mode's field moments ``<a>``, ``<a^2>`` and
-``<a^dag a>``, and is evaluated in closed form from them; the witness
-subtracts the LO shot-noise reference ``<b^dag b>`` so that a negative
-value certifies nonclassicality of the signal mode alone, independent of
-what the LO is.  Subtracting the signal intensity as well yields the
-conventional two-mode criterion, which is reported alongside but never
-drives the verdict.
+variance depends only on each mode's moments ``<a>``, ``<a^2>`` and
+``<a^dag a>``, and is evaluated in closed form from their
+:class:`~squeezewitness.gaussian.ModeMoments`; the witness subtracts the
+LO shot-noise reference ``<b^dag b>`` so that a negative value certifies
+nonclassicality of the signal mode alone, independent of what the LO is.
+Subtracting the signal intensity as well yields the conventional two-mode
+criterion, which is reported alongside but never drives the verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import SingleModeGaussian, field_moments, is_physical, mean_photon
+from .gaussian import ColumnError, ModeMoments, is_physical, mean_photon, require
 
 __all__ = [
     "TwoModeProduct",
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_VERDICT_TOL",
     "ZERO_VARIANCE_TOL",
     "homodyne_variance",
-    "require",
     "witness_values",
     "evaluate",
 ]
@@ -55,8 +54,8 @@ class TwoModeProduct:
     mode per element; the closed forms then broadcast over the pairs.
     """
 
-    si: SingleModeGaussian
-    lo: SingleModeGaussian
+    si: ModeMoments
+    lo: ModeMoments
 
     def __post_init__(self):
         for name, mode in (("si", self.si), ("lo", self.lo)):
@@ -71,14 +70,15 @@ def homodyne_variance(state: TwoModeProduct, theta):
     With ``L = e^(i theta) a^dag b + e^(-i theta) a b^dag`` on a product
     state, ``Var(L) = 2 Re(e^(2 i theta) <a^2>* <b^2>) + <a^dag a><b b^dag>
     + <a a^dag><b^dag b> - (2 Re(e^(i theta) <a>* <b>))^2``, read from each
-    mode's :func:`field_moments`.  The products ``<a^2>* <b^2>`` and ``<a>*
-    <b>`` are formed in real arithmetic, as Python's complex product forms
-    them, so an array call equals its scalar calls bit for bit.
+    mode's :class:`~squeezewitness.gaussian.ModeMoments`.  The products
+    ``<a^2>* <b^2>`` and ``<a>* <b>`` are formed in real arithmetic, as
+    Python's complex product forms them, so an array call equals its scalar
+    calls bit for bit.
     """
-    a, b = field_moments(state.si), field_moments(state.lo)
+    a, b = state.si, state.lo
     theta = np.asarray(theta, dtype=float)
     sq_re, sq_im = _conj_product(a.a_sq, b.a_sq)
-    mean_re, mean_im = _conj_product(a.mean_a, b.mean_a)
+    mean_re, mean_im = _conj_product(a.alpha, b.alpha)
     half_mean = np.cos(theta) * mean_re - np.sin(theta) * mean_im  # <L> / 2
     return (2.0 * (np.cos(2.0 * theta) * sq_re - np.sin(2.0 * theta) * sq_im)
             + a.n_a * b.aa_dag + a.aa_dag * b.n_a - 4.0 * (half_mean * half_mean))
@@ -99,22 +99,6 @@ class WitnessValues(NamedTuple):
     nonclassical: np.ndarray
     full_no: np.ndarray | None = None
     standard_negativity: np.ndarray | None = None
-
-
-class ColumnError(ValueError):
-    """An element of a named input column breaks a rule; ``index`` is the
-    flat index of the first offending element."""
-
-    def __init__(self, column: str, index: int, value: float, rule: str):
-        super().__init__(f"{column}[{index}] = {value!r} {rule}")
-        self.column, self.index, self.value, self.rule = column, index, value, rule
-
-
-def require(column: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
-    """Raise :class:`ColumnError` at the first element where ``ok`` is false."""
-    if not np.all(ok):
-        index = int(np.argmin(np.ravel(ok)))
-        raise ColumnError(column, index, float(np.ravel(values)[index]), rule)
 
 
 def witness_values(var_L, nb, na=None,

@@ -642,7 +642,8 @@ missing = set(squeezewitness.__all__) - namespace.keys()
 assert not missing, missing
 assert isinstance(squeezewitness.fock, types.ModuleType)
 assert squeezewitness.fock.fock_state is squeezewitness.fock_state
-for name in ("LadderMatrices", "no_such_name"):
+for name in ("LadderMatrices", "SingleModeGaussian", "FieldMoments", "field_moments",
+             "no_such_name"):
     try:
         getattr(squeezewitness, name)
     except AttributeError:

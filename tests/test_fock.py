@@ -19,9 +19,9 @@ from squeezewitness.fock import (
     _density_matrix,
 )
 from squeezewitness.gaussian import (
+    ModeMoments,
     StateParams,
     db_to_squeeze,
-    field_moments,
     make_state,
 )
 from squeezewitness.opexpr import (
@@ -32,6 +32,7 @@ from squeezewitness.opexpr import (
     reorder,
 )
 from squeezewitness.validate import _bath_evolve, bath_fold_moments, random_expression
+from squeezewitness.witness import TwoModeProduct, evaluate
 
 ZETA_3DB = db_to_squeeze(3.0)
 NUMBER_A = OperatorExpr.word(("ad", "a"))
@@ -111,8 +112,8 @@ class TestStateConstruction:
         vec, deficit = pure_mode_amplitudes(params, 64)
         assert deficit < 1e-10
         a = build_ladder(64)
-        moments = field_moments(make_state(params))
-        assert np.vdot(vec, a @ vec) == pytest.approx(moments.mean_a, abs=1e-9)
+        moments = make_state(params)
+        assert np.vdot(vec, a @ vec) == pytest.approx(moments.alpha, abs=1e-9)
         assert np.vdot(vec, a @ a @ vec) == pytest.approx(moments.a_sq, abs=1e-9)
         assert np.vdot(vec, a.conj().T @ a @ vec).real == pytest.approx(
             moments.n_a, abs=1e-9)
@@ -120,11 +121,11 @@ class TestStateConstruction:
     def test_mixed_state_matches_gaussian_moments(self):
         params = StateParams(zeta=0.3, nbar=0.8, phi=1.2, alpha=0.5 + 0.2j)
         state = fock_state(params, StateParams(), 48)
-        moments = field_moments(make_state(params))
+        moments = make_state(params)
         mean = expect(OperatorExpr.word(("a",)), state)
         n = expect(NUMBER_A, state).real
         a_sq = expect(OperatorExpr.word(("a", "a")), state)
-        assert mean == pytest.approx(moments.mean_a, abs=1e-8)
+        assert mean == pytest.approx(moments.alpha, abs=1e-8)
         assert n == pytest.approx(moments.n_a, abs=1e-8)
         assert a_sq == pytest.approx(moments.a_sq, abs=1e-8)
         state.validate()
@@ -267,6 +268,34 @@ class TestWitnessGeneral:
             assert partial == pytest.approx(excess, abs=1e-3)
 
 
+class TestNonGaussianLO:
+    """The closed forms read a mode only through its moments, so they hold
+    for a non-Gaussian LO given as a ``ModeMoments``."""
+
+    @pytest.mark.parametrize("beta, minimum", [(0.0, 0.3723), (2.0, -1.6229)],
+                             ids=["fock-1", "displaced-fock-1"])
+    def test_closed_form_matches_oracle(self, beta, minimum):
+        # LO D(beta)|1> = (a^dag - beta*)|beta>: <b> = beta, delta_n = 1 and
+        # delta_sq = 0.  At beta = 0 it is |1>, where the minimum is 3 sinh^2 zeta.
+        cutoff = 48
+        coh = coherent_amplitudes(beta, cutoff)
+        vec_lo = build_ladder(cutoff).conj().T @ coh - np.conj(beta) * coh
+        vec_si, _ = pure_mode_amplitudes(StateParams(zeta=ZETA_3DB), cutoff)
+        state = FockState.pure_product(vec_si, vec_lo)
+        thetas = np.linspace(0.0, np.pi, 25)
+        oracle = []
+        for theta in thetas:
+            ell = difference_observable(theta)
+            var = (expect(ell * ell, state) - expect(ell, state) ** 2).real
+            oracle.append(var - expect(NUMBER_B, state).real)
+
+        pair = TwoModeProduct(si=make_state(StateParams(zeta=ZETA_3DB)),
+                              lo=ModeMoments(alpha=beta, delta_n=1.0))
+        closed = evaluate(pair, thetas).partial_no
+        np.testing.assert_allclose(closed, oracle, rtol=0.0, atol=1e-12)
+        assert closed.min() == pytest.approx(minimum, abs=1e-4)
+
+
 class TestConvergedCutoff:
     def test_vacuum_converges_immediately(self):
         ell = difference_observable(0.0)
@@ -304,8 +333,8 @@ class TestChannelFolds:
         params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
         mean, a_sq, n = bath_fold_moments(params, "loss", eta, cutoff=36)
 
-        moments = field_moments(apply_loss(make_state(params), eta))
-        assert mean == pytest.approx(moments.mean_a, abs=1e-8)
+        moments = apply_loss(make_state(params), eta)
+        assert mean == pytest.approx(moments.alpha, abs=1e-8)
         assert a_sq == pytest.approx(moments.a_sq, abs=1e-8)
         assert n == pytest.approx(moments.n_a, abs=1e-8)
 
@@ -314,8 +343,8 @@ class TestChannelFolds:
         params = StateParams(zeta=0.25, alpha=0.4 - 0.3j)
         mean, _, n = bath_fold_moments(params, "gain", g, cutoff=40)
 
-        moments = field_moments(apply_gain_noise(make_state(params), g))
-        assert mean == pytest.approx(moments.mean_a, abs=1e-8)
+        moments = apply_gain_noise(make_state(params), g)
+        assert mean == pytest.approx(moments.alpha, abs=1e-8)
         assert n == pytest.approx(moments.n_a, abs=1e-8)
 
     def test_rejects_unknown_kind(self):
@@ -435,9 +464,9 @@ class TestRecurrence:
         params = StateParams(zeta=zeta, nbar=nbar, phi=phi,
                              alpha=radius * np.exp(1j * angle))
         state = fock_state(params, StateParams(), 128)
-        moments = field_moments(make_state(params))
+        moments = make_state(params)
         assert expect(OperatorExpr.word(("a",)), state) == pytest.approx(
-            moments.mean_a, abs=1e-9)
+            moments.alpha, abs=1e-9)
         assert expect(OperatorExpr.word(("a", "a")), state) == pytest.approx(
             moments.a_sq, abs=1e-9)
         assert expect(NUMBER_A, state).real == pytest.approx(moments.n_a, abs=1e-9)
