@@ -6,6 +6,12 @@ expectation values are plain contractions.  The module exists to validate
 the analytic path, so it favours explicit truncation-error accounting over
 speed: no state is ever silently renormalized.
 
+A one-mode word, any truncated product of ``a`` and ``a^dag``, has one
+nonzero diagonal, at offset ``#a^dag - #a``, and ``expect`` stores it as
+that diagonal alone.  A word then costs O(c^2) on a pure tensor, entangled
+or not, and O(c) per mode on a mixed product; only ``expr_matrix`` forms
+dense two-mode matrices.
+
 Every single-mode state, pure or thermal, is built from its
 :class:`StateParams` by one exact recurrence for Gaussian Fock elements
 (Dodonov, Man'ko & Man'ko, PRA 49, 2993 (1994); Miatto & Quesada,
@@ -82,10 +88,29 @@ def _mode_matrix(daggers: tuple[bool, ...], cutoff: int) -> np.ndarray:
     return out
 
 
-def _word_matrices(word: tuple[str, ...], cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of a word's mode-A and mode-B letters."""
-    return tuple(_mode_matrix(tuple(IS_DAGGER[letter] for letter in word
-                                    if MODE[letter] == mode), cutoff)
+@lru_cache(maxsize=None)
+def _mode_band(daggers: tuple[bool, ...], cutoff: int) -> tuple[int, np.ndarray]:
+    """Offset ``k`` and values ``d`` of the one nonzero diagonal of a mode word.
+
+    A product of ``a`` and ``a^dag`` maps ``|n>`` to a multiple of
+    ``|n + k>`` with ``k = #a^dag - #a``.  ``d`` lists those multiples for
+    the number states :func:`_kept` reads; it is read out of
+    :func:`_mode_matrix`, so truncation acts exactly as on the dense matrix,
+    and it is empty when ``|k| >= cutoff``.
+    """
+    k = 2 * sum(daggers) - len(daggers)
+    return k, np.diagonal(_mode_matrix(daggers, cutoff), -k)
+
+
+def _kept(k: int, cutoff: int) -> tuple[slice, slice]:
+    """Number states ``n`` a band of offset ``k`` reads, and the ``n + k`` it writes."""
+    return slice(max(0, -k), max(0, cutoff - k)), slice(max(0, k), max(0, cutoff + k))
+
+
+@lru_cache(maxsize=4096)
+def _mode_letters(word: tuple[str, ...]) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Dagger flags of a word's mode-A and mode-B letters, in written order."""
+    return tuple(tuple(IS_DAGGER[letter] for letter in word if MODE[letter] == mode)
                  for mode in "AB")
 
 
@@ -97,7 +122,8 @@ def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
     """
     out = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for word, coeff in expr.terms:
-        out += coeff * np.kron(*_word_matrices(word, cutoff))
+        out += coeff * np.kron(*(_mode_matrix(letters, cutoff)
+                                 for letters in _mode_letters(word)))
     return out
 
 
@@ -296,20 +322,28 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
 # ---------------------------------------------------------------------------
 
 def _expect_word(word: tuple[str, ...], state: FockState) -> complex:
-    mat_a, mat_b = _word_matrices(word, state.cutoff)
+    """One word's expectation value, contracted on each mode's band.
+
+    A band with ``|k| >= c`` keeps no states, so its word sums to exactly 0.
+    """
+    (k_a, d_a), (k_b, d_b) = (_mode_band(letters, state.cutoff)
+                              for letters in _mode_letters(word))
     if state.kind == "pure":
+        (src_a, dst_a), (src_b, dst_b) = _kept(k_a, state.cutoff), _kept(k_b, state.cutoff)
         psi = state.data
-        return complex(np.vdot(psi, mat_a @ psi @ mat_b.T))
+        return complex(np.vdot(psi[dst_a, dst_b], d_a[:, None] * psi[src_a, src_b] * d_b))
     rho_a, rho_b = state.data
-    return complex(np.einsum("ij,ji->", mat_a, rho_a) *
-                   np.einsum("ij,ji->", mat_b, rho_b))
+    return complex((d_a @ rho_a.diagonal(k_a)) * (d_b @ rho_b.diagonal(k_b)))
 
 
 def expect(expr: OperatorExpr, state: FockState) -> complex:
     """Expectation value ``<psi|M|psi>`` or ``tr(rho M)``.
 
     ``M`` is the matrix of ``reorder(expr)``, so every word is evaluated in
-    its operator-preserving canonical form.
+    its operator-preserving canonical form.  Each mode's part of a word is
+    stored as its single nonzero diagonal, so a word costs O(c^2) on a pure
+    tensor and O(c) per mode on a mixed product at cutoff ``c``; a word that
+    shifts a mode by ``c`` or more number states contributes exactly 0.
     """
     value = 0j
     for word, coeff in reorder(expr).terms:

@@ -116,6 +116,7 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         params_lo = random_state_params(rng)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         ell = difference_observable(theta)
+        ell_sq = ell * ell
 
         pair = TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo))
         closed = evaluate(pair, theta)
@@ -124,12 +125,12 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
         # the next doubling above the certified cutoff for extra margin.
         scale = max(1.0, abs(closed.var_L))
         try:
-            _, state = converged_cutoff(params_si, params_lo, ell * ell,
+            _, state = converged_cutoff(params_si, params_lo, ell_sq,
                                         tol=1e-7 * scale, max_cutoff=cutoff_max)
         except ConvergenceError as exc:
             return SuiteResult(name, trials, np.inf, False,
                                f"trial {k}: {exc}")
-        var_f = (expect(ell * ell, state) - expect(ell, state) ** 2).real
+        var_f = (expect(ell_sq, state) - expect(ell, state) ** 2).real
         nb_f = expect(OperatorExpr.word(("bd", "b")), state).real
         na_f = expect(OperatorExpr.word(("ad", "a")), state).real
         oracle = (var_f, var_f - nb_f, var_f - na_f - nb_f)

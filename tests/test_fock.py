@@ -25,6 +25,7 @@ from squeezewitness.gaussian import (
     make_state,
 )
 from squeezewitness.opexpr import (
+    LETTERS,
     ExpressionError,
     OperatorExpr,
     difference_observable,
@@ -191,6 +192,42 @@ class TestExprMatrix:
             dense = expr_matrix(expr, cutoff)
             direct = np.vdot(psi.ravel(), dense @ psi.ravel())
             assert expect(expr, state) == pytest.approx(direct, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cutoff=st.sampled_from([2, 3, 7]), kind=st.sampled_from(["pure", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_expect_agrees_with_dense_matrix_at_any_cutoff(self, cutoff, kind, seed):
+        # Degree-4 words at cutoffs 2 and 3 reach or pass the cutoff, where
+        # the band keeps no states; the dense sandwich must still agree.
+        rng = np.random.default_rng(seed)
+
+        def gaussian_matrix():
+            return rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+
+        expr = reorder(random_expression(rng, max_degree=4, max_terms=4)
+                       + OperatorExpr.word(tuple(LETTERS[int(k)] for k in rng.integers(0, 4, 4))))
+        dense = expr_matrix(expr, cutoff)
+        if kind == "pure":
+            psi = gaussian_matrix()
+            psi /= np.linalg.norm(psi)
+            state = FockState.pure(psi)
+            direct = np.vdot(psi.ravel(), dense @ psi.ravel())
+        else:
+            rho_a, rho_b = (g @ g.conj().T for g in (gaussian_matrix(), gaussian_matrix()))
+            rho_a, rho_b = rho_a / np.trace(rho_a), rho_b / np.trace(rho_b)
+            state = FockState.mixed_product(rho_a, rho_b)
+            direct = np.trace(dense @ np.kron(rho_a, rho_b))
+        assert expect(expr, state) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("word", [("a", "a", "a"), ("ad", "ad"), ("b", "b", "ad", "ad")])
+    def test_word_past_the_cutoff_contributes_exactly_zero(self, word):
+        # At cutoff 2 these words shift a mode by 2 or 3 number states.
+        psi = np.full((2, 2), 0.5, dtype=complex)
+        rho = np.full((2, 2), 0.5, dtype=complex)
+        expr = OperatorExpr.word(word)
+        for state in (FockState.pure(psi), FockState.mixed_product(rho, rho)):
+            assert expect(expr, state) == 0
+        assert not expr_matrix(expr, 2).any()
 
     def test_number_correlated_state_moments(self):
         # psi = (|0,0> + |1,1>)/sqrt(2): hand-computable moments.
