@@ -11,10 +11,13 @@ Commands
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
     blocked-signal (vacuum) calibration of the difference variance.  The
-    first bad line of the file, malformed or out of range, is an error
-    naming that line; a repeated schema column is an error before any row
-    is read.  The report is written row by row, and ``cmd_witness``
-    returns only its ``tol`` and ``summary``.
+    rows are parsed and checked in one pass, a column at a time.  The first
+    bad line of the file, malformed or out of range, is an error naming
+    that line; within it, a wrong cell count comes first, then a cell that
+    is not a number, then a cell out of range, then an overflowing
+    ``full_no``.  A repeated schema column is an error before any row is
+    read.  The report is written row by row, and ``cmd_witness`` returns
+    only its ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites; exit status 1 if any fails.
 
@@ -55,10 +58,9 @@ CELL_RULES = (
     ("na", operator.ge, "is not >= 0"),
 )
 WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
-# One measured row: its cells, and whether the optional ``na`` cell was
-# given (``na`` is NaN where it was left empty).
+# One measured row: its cells, with ``na`` NaN where that cell was left empty.
 RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
-                         ("na", float), ("has_na", bool)])
+                         ("na", float)])
 # One witness report row as ``_dump_json`` lays it out (indent 2, keys
 # sorted), without and with the ``na`` columns.  The first field is the comma
 # after the previous row; ``%r`` of a float is ``float.__repr__``, which is
@@ -133,14 +135,16 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     """Parse and check a measured-moments CSV; returns the rows and warnings.
 
     The rows form a structured array of :data:`RECORD_DTYPE`, one element
-    per data row, so ``records["var_L"]`` is a column.  Every cell is checked
-    by :data:`CELL_RULES`.  A file that breaks no rule is parsed a column at
-    a time; any other file is parsed again line by line, so that the first
-    bad line of the file, malformed or out of range, is the error, and it
-    carries that line's 1-based number.  A schema column named twice in the
-    header is an error, since which of its cells is meant cannot be known; a
-    repeated extra column is only ignored.  A UTF-8 byte-order mark is
-    accepted.
+    per data row, so ``records["var_L"]`` is a column.  They are parsed a
+    column at a time, and every cell is checked by :data:`CELL_RULES` in the
+    same pass.  The error is the first bad line of the file, malformed or
+    out of range, with its 1-based number.  Within that line a wrong cell
+    count is named first, then the first cell in schema order that
+    ``float`` rejects, then the first that breaks its rule (not finite,
+    then out of range), then an overflowing ``full_no``.  A schema column
+    named twice in the header is an error, since which of its cells is
+    meant cannot be known; a repeated extra column is only ignored.  A
+    UTF-8 byte-order mark is accepted.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -162,82 +166,68 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
         warnings.append(f"ignoring extra columns: {', '.join(extras)}")
     at = tuple(header.index(name) if name in header else None
                for name in WITNESS_COLUMNS)
-    records = _read_columns(lines[1:], len(header), at)
-    if records is None:
-        records = _read_lines(lines[1:], len(header), at)
-    return records, warnings
+    return _read_rows(lines[1:], len(header), at), warnings
 
 
-def _read_columns(lines: list[str], width: int, at: tuple) -> np.ndarray | None:
-    """The records of ``lines``, parsed a column at a time, or None if any
-    line breaks a rule; :func:`_read_lines` then names the first such line.
+def _read_rows(lines: list[str], width: int, at: tuple) -> np.ndarray:
+    """The records of ``lines``, parsed and checked a column at a time.
 
     ``at`` holds each schema column's index in a line, None for a missing
-    ``na``.  Blank lines are skipped, as :func:`_read_lines` skips them.
+    ``na``; blank lines are skipped.  The checks run in the order of the
+    errors within a line (cell count, ``float``, the rules, ``full_no``) and
+    each error narrows the later checks to the rows above it, so the last
+    one found is on the first bad line.  It raises :class:`InputError` with
+    that line's 1-based number (the header is line 1).
     """
-    lines = list(filter(str.strip, lines))
-    n = len(lines)
-    records = np.empty(n, dtype=RECORD_DTYPE)
-    if not n:
-        return records
-    if set(map(operator.methodcaller("count", ","), lines)) != {width - 1}:
-        return None
-    cells = ",".join(lines).split(",")
-    theta_at, var_L_at, nb_at, na_at = at
-    has_na, na = records["has_na"], records["na"]
-    try:
-        for column, k in (("theta_rad", theta_at), ("var_L", var_L_at), ("nb", nb_at)):
-            records[column] = np.fromiter(map(float, cells[k::width]), float, n)
-        na_cells = list(map(str.strip, cells[na_at::width])) if na_at is not None else []
-        has_na[:] = np.fromiter(map(bool, na_cells), bool, n) if na_cells else False
-        na[:] = np.nan
-        na[has_na] = np.fromiter(map(float, filter(None, na_cells)), float)
-    except ValueError:
-        return None
-    valid = np.ones(n, dtype=bool)
-    for column, in_range, _ in CELL_RULES:
-        ok = np.isfinite(records[column])
-        if in_range is not None:
-            ok &= in_range(records[column], 0.0)
-        if column == "na":  # the rule holds where the cell was given
-            ok |= ~has_na
-        valid &= ok
-    with np.errstate(over="ignore", invalid="ignore"):
-        valid &= ~has_na | np.isfinite(records["var_L"] - records["nb"] - na)
-    return records if valid.all() else None
-
-
-def _read_lines(lines: list[str], width: int, at: tuple) -> np.ndarray:
-    """The records of ``lines``, parsed and checked one line at a time; the
-    first bad line raises :class:`InputError` with its 1-based file line
-    number (the header is line 1)."""
-    theta_at, var_L_at, nb_at, na_at = at
-    records = []
-    for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
+    rows = list(filter(str.strip, lines))
+    n, error = len(rows), None  # error: the message for row n
+    if not set(map(operator.methodcaller("count", ","), rows)) <= {width - 1}:
+        n = next(r for r, row in enumerate(rows) if row.count(",") != width - 1)
+        error = f"expected {width} cells, got {rows[n].count(',') + 1}"
+        del rows[n:]
+    cells = ",".join(rows).split(",")
+    records = np.full(n, np.nan, dtype=RECORD_DTYPE)
+    given = np.zeros(n, dtype=bool)  # where an na cell is not empty
+    for column, k in zip(WITNESS_COLUMNS, at):
+        if k is None:
             continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise InputError(
-                f"line {line_no}: expected {width} cells, got {len(cells)}")
-        na = cells[na_at].strip() if na_at is not None else ""
+        texts = cells[k:n * width:width]
+        if column == "na":  # an empty na cell stays NaN
+            texts = list(map(str.strip, texts))
+            given[:n] = np.fromiter(map(bool, texts), bool, n)
+            texts = [text or "nan" for text in texts]
         try:
-            row = [float(cells[theta_at]), float(cells[var_L_at]), float(cells[nb_at])]
-            if na:
-                row.append(float(na))
-        except ValueError as exc:
-            raise InputError(f"line {line_no}: {exc}") from exc
-        # zip stops before the rule for an empty na cell.
-        for value, (column, in_range, rule) in zip(row, CELL_RULES):
-            if not math.isfinite(value):
-                raise InputError(f"line {line_no}: {column} = {value!r} is not finite")
-            if in_range is not None and not in_range(value, 0.0):
-                raise InputError(f"line {line_no}: {column} = {value!r} {rule}")
-        if na and not math.isfinite(full_no := row[1] - row[2] - row[3]):
-            raise InputError(
-                f"line {line_no}: full_no = var_L - nb - na = {full_no!r} is not finite")
-        records.append((*row, True) if na else (*row, np.nan, False))
-    return np.array(records, dtype=RECORD_DTYPE)
+            records[column][:n] = np.fromiter(map(float, texts), float, n)
+        except ValueError:
+            for r, text in enumerate(texts):
+                try:
+                    records[column][r] = float(text)
+                except ValueError as exc:
+                    n, error = r, str(exc)
+                    break
+    for column, in_range, rule in CELL_RULES:
+        values = records[column][:n]
+        broken = ~np.isfinite(values)
+        if in_range is not None:
+            broken |= ~in_range(values, 0.0)
+        if column == "na":
+            broken &= given[:n]
+        if broken.any():
+            n = int(broken.argmax())
+            value = float(values[n])
+            rule = rule if math.isfinite(value) else "is not finite"
+            error = f"{column} = {value!r} {rule}"
+    # Finite cells in range leave var_L - nb finite; full_no is NaN where na
+    # is empty and infinite where it overflows.
+    with np.errstate(over="ignore"):
+        full_no = records["var_L"][:n] - records["nb"][:n] - records["na"][:n]
+    if (overflow := np.isinf(full_no)).any():
+        n = int(overflow.argmax())
+        error = f"full_no = var_L - nb - na = {float(full_no[n])!r} is not finite"
+    if error is not None:
+        line_no = [no for no, line in enumerate(lines, start=2) if line.strip()][n]
+        raise InputError(f"line {line_no}: {error}")
+    return records
 
 
 def _report_chunks(columns, tail: dict):
@@ -268,8 +258,8 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
     records, warnings = read_moment_records(input_path)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    theta, var_L, nb, na, has_na = (
-        records[name] for name in ("theta_rad", "var_L", "nb", "na", "has_na"))
+    theta, var_L, nb, na = (records[name] for name in WITNESS_COLUMNS)
+    has_na = ~np.isnan(na)  # the reader leaves every given na finite
     # An empty na cell becomes 0 so that only given cells meet the kernel.
     values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
     # The kernel keeps partial_no and full_no finite and the reader's rules
@@ -307,8 +297,8 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
         raise InputError(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    if cutoff_max < 2:
-        raise InputError(f"cutoff_max must be >= 2, got {cutoff_max}")
+    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
+        raise InputError(f"cutoff_max must be >= 4, got {cutoff_max}")
     if trials == 0:
         print("warning: zero trials requested; suites pass vacuously",
               file=sys.stderr)

@@ -382,15 +382,20 @@ def converged_cutoff(params_si: StateParams, params_lo: StateParams,
 
     Raises
     ------
+    ValueError
+        If ``tol <= 0``, or if ``max_cutoff < 4``: the schedule then holds
+        cutoff 2 alone, which has no next doubling to agree with.
     ConvergenceError
-        If the schedule is exhausted without two successive agreements.
+        If the schedule is exhausted without two successive agreements; the
+        message names the largest cutoff built.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    ceiling = min(max_cutoff, MAX_CUTOFF)
-    # 2, 4, 8, ... up to the ceiling.
-    schedule = [2 ** k for k in range(1, max(int(ceiling), 1).bit_length())]
-    top = max(schedule, default=2)
+    if max_cutoff < 4:
+        raise ValueError(f"max_cutoff must be >= 4, got {max_cutoff}")
+    # 2, 4, 8, ... up to max_cutoff, capped at MAX_CUTOFF.
+    schedule = [2 ** k for k in range(1, int(min(max_cutoff, MAX_CUTOFF)).bit_length())]
+    top = schedule[-1]
     factors = [_mode_factor(params, top) for params in (params_si, params_lo)]
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
@@ -404,5 +409,5 @@ def converged_cutoff(params_si: StateParams, params_lo: StateParams,
                 return previous[0], state
             previous = (cutoff, value)
     raise ConvergenceError(
-        f"expectation value did not settle to {tol:g} within cutoff {ceiling}"
+        f"expectation value did not settle to {tol:g} within cutoff {top}"
     )

@@ -19,8 +19,6 @@ from squeezewitness.cli import (
     EXIT_OK,
     WITNESS_COLUMNS,
     InputError,
-    _read_columns,
-    _read_lines,
     cmd_reproduce,
     cmd_witness,
     main,
@@ -241,7 +239,7 @@ class TestWitnessCommand:
         assert records["theta_rad"].tolist() == [0.1, 1.0]
         assert records["var_L"].tolist() == [0.2, 2.0]
         assert records["nb"].tolist() == [0.3, 3.0]
-        assert records["has_na"].tolist() == [True, False]
+        assert np.isnan(records["na"]).tolist() == [False, True]
         assert records["na"][0] == 0.4
 
     @pytest.mark.parametrize("row, column", [
@@ -261,15 +259,23 @@ class TestWitnessCommand:
             cmd_witness(path, str(tmp_path / "r.json"))
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("rows, message", [
-        ("0.0,nan,0.1\n0.1,0.2,0.1\nnan,0.2,0.1\n", "line 2: var_L = nan is not finite"),
-        ("0.0,0.2,0\n0.1,-1,0.1\n", "line 2: nb = 0.0 is not > 0"),
-        ("0,nan,1\nx,1,1\n", "line 2: var_L = nan is not finite"),
-        ("0,nan,1\n0,1\n", "line 2: var_L = nan is not finite"),
+    @pytest.mark.parametrize("header, rows, message", [
+        ("theta_rad,var_L,nb", "0.0,nan,0.1\n0.1,0.2,0.1\nnan,0.2,0.1\n",
+         "line 2: var_L = nan is not finite"),
+        ("theta_rad,var_L,nb", "0.0,0.2,0\n0.1,-1,0.1\n", "line 2: nb = 0.0 is not > 0"),
+        ("theta_rad,var_L,nb", "0,nan,1\nx,1,1\n", "line 2: var_L = nan is not finite"),
+        ("theta_rad,var_L,nb", "0,nan,1\n0,1\n", "line 2: var_L = nan is not finite"),
+        # Within one line: the cell count, then a cell float() rejects, then
+        # a cell that breaks its rule.
+        ("theta_rad,var_L,nb", "0,nan,x\n", "line 2: could not convert string to float: 'x'"),
+        ("theta_rad,var_L,nb", "0,nan\n", "line 2: expected 3 cells, got 2"),
+        ("theta_rad,var_L,nb,na", "0,1,1,x\n",
+         "line 2: could not convert string to float: 'x'"),
     ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule",
-            "out-of-range-above-malformed", "out-of-range-above-short-row"])
-    def test_first_bad_line_is_named(self, tmp_path, capsys, rows, message):
-        path = write_csv(tmp_path, "theta_rad,var_L,nb\n" + rows)
+            "out-of-range-above-malformed", "out-of-range-above-short-row",
+            "unparsable-before-rule", "cell-count-before-rule", "unparsable-na"])
+    def test_first_bad_line_is_named(self, tmp_path, capsys, header, rows, message):
+        path = write_csv(tmp_path, f"{header}\n{rows}")
         code = main(["witness", "--input", path, "--out", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -356,16 +362,18 @@ OUT_OF_RANGE = {
 
 
 # Cells for the reader, per column: in range, with the spaces and the
-# underscore that float() accepts, empty for na, and 1.7e308, which can
-# overflow full_no = var_L - nb - na.
+# underscore that float() accepts, empty for na, and 1.7e308 but for na, so
+# that full_no = var_L - nb - na stays finite.
 READER_NUMBERS = {"theta_rad": finite, "var_L": nonnegative, "nb": positive,
                   "na": nonnegative, "run_id": finite}
 
 
 def reader_cell(column):
-    number = READER_NUMBERS[column].map(repr) | st.sampled_from(["1_0", "1.7e308"])
+    number = READER_NUMBERS[column].map(repr) | st.just("1_0")
     if column == "na":
         number = number | st.just("")
+    else:
+        number = number | st.just("1.7e308")
     return number | number.map(" {} ".format)
 
 
@@ -458,9 +466,9 @@ class TestWitnessInputBoundaries:
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_column_parse_agrees_with_line_parse(self, data):
-        # The column parse must accept exactly the files the line parse
-        # accepts, and read the same records from them.
+    def test_reader_parses_each_line_or_names_the_bad_one(self, data):
+        # The reader reads every cell as float() does, or names the one bad
+        # line; an overflowing full_no is bad only where na is given.
         names = ["theta_rad", "var_L", "nb"]
         names += [name for name in ("na", "run_id") if data.draw(st.booleans())]
         header = data.draw(st.permutations(names), label="header")
@@ -480,21 +488,29 @@ class TestWitnessInputBoundaries:
         overflow_line = line.map(lambda text: ",".join(
             overflow.get(column, cell) for column, cell in zip(header, text.split(","))))
         wrong_width = st.sampled_from([width - 1, width + 1]).map(lambda k: ",".join("1" * k))
+        bad_line_no = None
         if data.draw(st.booleans(), label="one bad line"):
-            lines.insert(data.draw(st.integers(0, len(lines)), label="at"),
-                         data.draw(bad_cell | overflow_line | wrong_width, label="bad"))
-        at = tuple(header.index(name) if name in header else None
-                   for name in WITNESS_COLUMNS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fast = _read_columns(lines, width, at)
-        try:
-            slow = _read_lines(lines, width, at)
-        except InputError:
-            assert fast is None
-        else:
-            assert fast is not None
-            assert fast.tobytes() == slow.tobytes()
+            at = data.draw(st.integers(0, len(lines)), label="at")
+            kind = data.draw(st.sampled_from(["cell", "overflow", "width"]), label="kind")
+            lines.insert(at, data.draw({"cell": bad_cell, "overflow": overflow_line,
+                                        "width": wrong_width}[kind], label="bad"))
+            if kind != "overflow" or "na" in header:
+                bad_line_no = at + 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "moments.csv"
+            path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if bad_line_no is not None:
+                    with pytest.raises(InputError, match=rf"^line {bad_line_no}: "):
+                        read_moment_records(str(path))
+                    return
+                records, _ = read_moment_records(str(path))
+        rows = [text.split(",") for text in lines if text.strip()]
+        expected = [tuple(float(cells[header.index(column)].strip() or "nan")
+                          if column in header else np.nan for column in WITNESS_COLUMNS)
+                    for cells in rows]
+        assert records.tobytes() == np.array(expected, dtype=records.dtype).tobytes()
 
 
 def _reject_constant(name):
@@ -582,7 +598,7 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--cutoff-max", "1", "cutoff_max must be >= 2, got 1"),
+        ("--cutoff-max", "3", "cutoff_max must be >= 4, got 3"),
         ("--trials", "-1", "trials must be >= 0, got -1"),
     ], ids=["seed", "cutoff-max", "trials"])
     def test_bad_argument_exits_2_naming_it(self, capsys, flag, value, message):

@@ -356,6 +356,20 @@ class TestConvergedCutoff:
             converged_cutoff(StateParams(alpha=5.0), StateParams(), ell * ell,
                              1e-9, max_cutoff=16)
 
+    def test_failure_names_largest_cutoff_built(self):
+        # A ceiling of 20 stops the doubling schedule at 16.
+        ell = difference_observable(0.0)
+        with pytest.raises(ConvergenceError, match=r"within cutoff 16$"):
+            converged_cutoff(StateParams(alpha=5.0), StateParams(), ell * ell,
+                             1e-9, max_cutoff=20)
+
+    @pytest.mark.parametrize("max_cutoff", [2, 3])
+    def test_rejects_ceiling_below_4(self, max_cutoff):
+        # The schedule would hold cutoff 2 alone, with nothing to agree with.
+        with pytest.raises(ValueError, match=f"max_cutoff must be >= 4, got {max_cutoff}"):
+            converged_cutoff(StateParams(), StateParams(),
+                             difference_observable(0.0), 1e-9, max_cutoff=max_cutoff)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             converged_cutoff(StateParams(), StateParams(),
