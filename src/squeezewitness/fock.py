@@ -9,7 +9,7 @@ speed: no state is ever silently renormalized.
 A one-mode word, any truncated product of ``a`` and ``a^dag``, has one
 nonzero diagonal, at offset ``#a^dag - #a``, and ``expect`` stores it as
 that diagonal alone.  A word then costs O(c^2) on a pure tensor, entangled
-or not, and O(c) per mode on a mixed product; only ``expr_matrix`` forms
+or not, and O(c) per mode on a product state; only ``expr_matrix`` forms
 dense two-mode matrices.
 
 Every single-mode state, pure or thermal, is built from its
@@ -20,6 +20,9 @@ continuation of the Husimi function.  Pure amplitudes follow a 3-term
 Hermite recurrence at O(c) cost, and density matrices a 2-D recurrence at
 O(c^2).  Neither involves quadrature or a matrix exponential, and the
 elements at cutoff ``c`` are exactly the leading block of those at ``2c``.
+:func:`fock_state` keeps each mode's factor as built, amplitudes or density
+matrix, in one product state, and :func:`converged_cutoff` reads every
+smaller cutoff of its schedule as a leading block of one such state.
 ``coherent_amplitudes`` is an independent closed-form reference.
 """
 
@@ -208,6 +211,11 @@ def _mode_factor(params: StateParams, cutoff: int) -> np.ndarray:
     return _hermite_sequence(np.sqrt(t), a11, b1, cutoff)
 
 
+def _mass(part: np.ndarray) -> float:
+    """What truncation kept: the squared norm of amplitudes, or a density's trace."""
+    return float((np.vdot(part, part) if part.ndim == 1 else np.trace(part)).real)
+
+
 def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, float]:
     """Pure (nbar = 0) single-mode amplitudes and their truncation deficit.
 
@@ -216,7 +224,7 @@ def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, 
     if params.nbar > 0:
         raise ValueError(f"a pure mode needs nbar = 0, got {params.nbar}")
     v = _mode_factor(params, cutoff)
-    return v, max(0.0, 1.0 - float(np.vdot(v, v).real))
+    return v, max(0.0, 1.0 - _mass(v))
 
 
 @dataclass(frozen=True)
@@ -224,80 +232,49 @@ class FockState:
     """A truncated two-mode state.
 
     ``kind == "pure"`` stores the amplitude tensor ``data[n_a, n_b]`` of
-    shape ``(cutoff, cutoff)``, which may be entangled.  ``kind == "mixed"``
-    stores the factors ``data == (rho_si, rho_lo)`` of a product density
-    operator; that factored form covers every mixed state this oracle has
-    to build and keeps desk-scale cutoffs cheap.  ``deficit`` is the
-    norm/trace mass lost to truncation; nothing is renormalized.
+    shape ``(cutoff, cutoff)``, which may be entangled.  ``kind ==
+    "product"`` stores ``data == (si, lo)``, each mode's factor as built:
+    amplitudes of a pure mode or the density matrix of a mixed one.  The
+    constructors compute ``deficit``, the norm/trace mass lost to
+    truncation, from the data (``1 - kept_si * kept_lo`` for a product);
+    nothing is renormalized.
     """
 
     kind: str
     cutoff: int
     data: object
-    deficit: float = 0.0
+    deficit: float
 
     @classmethod
-    def pure(cls, amplitudes: np.ndarray, deficit: float = 0.0) -> "FockState":
+    def pure(cls, amplitudes: np.ndarray) -> "FockState":
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.ndim != 2 or amplitudes.shape[0] != amplitudes.shape[1]:
             raise ValueError("pure amplitudes must form a square two-mode tensor")
-        return cls(kind="pure", cutoff=amplitudes.shape[0], data=amplitudes,
-                   deficit=deficit)
+        return cls("pure", amplitudes.shape[0], amplitudes,
+                   max(0.0, 1.0 - _mass(amplitudes.ravel())))
 
     @classmethod
-    def pure_product(cls, vec_si: np.ndarray, vec_lo: np.ndarray,
-                     deficit: float = 0.0) -> "FockState":
-        return cls.pure(np.outer(vec_si, vec_lo), deficit=deficit)
+    def product(cls, si: np.ndarray, lo: np.ndarray) -> "FockState":
+        factors = tuple(np.asarray(f, dtype=complex) for f in (si, lo))
+        cutoff = len(factors[0])
+        if any(f.ndim not in (1, 2) or f.shape != (cutoff,) * f.ndim for f in factors):
+            raise ValueError("factors must be vectors or square matrices of equal cutoff")
+        lost_si, lost_lo = (max(0.0, 1.0 - _mass(f)) for f in factors)
+        return cls("product", cutoff, factors, 1.0 - (1.0 - lost_si) * (1.0 - lost_lo))
 
-    @classmethod
-    def mixed_product(cls, rho_si: np.ndarray, rho_lo: np.ndarray,
-                      deficit: float = 0.0) -> "FockState":
-        rho_si = np.asarray(rho_si, dtype=complex)
-        rho_lo = np.asarray(rho_lo, dtype=complex)
-        if rho_si.shape != rho_lo.shape or rho_si.ndim != 2:
-            raise ValueError("factors must be square matrices of equal cutoff")
-        return cls(kind="mixed", cutoff=rho_si.shape[0], data=(rho_si, rho_lo),
-                   deficit=deficit)
+    def leading(self, cutoff: int) -> "FockState":
+        """The product of each mode factor's leading ``cutoff`` block, with its own deficit."""
+        return FockState.product(*(f[:cutoff, :cutoff] if f.ndim == 2 else f[:cutoff]
+                                   for f in self.data))
 
     def validate(self, psd_tol: float = 1e-10) -> None:
-        """Check the norm/trace and positivity invariants; raise on failure."""
-        if self.kind == "pure":
-            norm = float(np.vdot(self.data, self.data).real)
-            if not 1.0 - self.deficit - 1e-12 <= norm <= 1.0 + 1e-12:
-                raise ValueError(f"pure norm {norm} outside [1 - deficit, 1]")
-        else:
-            for rho in self.data:
-                trace = float(np.trace(rho).real)
-                if trace > 1.0 + 1e-12:
-                    raise ValueError(f"factor trace {trace} exceeds 1")
-                if np.linalg.eigvalsh(rho).min() < -psd_tol:
-                    raise ValueError("density factor is not positive semidefinite")
-            total = float(np.trace(self.data[0]).real * np.trace(self.data[1]).real)
-            if total < 1.0 - self.deficit - 1e-12:
-                raise ValueError(f"trace {total} below 1 - deficit")
-
-
-def _assemble(factors: list[np.ndarray], cutoff: int, budget: float) -> FockState:
-    """Product state of the leading ``cutoff`` block of each mode factor.
-
-    Raises
-    ------
-    TruncationError
-        If the truncation deficit exceeds ``budget``.
-    """
-    parts = [f[:cutoff] if f.ndim == 1 else f[:cutoff, :cutoff] for f in factors]
-    kept = [np.vdot(p, p).real if p.ndim == 1 else np.trace(p).real for p in parts]
-    deficits = [max(0.0, 1.0 - float(k)) for k in kept]
-    total_deficit = 1.0 - (1.0 - deficits[0]) * (1.0 - deficits[1])
-    if total_deficit > budget:
-        raise TruncationError(
-            f"truncation deficit {total_deficit:.3e} exceeds budget {budget:.3e} "
-            f"at cutoff {cutoff}"
-        )
-    if all(part.ndim == 1 for part in parts):
-        return FockState.pure_product(parts[0], parts[1], deficit=total_deficit)
-    factors = [p if p.ndim == 2 else np.outer(p, p.conj()) for p in parts]
-    return FockState.mixed_product(factors[0], factors[1], deficit=total_deficit)
+        """Check that no norm or trace exceeds 1 and densities are PSD; raise on failure."""
+        for part in [self.data.ravel()] if self.kind == "pure" else self.data:
+            mass = _mass(part)
+            if mass > 1.0 + 1e-12:
+                raise ValueError(f"norm or trace {mass} exceeds 1")
+            if part.ndim == 2 and np.linalg.eigvalsh(part).min() < -psd_tol:
+                raise ValueError("density factor is not positive semidefinite")
 
 
 def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
@@ -306,6 +283,8 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
 
     Raises
     ------
+    ValueError
+        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or ``budget`` outside ``[0, 1]``.
     TruncationError
         If the truncation deficit exceeds ``budget``.
     """
@@ -313,27 +292,40 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_CUTOFF}")
-    factors = [_mode_factor(params, cutoff) for params in (params_si, params_lo)]
-    return _assemble(factors, cutoff, budget)
+    if not 0.0 <= budget <= 1.0:
+        raise ValueError(f"budget must be in [0, 1], got {budget}")
+    state = FockState.product(*(_mode_factor(p, cutoff) for p in (params_si, params_lo)))
+    if state.deficit > budget:
+        raise TruncationError(f"truncation deficit {state.deficit:.3e} exceeds budget "
+                              f"{budget:.3e} at cutoff {cutoff}")
+    return state
 
 
 # ---------------------------------------------------------------------------
 # Expectation values
 # ---------------------------------------------------------------------------
 
+def _mode_expect(k: int, d: np.ndarray, factor: np.ndarray) -> complex:
+    """One mode's factor of a word on a product: ``<v|M|v>`` or ``tr(rho M)``."""
+    if factor.ndim == 2:
+        return d @ factor.diagonal(k)
+    src, dst = _kept(k, len(factor))
+    return np.vdot(factor[dst], d * factor[src])
+
+
 def _expect_word(word: tuple[str, ...], state: FockState) -> complex:
     """One word's expectation value, contracted on each mode's band.
 
     A band with ``|k| >= c`` keeps no states, so its word sums to exactly 0.
     """
-    (k_a, d_a), (k_b, d_b) = (_mode_band(letters, state.cutoff)
-                              for letters in _mode_letters(word))
+    bands = [_mode_band(letters, state.cutoff) for letters in _mode_letters(word)]
     if state.kind == "pure":
+        (k_a, d_a), (k_b, d_b) = bands
         (src_a, dst_a), (src_b, dst_b) = _kept(k_a, state.cutoff), _kept(k_b, state.cutoff)
         psi = state.data
         return complex(np.vdot(psi[dst_a, dst_b], d_a[:, None] * psi[src_a, src_b] * d_b))
-    rho_a, rho_b = state.data
-    return complex((d_a @ rho_a.diagonal(k_a)) * (d_b @ rho_b.diagonal(k_b)))
+    value_si, value_lo = (_mode_expect(k, d, f) for (k, d), f in zip(bands, state.data))
+    return complex(value_si * value_lo)
 
 
 def expect(expr: OperatorExpr, state: FockState) -> complex:
@@ -342,8 +334,9 @@ def expect(expr: OperatorExpr, state: FockState) -> complex:
     ``M`` is the matrix of ``reorder(expr)``, so every word is evaluated in
     its operator-preserving canonical form.  Each mode's part of a word is
     stored as its single nonzero diagonal, so a word costs O(c^2) on a pure
-    tensor and O(c) per mode on a mixed product at cutoff ``c``; a word that
-    shifts a mode by ``c`` or more number states contributes exactly 0.
+    tensor and O(c) per mode factor on a product, amplitudes or density, at
+    cutoff ``c``; a word that shifts a mode by ``c`` or more number states
+    contributes exactly 0.
     """
     value = 0j
     for word, coeff in reorder(expr).terms:
@@ -376,38 +369,38 @@ def converged_cutoff(params_si: StateParams, params_lo: StateParams,
     ``tol``, together with the state at that next doubling, which was
     checked against the budget.  Cutoffs whose states exceed the truncation
     budget are skipped.
-    Each mode is built once at the last cutoff of the schedule; the states
-    at smaller cutoffs are its leading blocks, exactly as :func:`fock_state`
-    would build them.
+    The state is built once, by :func:`fock_state` at the top of the schedule;
+    each smaller cutoff's state is its leading block, bit for bit.
 
     Raises
     ------
     ValueError
-        If ``tol <= 0``, or if ``max_cutoff < 4``: the schedule then holds
-        cutoff 2 alone, which has no next doubling to agree with.
+        If ``tol`` is not finite and positive, if ``budget`` is outside
+        ``[0, 1]``, or if ``max_cutoff < 4``: the schedule then holds cutoff
+        2 alone, which has no next doubling to agree with.
     ConvergenceError
         If the schedule is exhausted without two successive agreements; the
         message names the largest cutoff built.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not 0.0 <= budget <= 1.0:
+        raise ValueError(f"budget must be in [0, 1], got {budget}")
     if max_cutoff < 4:
         raise ValueError(f"max_cutoff must be >= 4, got {max_cutoff}")
     # 2, 4, 8, ... up to max_cutoff, capped at MAX_CUTOFF.
     schedule = [2 ** k for k in range(1, int(min(max_cutoff, MAX_CUTOFF)).bit_length())]
-    top = schedule[-1]
-    factors = [_mode_factor(params, top) for params in (params_si, params_lo)]
+    top = fock_state(params_si, params_lo, schedule[-1], budget=1.0)
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
-        try:
-            state = _assemble(factors, cutoff, budget)
-        except TruncationError:
+        state = top.leading(cutoff)
+        if state.deficit > budget:
             previous = None
-        else:
-            value = expect(expr, state)
-            if previous is not None and abs(value - previous[1]) < tol:
-                return previous[0], state
-            previous = (cutoff, value)
+            continue
+        value = expect(expr, state)
+        if previous is not None and abs(value - previous[1]) < tol:
+            return previous[0], state
+        previous = (cutoff, value)
     raise ConvergenceError(
-        f"expectation value did not settle to {tol:g} within cutoff {top}"
+        f"expectation value did not settle to {tol:g} within cutoff {top.cutoff}"
     )

@@ -156,7 +156,7 @@ def suite_classicality(trials: int = 200, seed: int = 42,
         alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         psi_si = coherent_amplitudes(alpha, cutoff)
         psi_lo = haar_random_vector(rng, cutoff)
-        state = FockState.pure_product(psi_si, psi_lo)
+        state = FockState.product(psi_si, psi_lo)
         f = random_expression(rng, max_degree=2, max_terms=4)
         lowest = min(lowest, witness_general(f, state))
     deviation = max(0.0, -lowest)

@@ -62,7 +62,7 @@ class TestLadder:
             build_ladder(1)
 
     def test_coherent_is_number_eigenstate_on_average(self):
-        state = FockState.pure_product(
+        state = FockState.product(
             coherent_amplitudes(1.0, 40), coherent_amplitudes(0.0, 40))
         assert expect(NUMBER_A, state).real == pytest.approx(1.0, abs=1e-12)
 
@@ -70,9 +70,10 @@ class TestLadder:
 class TestStateConstruction:
     def test_double_vacuum(self):
         state = fock_state(StateParams(), StateParams(), 4)
-        assert state.kind == "pure"
-        assert state.data[0, 0] == 1.0
-        assert np.count_nonzero(state.data) == 1
+        assert state.kind == "product"
+        for vec in state.data:
+            assert vec.shape == (4,) and vec[0] == 1.0
+            assert np.count_nonzero(vec) == 1
         assert state.deficit == 0.0
 
     def test_squeezed_lo_intensity(self):
@@ -99,13 +100,13 @@ class TestStateConstruction:
     def test_thermal_weights(self):
         nbar = 0.6
         state = fock_state(StateParams(nbar=nbar), StateParams(), 30)
-        assert state.kind == "mixed"
-        rho_a, rho_b = state.data
+        assert state.kind == "product"
+        rho_a, vec_b = state.data
         exact = np.array([nbar**n / (1 + nbar) ** (n + 1) for n in range(30)])
         np.testing.assert_allclose(np.diag(rho_a).real, exact, atol=1e-8)
         off_diagonal = rho_a - np.diag(np.diag(rho_a))
         assert np.abs(off_diagonal).max() < 1e-8
-        assert rho_b[0, 0] == pytest.approx(1.0)
+        assert vec_b[0] == pytest.approx(1.0)
         state.validate()
 
     def test_displaced_squeezed_matches_gaussian_moments(self):
@@ -133,7 +134,7 @@ class TestStateConstruction:
 
     def test_pure_norm_invariant(self):
         state = fock_state(StateParams(alpha=1.2), StateParams(zeta=0.3), 48)
-        norm = float(np.vdot(state.data, state.data).real)
+        norm = np.prod([np.vdot(vec, vec).real for vec in state.data])
         assert 1.0 - state.deficit - 1e-12 <= norm <= 1.0 + 1e-12
         state.validate()
 
@@ -194,7 +195,8 @@ class TestExprMatrix:
             assert expect(expr, state) == pytest.approx(direct, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(cutoff=st.sampled_from([2, 3, 7]), kind=st.sampled_from(["pure", "mixed"]),
+    @given(cutoff=st.sampled_from([2, 3, 7]),
+           kind=st.sampled_from(["pure", "mixed", "amplitudes"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_expect_agrees_with_dense_matrix_at_any_cutoff(self, cutoff, kind, seed):
         # Degree-4 words at cutoffs 2 and 3 reach or pass the cutoff, where
@@ -213,10 +215,19 @@ class TestExprMatrix:
             state = FockState.pure(psi)
             direct = np.vdot(psi.ravel(), dense @ psi.ravel())
         else:
-            rho_a, rho_b = (g @ g.conj().T for g in (gaussian_matrix(), gaussian_matrix()))
-            rho_a, rho_b = rho_a / np.trace(rho_a), rho_b / np.trace(rho_b)
-            state = FockState.mixed_product(rho_a, rho_b)
-            direct = np.trace(dense @ np.kron(rho_a, rho_b))
+            densities = [g @ g.conj().T for g in (gaussian_matrix(), gaussian_matrix())]
+            densities = [rho / np.trace(rho) for rho in densities]
+            factors = list(densities)
+            if kind == "amplitudes":
+                # One mode, SI or LO, as amplitudes next to a density matrix.
+                mode = int(rng.integers(2))
+                vec = gaussian_matrix()[0]
+                factors[mode] = vec / np.linalg.norm(vec)
+                densities[mode] = np.outer(factors[mode], factors[mode].conj())
+                assert expect(expr, FockState.product(*factors)) == pytest.approx(
+                    expect(expr, FockState.product(*densities)), abs=1e-12)
+            state = FockState.product(*factors)
+            direct = np.trace(dense @ np.kron(*densities))
         assert expect(expr, state) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("word", [("a", "a", "a"), ("ad", "ad"), ("b", "b", "ad", "ad")])
@@ -224,8 +235,10 @@ class TestExprMatrix:
         # At cutoff 2 these words shift a mode by 2 or 3 number states.
         psi = np.full((2, 2), 0.5, dtype=complex)
         rho = np.full((2, 2), 0.5, dtype=complex)
+        vec = np.full(2, np.sqrt(0.5), dtype=complex)
         expr = OperatorExpr.word(word)
-        for state in (FockState.pure(psi), FockState.mixed_product(rho, rho)):
+        for state in (FockState.pure(psi), FockState.product(rho, rho),
+                      FockState.product(vec, rho), FockState.product(rho, vec)):
             assert expect(expr, state) == 0
         assert not expr_matrix(expr, 2).any()
 
@@ -235,6 +248,9 @@ class TestExprMatrix:
         psi = np.zeros((cutoff, cutoff), dtype=complex)
         psi[0, 0] = psi[1, 1] = 1.0 / np.sqrt(2.0)
         state = FockState.pure(psi)
+        # The deficit is computed from the amplitudes, not passed in.
+        assert state.deficit == pytest.approx(0.0, abs=1e-15)
+        assert FockState.pure(psi * np.sqrt(0.5)).deficit == pytest.approx(0.5, abs=1e-15)
         assert expect(NUMBER_A, state).real == pytest.approx(0.5, abs=1e-14)
         ell = difference_observable(0.0)
         assert expect(ell, state) == pytest.approx(0.0, abs=1e-14)
@@ -318,7 +334,7 @@ class TestNonGaussianLO:
         coh = coherent_amplitudes(beta, cutoff)
         vec_lo = build_ladder(cutoff).conj().T @ coh - np.conj(beta) * coh
         vec_si, _ = pure_mode_amplitudes(StateParams(zeta=ZETA_3DB), cutoff)
-        state = FockState.pure_product(vec_si, vec_lo)
+        state = FockState.product(vec_si, vec_lo)
         thetas = np.linspace(0.0, np.pi, 25)
         oracle = []
         for theta in thetas:
@@ -374,6 +390,23 @@ class TestConvergedCutoff:
         with pytest.raises(ValueError):
             converged_cutoff(StateParams(), StateParams(),
                              difference_observable(0.0), 0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # A NaN tol never agrees and an infinite one agrees at once.
+        with pytest.raises(ValueError, match=f"tol must be finite and > 0, got {tol}"):
+            converged_cutoff(StateParams(), StateParams(),
+                             difference_observable(0.0), tol)
+
+    @pytest.mark.parametrize("budget", [np.nan, -0.1, 1.5])
+    def test_rejects_budget_outside_unit_interval(self, budget):
+        # A NaN budget would otherwise accept any truncated state.
+        match = f"budget must be in \\[0, 1\\], got {budget}"
+        with pytest.raises(ValueError, match=match):
+            fock_state(StateParams(alpha=5.0), StateParams(), 8, budget=budget)
+        with pytest.raises(ValueError, match=match):
+            converged_cutoff(StateParams(alpha=5.0), StateParams(),
+                             difference_observable(0.0), 1e-9, budget=budget)
 
 
 class TestChannelFolds:
@@ -475,12 +508,12 @@ class TestRecurrence:
         for cutoff in (2, 8, 32, 128):
             # The whole budget, so the smallest cutoffs are built too.
             small = fock_state(params_si, params_lo, cutoff, budget=1.0)
-            large = fock_state(params_si, params_lo, 2 * cutoff, budget=1.0)
-            if small.kind == "pure":
-                np.testing.assert_array_equal(small.data, large.data[:cutoff, :cutoff])
-            else:
-                for part, whole in zip(small.data, large.data):
-                    np.testing.assert_array_equal(part, whole[:cutoff, :cutoff])
+            block = fock_state(params_si, params_lo, 2 * cutoff, budget=1.0).leading(cutoff)
+            assert (block.kind, block.cutoff) == (small.kind, small.cutoff)
+            assert block.deficit == small.deficit
+            for part, lead in zip(small.data, block.data):
+                assert part.ndim == lead.ndim
+                np.testing.assert_array_equal(part, lead)
 
     @pytest.mark.parametrize("params", [
         StateParams(zeta=0.45, phi=0.8, alpha=0.9 - 0.6j),

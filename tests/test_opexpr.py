@@ -253,7 +253,7 @@ class TestFormalNormalOrder:
             * beta ** sum(1 for x in w if x == "b")
             for w, coeff in ordered.terms
         )
-        state = FockState.pure_product(
+        state = FockState.product(
             coherent_amplitudes(alpha, 40), coherent_amplitudes(beta, 40))
         assert expect(ordered, state) == pytest.approx(polynomial, abs=1e-8)
 
