@@ -26,7 +26,7 @@ _EXPORTS = {
                "adjoint_product", "difference_observable", "formal_normal_order",
                "parse", "reorder"),
     "fock": ("ConvergenceError", "FockState", "TruncationError", "build_ladder",
-             "converged_cutoff", "expect", "expr_matrix", "fock_state",
+             "converged_cutoff", "expect", "expr_matrix", "fock_state", "fock_states",
              "witness_general"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,7 +19,9 @@ Commands
     read.  The report is written row by row, and ``cmd_witness`` returns
     only its ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
-    Run the randomized property suites; exit status 1 if any fails.
+    Run the randomized property suites, the oracle's cutoff doubling up to
+    a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
+    any fails.
 
 Exit codes: 0 success, 1 validation failure, 2 input error.  All outputs
 are deterministic for a fixed configuration and seed.
@@ -299,10 +301,15 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
         raise InputError(f"seed must be >= 0, got {seed}")
     if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
         raise InputError(f"cutoff_max must be >= 4, got {cutoff_max}")
+    from .fock import MAX_CUTOFF  # the oracle: only this command needs it
+    from .validate import run_all_suites
+
+    if cutoff_max > MAX_CUTOFF:
+        raise InputError(f"cutoff_max must be <= {MAX_CUTOFF}, the oracle's cap, "
+                         f"got {cutoff_max}")
     if trials == 0:
         print("warning: zero trials requested; suites pass vacuously",
               file=sys.stderr)
-    from .validate import run_all_suites  # the oracle: only this command needs it
 
     results = run_all_suites(trials=trials, seed=seed, cutoff_max=cutoff_max)
     report = {

@@ -8,9 +8,10 @@ speed: no state is ever silently renormalized.
 
 A one-mode word, any truncated product of ``a`` and ``a^dag``, has one
 nonzero diagonal, at offset ``#a^dag - #a``, and ``expect`` stores it as
-that diagonal alone.  A word then costs O(c^2) on a pure tensor, entangled
-or not, and O(c) per mode on a product state; only ``expr_matrix`` forms
-dense two-mode matrices.
+that diagonal alone, computed as the product of the ladder roots the word
+meets.  A word then costs O(c^2) on a pure tensor, entangled or not, and
+O(c) per mode on a product state; only ``expr_matrix`` forms dense
+two-mode matrices.
 
 Every single-mode state, pure or thermal, is built from its
 :class:`StateParams` by one exact recurrence for Gaussian Fock elements
@@ -20,14 +21,20 @@ continuation of the Husimi function.  Pure amplitudes follow a 3-term
 Hermite recurrence at O(c) cost, and density matrices a 2-D recurrence at
 O(c^2).  Neither involves quadrature or a matrix exponential, and the
 elements at cutoff ``c`` are exactly the leading block of those at ``2c``.
-:func:`fock_state` keeps each mode's factor as built, amplitudes or density
-matrix, in one product state, and :func:`converged_cutoff` reads every
-smaller cutoff of its schedule as a leading block of one such state.
+:func:`fock_states` builds the product states of many pairs a block at a
+time: one run of the 2-D recurrence moves the rows of all thermal modes of
+a block together, bit for bit as each mode's own run would, and a block
+holds at most ``BLOCK_BYTES`` of density factors.  :func:`fock_state` is
+its one-pair call, and no state is built above ``MAX_CUTOFF``.  A product
+state keeps each mode's factor as built, amplitudes or density matrix,
+and :func:`converged_cutoff` reads every smaller cutoff of its schedule as
+a leading block of the state it is handed.
 ``coherent_amplitudes`` is an independent closed-form reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +50,7 @@ __all__ = [
     "ConvergenceError",
     "build_ladder",
     "fock_state",
+    "fock_states",
     "expect",
     "witness_general",
     "converged_cutoff",
@@ -53,6 +61,9 @@ __all__ = [
 
 DEFAULT_TRUNCATION_BUDGET = 1e-8
 MAX_CUTOFF = 512
+# Bytes of density factors that one block of ``fock_states`` holds: 8 pairs
+# at cutoff 128, 2 at 256 and 1 at 512.
+BLOCK_BYTES = 4 * 2 ** 20
 
 
 class TruncationError(Exception):
@@ -97,12 +108,22 @@ def _mode_band(daggers: tuple[bool, ...], cutoff: int) -> tuple[int, np.ndarray]
 
     A product of ``a`` and ``a^dag`` maps ``|n>`` to a multiple of
     ``|n + k>`` with ``k = #a^dag - #a``.  ``d`` lists those multiples for
-    the number states :func:`_kept` reads; it is read out of
-    :func:`_mode_matrix`, so truncation acts exactly as on the dense matrix,
-    and it is empty when ``|k| >= cutoff``.
+    the number states :func:`_kept` reads, each the product of the ladder
+    square roots met on the way, applied from the last letter to the first
+    as the matrix product of :func:`_mode_matrix` applies them; a path that
+    leaves ``0 .. cutoff - 1`` gives exactly 0, as truncation does.  It is
+    empty when ``|k| >= cutoff``.
     """
     k = 2 * sum(daggers) - len(daggers)
-    return k, np.diagonal(_mode_matrix(daggers, cutoff), -k)
+    level = np.arange(max(0, -k), min(cutoff, cutoff - k))
+    d = np.ones(len(level))
+    for dagger in reversed(daggers):
+        # a^dag |n> = sqrt(n + 1) |n + 1> and a |n> = sqrt(n) |n - 1>.
+        root = np.sqrt(np.maximum(level + dagger, 0))
+        level = level + 1 if dagger else level - 1
+        d = np.where((level >= 0) & (level < cutoff), root, 0.0) * d
+    d.setflags(write=False)
+    return k, d
 
 
 def _kept(k: int, cutoff: int) -> tuple[slice, slice]:
@@ -123,10 +144,12 @@ def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
     Only intended for small cutoffs; the result is dense of size
     ``cutoff^2 x cutoff^2``.
     """
-    out = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    size = cutoff * cutoff
+    out = np.zeros((size, size), dtype=complex)
     for word, coeff in expr.terms:
-        out += coeff * np.kron(*(_mode_matrix(letters, cutoff)
-                                 for letters in _mode_letters(word)))
+        ma, mb = (_mode_matrix(letters, cutoff) for letters in _mode_letters(word))
+        # kron(ma, mb): element [(i, k), (j, l)] is ma[i, j] mb[k, l].
+        out += coeff * np.multiply.outer(ma, mb).transpose(0, 2, 1, 3).reshape(size, size)
     return out
 
 
@@ -182,33 +205,52 @@ def _hermite_sequence(first: complex, a: complex, b: complex, cutoff: int) -> np
     return np.array(v, dtype=complex)
 
 
-def _density_matrix(params: StateParams, cutoff: int) -> np.ndarray:
-    """Fock elements of the mode by the 2-D recurrence, thermal part included.
+def _density_matrices(modes: list[StateParams], cutoff: int) -> np.ndarray:
+    """Fock elements of thermal modes, ``rho[j]`` for ``modes[j]``, by one 2-D
+    recurrence that moves the rows of every mode forward together.
 
     ``rho[m+1, n] = (b1 rho[m, n] + a11 sqrt(m) rho[m-1, n]
     + a12 sqrt(n) rho[m, n-1]) / sqrt(m+1)``; row 0 runs the 1-D recurrence
     in ``n`` with ``conj(b1)`` and ``conj(a11)`` from ``rho[0, 0] = T``.
+    The real ``a12 sqrt(n)`` and ``1 / sqrt(m+1)`` scale the float view, as
+    numpy's complex-by-real product and quotient reduce to real products
+    (the quotient multiplies by the reciprocal), so every element is the
+    one the recurrence of that mode alone gives, bit for bit.
     """
-    t, a11, a12, b1 = _husimi_coefficients(params)
+    coefficients = [_husimi_coefficients(p) for p in modes]
+    # Row m of every mode is one contiguous (modes, cutoff) block.
+    rho = np.empty((cutoff, len(modes), cutoff), dtype=complex)
+    for j, (t, a11, _, b1) in enumerate(coefficients):
+        rho[0, j] = _hermite_sequence(t, a11.conjugate(), b1.conjugate(), cutoff)
+    _, a11, a12, b1 = (np.array(column)[:, None] for column in zip(*coefficients))
     roots = np.sqrt(np.arange(cutoff))
-    cross = a12 * roots[1:]
-    rho = np.empty((cutoff, cutoff), dtype=complex)
-    rho[0] = _hermite_sequence(t, a11.conjugate(), b1.conjugate(), cutoff)
+    lower = a11 * roots[:, None, None]  # a11 sqrt(m) for every m
+    cross = np.repeat(a12 * roots[1:], 2, axis=1)  # a12 sqrt(n), twice per column n >= 1
+    inverse = 1.0 / roots[1:]
+    flat = rho.view(float)
+    term, real_term = np.empty_like(rho[0]), np.empty_like(cross)
     for m in range(cutoff - 1):
-        row = b1 * rho[m]
+        row, real_row = rho[m + 1], flat[m + 1]
+        np.multiply(b1, rho[m], out=row)
         if m:
-            row += (a11 * roots[m]) * rho[m - 1]
-        row[1:] += cross * rho[m, :-1]
-        rho[m + 1] = row / roots[m + 1]
-    return rho
+            row += np.multiply(lower[m], rho[m - 1], out=term)
+        real_row[:, 2:] += np.multiply(cross, flat[m, :, :-2], out=real_term)
+        real_row *= inverse[m]
+    return rho.transpose(1, 0, 2)
 
 
-def _mode_factor(params: StateParams, cutoff: int) -> np.ndarray:
-    """Amplitudes of a pure mode, or the density matrix of a thermal one."""
-    if params.nbar > 0:
-        return _density_matrix(params, cutoff)
+def _amplitudes(params: StateParams, cutoff: int) -> np.ndarray:
+    """Amplitudes of a pure mode by the 1-D recurrence from ``sqrt(T)``."""
     t, a11, _, b1 = _husimi_coefficients(params)
     return _hermite_sequence(np.sqrt(t), a11, b1, cutoff)
+
+
+def _mode_factors(modes: list[StateParams], cutoff: int) -> list[np.ndarray]:
+    """Amplitudes of each pure mode and the density matrix of each thermal
+    one, in order; the thermal modes are built as one block."""
+    thermal = [p for p in modes if p.nbar > 0]
+    densities = iter(_density_matrices(thermal, cutoff) if thermal else ())
+    return [next(densities) if p.nbar > 0 else _amplitudes(p, cutoff) for p in modes]
 
 
 def _mass(part: np.ndarray) -> float:
@@ -223,7 +265,7 @@ def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, 
     """
     if params.nbar > 0:
         raise ValueError(f"a pure mode needs nbar = 0, got {params.nbar}")
-    v = _mode_factor(params, cutoff)
+    v = _amplitudes(params, cutoff)
     return v, max(0.0, 1.0 - _mass(v))
 
 
@@ -277,9 +319,43 @@ class FockState:
                 raise ValueError("density factor is not positive semidefinite")
 
 
+def fock_states(pairs: Iterable[tuple[StateParams, StateParams]],
+                cutoff: int) -> Iterator[FockState]:
+    """The product states SI x LO of ``(params_si, params_lo)`` pairs at one
+    per-mode cutoff, in order, built a block of pairs at a time.
+
+    The thermal modes of a block are built together by one run of the 2-D
+    recurrence.  A block holds as many pairs as ``BLOCK_BYTES`` of density
+    factors allow, counting two per pair, and at least one.  It is built
+    when its first state is requested and freed once the caller drops its
+    states.  Each
+    state carries its truncation deficit, unchecked; :func:`fock_state`
+    checks one against a budget.
+
+    Raises
+    ------
+    ValueError
+        If ``cutoff`` is outside ``[2, MAX_CUTOFF]``, when the first state
+        is requested.
+    """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_CUTOFF}")
+    pairs = list(pairs)
+    size = max(1, BLOCK_BYTES // (2 * cutoff * cutoff * np.dtype(complex).itemsize))
+    for start in range(0, len(pairs), size):
+        factors = iter(_mode_factors([p for pair in pairs[start:start + size] for p in pair],
+                                     cutoff))
+        # From a list, so that nothing here holds the block once its last
+        # state has been taken.
+        yield from [FockState.product(si, lo) for si, lo in zip(factors, factors)]
+
+
 def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
                budget: float = DEFAULT_TRUNCATION_BUDGET) -> FockState:
-    """Build the product state SI x LO at the given per-mode cutoff.
+    """Build the product state SI x LO at the given per-mode cutoff, as the
+    one-pair call of :func:`fock_states`.
 
     Raises
     ------
@@ -288,13 +364,9 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
     TruncationError
         If the truncation deficit exceeds ``budget``.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_CUTOFF}")
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    state = FockState.product(*(_mode_factor(p, cutoff) for p in (params_si, params_lo)))
+    state = next(fock_states([(params_si, params_lo)], cutoff))
     if state.deficit > budget:
         raise TruncationError(f"truncation deficit {state.deficit:.3e} exceeds budget "
                               f"{budget:.3e} at cutoff {cutoff}")
@@ -358,49 +430,45 @@ def witness_general(f: OperatorExpr, state: FockState) -> float:
     return expect(ordered, state).real
 
 
-def converged_cutoff(params_si: StateParams, params_lo: StateParams,
-                     expr: OperatorExpr, tol: float,
-                     max_cutoff: int = MAX_CUTOFF,
+def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
                      budget: float = DEFAULT_TRUNCATION_BUDGET) -> tuple[int, FockState]:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
-    Doubles the cutoff starting from 2 and returns the first cutoff whose
-    expectation value of ``expr`` agrees with the next doubling to within
-    ``tol``, together with the state at that next doubling, which was
-    checked against the budget.  Cutoffs whose states exceed the truncation
-    budget are skipped.
-    The state is built once, by :func:`fock_state` at the top of the schedule;
-    each smaller cutoff's state is its leading block, bit for bit.
+    Walks the leading blocks of the product ``state`` at cutoffs 2, 4, 8,
+    ... up to its own cutoff, and returns the first cutoff whose
+    expectation value of ``expr`` agrees with the next doubling's to within
+    ``tol``, together with the block at that next doubling, which was
+    checked against the budget.  Blocks whose deficit exceeds the budget
+    are skipped.  Each block is, bit for bit, the state :func:`fock_state`
+    builds at its cutoff, so nothing is built here.
 
     Raises
     ------
     ValueError
         If ``tol`` is not finite and positive, if ``budget`` is outside
-        ``[0, 1]``, or if ``max_cutoff < 4``: the schedule then holds cutoff
-        2 alone, which has no next doubling to agree with.
+        ``[0, 1]``, or if the state's cutoff is below 4: the schedule then
+        holds cutoff 2 alone, which has no next doubling to agree with.
     ConvergenceError
         If the schedule is exhausted without two successive agreements; the
-        message names the largest cutoff built.
+        message names the largest cutoff walked.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    if max_cutoff < 4:
-        raise ValueError(f"max_cutoff must be >= 4, got {max_cutoff}")
-    # 2, 4, 8, ... up to max_cutoff, capped at MAX_CUTOFF.
-    schedule = [2 ** k for k in range(1, int(min(max_cutoff, MAX_CUTOFF)).bit_length())]
-    top = fock_state(params_si, params_lo, schedule[-1], budget=1.0)
+    if state.cutoff < 4:
+        raise ValueError(f"the state's cutoff must be >= 4, got {state.cutoff}")
+    schedule = [2 ** k for k in range(1, state.cutoff.bit_length())]
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
-        state = top.leading(cutoff)
-        if state.deficit > budget:
+        block = state.leading(cutoff)
+        if block.deficit > budget:
             previous = None
             continue
-        value = expect(expr, state)
+        value = expect(expr, block)
         if previous is not None and abs(value - previous[1]) < tol:
-            return previous[0], state
+            return previous[0], block
         previous = (cutoff, value)
     raise ConvergenceError(
-        f"expectation value did not settle to {tol:g} within cutoff {top.cutoff}"
+        f"expectation value did not settle to {tol:g} within cutoff {schedule[-1]}"
     )

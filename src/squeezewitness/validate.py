@@ -8,7 +8,7 @@ tolerances are fixed here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .fock import (
     converged_cutoff,
     expect,
     expr_matrix,
+    fock_states,
     pure_mode_amplitudes,
     witness_general,
 )
@@ -100,42 +101,66 @@ def random_expression(rng: np.random.Generator, max_degree: int = 4,
     return OperatorExpr(terms)
 
 
+def _draw_pairs(rng: np.random.Generator, trials: int,
+                *ranges: tuple[float, float]) -> list[list]:
+    """Per trial, in this order: SI and LO ``random_state_params``, then one
+    uniform draw per ``(low, high)`` range; one list per quantity."""
+    rows = [(random_state_params(rng), random_state_params(rng),
+             *(rng.uniform(low, high) for low, high in ranges)) for _ in range(trials)]
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(2 + len(ranges))]
+
+
+def _stacked(params: list[StateParams]) -> StateParams:
+    """One ``StateParams`` of arrays whose element ``k`` is ``params[k]``."""
+    return StateParams(**{f.name: np.array([getattr(p, f.name) for p in params])
+                          for f in fields(StateParams)})
+
+
+def _oracle_variances(top: FockState, theta: float, tol: float) -> tuple[float, float, float]:
+    """Raw, partially and fully ordered variances of ``L(theta)`` on the
+    oracle, read at the next doubling above the cutoff that
+    :func:`converged_cutoff` certifies on ``top`` to within ``tol``."""
+    ell = difference_observable(theta)
+    ell_sq = ell * ell
+    _, state = converged_cutoff(top, ell_sq, tol=tol)
+    var_f = (expect(ell_sq, state) - expect(ell, state) ** 2).real
+    nb_f = expect(OperatorExpr.word(("bd", "b")), state).real
+    na_f = expect(OperatorExpr.word(("ad", "a")), state).real
+    return var_f, var_f - nb_f, var_f - na_f - nb_f
+
+
 def suite_gaussian_fock(trials: int = 200, seed: int = 42,
                         cutoff_max: int = 256) -> SuiteResult:
     """Closed-form variances versus brute-force Fock expectations.
 
     For each draw, the raw, partially ordered, and fully ordered variances
     from the field-moment closed forms are compared against the truncated-space
-    evaluation of the difference observable at a converged cutoff.
+    evaluation of the difference observable at a converged cutoff.  The
+    closed forms take every draw in one elementwise call; the oracle builds
+    each pair once, at the top of the doubling schedule up to ``cutoff_max``,
+    a block of pairs at a time.
     """
     name = "gaussian_fock_agreement"
-    rng = np.random.default_rng(seed)
+    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
+        raise ValueError(f"cutoff_max must be >= 4, got {cutoff_max}")
+    params_si, params_lo, theta = _draw_pairs(np.random.default_rng(seed), trials,
+                                              (0.0, 2.0 * np.pi))
+    closed = evaluate(TwoModeProduct(si=make_state(_stacked(params_si)),
+                                     lo=make_state(_stacked(params_lo))), np.array(theta))
+    top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
+    states = fock_states(zip(params_si, params_lo), top)
     worst = 0.0
     for k in range(trials):
-        params_si = random_state_params(rng)
-        params_lo = random_state_params(rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        ell = difference_observable(theta)
-        ell_sq = ell * ell
-
-        pair = TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo))
-        closed = evaluate(pair, theta)
         # The convergence tolerance only decides how hard the oracle refines;
-        # size it to the magnitude of the compared quantity, then evaluate at
-        # the next doubling above the certified cutoff for extra margin.
-        scale = max(1.0, abs(closed.var_L))
+        # size it to the magnitude of the compared quantity.  The state goes
+        # straight into the call, so no name here keeps its block alive
+        # while fock_states builds the next one.
         try:
-            _, state = converged_cutoff(params_si, params_lo, ell_sq,
-                                        tol=1e-7 * scale, max_cutoff=cutoff_max)
+            oracle = _oracle_variances(next(states), theta[k],
+                                       tol=1e-7 * max(1.0, abs(closed.var_L[k])))
         except ConvergenceError as exc:
-            return SuiteResult(name, trials, np.inf, False,
-                               f"trial {k}: {exc}")
-        var_f = (expect(ell_sq, state) - expect(ell, state) ** 2).real
-        nb_f = expect(OperatorExpr.word(("bd", "b")), state).real
-        na_f = expect(OperatorExpr.word(("ad", "a")), state).real
-        oracle = (var_f, var_f - nb_f, var_f - na_f - nb_f)
-
-        for a, b in zip((closed.var_L, closed.partial_no, closed.full_no), oracle):
+            return SuiteResult(name, trials, np.inf, False, f"trial {k}: {exc}")
+        for a, b in zip((closed.var_L[k], closed.partial_no[k], closed.full_no[k]), oracle):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return SuiteResult(name, trials, worst, bool(worst <= GAUSSIAN_FOCK_RTOL))
 
@@ -235,25 +260,17 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     explicit bath-unitary fold against the channels' moment maps.
     """
     name = "channel_laws"
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        params_si = random_state_params(rng)
-        params_lo = random_state_params(rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        eta = rng.uniform(0.0, 1.0)
-        gain = rng.uniform(1.0, 3.0)
-        si = make_state(params_si)
-        lo = make_state(params_lo)
-        partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
-        nb = mean_photon(lo)
-
-        lossy = evaluate(TwoModeProduct(si=apply_loss(si, eta), lo=lo), theta).partial_no
-        worst = max(worst, abs(lossy - eta * partial))
-
-        noisy = evaluate(TwoModeProduct(si=apply_gain_noise(si, gain), lo=lo),
-                         theta).partial_no
-        worst = max(worst, abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
+    params_si, params_lo, *uniform = _draw_pairs(np.random.default_rng(seed), trials,
+                                                 (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
+    theta, eta, gain = (np.array(column, dtype=float) for column in uniform)
+    si, lo = make_state(_stacked(params_si)), make_state(_stacked(params_lo))
+    partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
+    nb = mean_photon(lo)
+    lossy = evaluate(TwoModeProduct(si=apply_loss(si, eta), lo=lo), theta).partial_no
+    noisy = evaluate(TwoModeProduct(si=apply_gain_noise(si, gain), lo=lo), theta).partial_no
+    laws = (np.abs(lossy - eta * partial),
+            np.abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
+    worst = float(np.max(np.concatenate(laws), initial=0.0))
     fold = _bath_fold_deviation()
     passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL
     return SuiteResult(name, trials, max(worst, fold), bool(passed),

@@ -600,7 +600,12 @@ class TestValidateCommand:
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--cutoff-max", "3", "cutoff_max must be >= 4, got 3"),
         ("--trials", "-1", "trials must be >= 0, got -1"),
-    ], ids=["seed", "cutoff-max", "trials"])
+        # The oracle builds no state above MAX_CUTOFF, so a larger ceiling
+        # would be reported but never used.
+        ("--cutoff-max", "513", "cutoff_max must be <= 512, the oracle's cap, got 513"),
+        ("--cutoff-max", "100000",
+         "cutoff_max must be <= 512, the oracle's cap, got 100000"),
+    ], ids=["seed", "cutoff-max", "trials", "cutoff-max-cap", "cutoff-max-far-above-cap"])
     def test_bad_argument_exits_2_naming_it(self, capsys, flag, value, message):
         assert main(["validate", flag, value]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()

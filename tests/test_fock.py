@@ -1,10 +1,16 @@
+import itertools
+import weakref
+
 import numpy as np
 import pytest
+from density_reference import density_matrix
 from hypothesis import given, settings, strategies as st
 from squeezed_reference import squeezed_amplitudes
 
 from squeezewitness.channels import apply_gain_noise, apply_loss
 from squeezewitness.fock import (
+    DEFAULT_TRUNCATION_BUDGET,
+    MAX_CUTOFF,
     ConvergenceError,
     FockState,
     TruncationError,
@@ -14,9 +20,13 @@ from squeezewitness.fock import (
     expect,
     expr_matrix,
     fock_state,
+    fock_states,
     pure_mode_amplitudes,
     witness_general,
-    _density_matrix,
+    _density_matrices,
+    _mode_band,
+    _mode_factors,
+    _mode_matrix,
 )
 from squeezewitness.gaussian import (
     ModeMoments,
@@ -25,14 +35,21 @@ from squeezewitness.gaussian import (
     make_state,
 )
 from squeezewitness.opexpr import (
+    IS_DAGGER,
     LETTERS,
+    MODE,
     ExpressionError,
     OperatorExpr,
     difference_observable,
     parse,
     reorder,
 )
-from squeezewitness.validate import _bath_evolve, bath_fold_moments, random_expression
+from squeezewitness.validate import (
+    _bath_evolve,
+    bath_fold_moments,
+    random_expression,
+    random_state_params,
+)
 from squeezewitness.witness import TwoModeProduct, evaluate
 
 ZETA_3DB = db_to_squeeze(3.0)
@@ -259,6 +276,31 @@ class TestExprMatrix:
         # + (n_a + 1) n_b = 4, so the average is 2.
         assert expect(ell * ell, state).real == pytest.approx(2.0, abs=1e-13)
 
+    def test_matches_the_kron_of_each_word_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for cutoff in (2, 5, 10):
+            for _ in range(10):
+                expr = random_expression(rng, max_degree=4, max_terms=4)
+                kron = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+                for word, coeff in expr.terms:
+                    kron += coeff * np.kron(*(
+                        _mode_matrix(tuple(IS_DAGGER[x] for x in word if MODE[x] == mode),
+                                     cutoff) for mode in "AB"))
+                assert np.array_equal(expr_matrix(expr, cutoff), kron)
+
+    @pytest.mark.parametrize("cutoff", [*range(2, 21), 128])
+    def test_band_is_the_diagonal_of_the_mode_matrix(self, cutoff):
+        # The ladder roots multiplied from the last letter to the first, as
+        # the matrix product multiplies them, so the values agree bit for bit.
+        for length in range(5):
+            for daggers in itertools.product((False, True), repeat=length):
+                k, band = _mode_band(daggers, cutoff)
+                dense = np.diagonal(_mode_matrix(daggers, cutoff), -k)
+                assert k == 2 * sum(daggers) - length
+                assert band.shape == dense.shape and not dense.imag.any()
+                assert np.array_equal(band.view(np.uint64),
+                                      dense.real.copy().view(np.uint64)), daggers
+
     def test_reorder_preserves_interior_block(self):
         rng = np.random.default_rng(11)
         cutoff, degree = 10, 4
@@ -349,19 +391,29 @@ class TestNonGaussianLO:
         assert closed.min() == pytest.approx(minimum, abs=1e-4)
 
 
+def _walk(params_si, params_lo, expr, tol, top=MAX_CUTOFF,
+          budget=DEFAULT_TRUNCATION_BUDGET):
+    """``converged_cutoff`` on the pair built at ``top`` with the whole budget."""
+    return converged_cutoff(fock_state(params_si, params_lo, top, budget=1.0), expr, tol,
+                            budget=budget)
+
+
 class TestConvergedCutoff:
     def test_vacuum_converges_immediately(self):
         ell = difference_observable(0.0)
-        cutoff, state = converged_cutoff(StateParams(), StateParams(), ell * ell, 1e-9)
+        cutoff, state = _walk(StateParams(), StateParams(), ell * ell, 1e-9)
         assert cutoff == 2
         assert state.cutoff == 4
 
     def test_typical_scenario_converges_modestly(self):
         ell = difference_observable(0.0)
         params_si, params_lo = StateParams(alpha=1.0), StateParams(zeta=ZETA_3DB)
-        cutoff, state = converged_cutoff(params_si, params_lo, ell * ell, 1e-9)
+        top = fock_state(params_si, params_lo, MAX_CUTOFF, budget=1.0)
+        cutoff, state = converged_cutoff(top, ell * ell, 1e-9)
         assert cutoff <= 64
-        # The returned state is the one fock_state builds at the next doubling.
+        # The returned state is a leading block of the one it was handed,
+        # equal to the one fock_state builds at the next doubling.
+        assert all(np.shares_memory(part, whole) for part, whole in zip(state.data, top.data))
         fresh = fock_state(params_si, params_lo, 2 * cutoff)
         assert state.kind == fresh.kind and state.deficit == fresh.deficit
         np.testing.assert_array_equal(state.data, fresh.data)
@@ -369,34 +421,31 @@ class TestConvergedCutoff:
     def test_heavy_tail_with_small_budget_fails(self):
         ell = difference_observable(0.0)
         with pytest.raises(ConvergenceError):
-            converged_cutoff(StateParams(alpha=5.0), StateParams(), ell * ell,
-                             1e-9, max_cutoff=16)
+            _walk(StateParams(alpha=5.0), StateParams(), ell * ell, 1e-9, top=16)
 
     def test_failure_names_largest_cutoff_built(self):
-        # A ceiling of 20 stops the doubling schedule at 16.
+        # A state built at 20 stops the doubling schedule at 16.
         ell = difference_observable(0.0)
         with pytest.raises(ConvergenceError, match=r"within cutoff 16$"):
-            converged_cutoff(StateParams(alpha=5.0), StateParams(), ell * ell,
-                             1e-9, max_cutoff=20)
+            _walk(StateParams(alpha=5.0), StateParams(), ell * ell, 1e-9, top=20)
 
     @pytest.mark.parametrize("max_cutoff", [2, 3])
     def test_rejects_ceiling_below_4(self, max_cutoff):
         # The schedule would hold cutoff 2 alone, with nothing to agree with.
-        with pytest.raises(ValueError, match=f"max_cutoff must be >= 4, got {max_cutoff}"):
-            converged_cutoff(StateParams(), StateParams(),
-                             difference_observable(0.0), 1e-9, max_cutoff=max_cutoff)
+        with pytest.raises(ValueError,
+                           match=f"the state's cutoff must be >= 4, got {max_cutoff}"):
+            _walk(StateParams(), StateParams(), difference_observable(0.0), 1e-9,
+                  top=max_cutoff)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
-            converged_cutoff(StateParams(), StateParams(),
-                             difference_observable(0.0), 0.0)
+            _walk(StateParams(), StateParams(), difference_observable(0.0), 0.0, top=8)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tol(self, tol):
         # A NaN tol never agrees and an infinite one agrees at once.
         with pytest.raises(ValueError, match=f"tol must be finite and > 0, got {tol}"):
-            converged_cutoff(StateParams(), StateParams(),
-                             difference_observable(0.0), tol)
+            _walk(StateParams(), StateParams(), difference_observable(0.0), tol, top=8)
 
     @pytest.mark.parametrize("budget", [np.nan, -0.1, 1.5])
     def test_rejects_budget_outside_unit_interval(self, budget):
@@ -405,8 +454,8 @@ class TestConvergedCutoff:
         with pytest.raises(ValueError, match=match):
             fock_state(StateParams(alpha=5.0), StateParams(), 8, budget=budget)
         with pytest.raises(ValueError, match=match):
-            converged_cutoff(StateParams(alpha=5.0), StateParams(),
-                             difference_observable(0.0), 1e-9, budget=budget)
+            _walk(StateParams(alpha=5.0), StateParams(), difference_observable(0.0), 1e-9,
+                  top=8, budget=budget)
 
 
 class TestChannelFolds:
@@ -522,7 +571,7 @@ class TestRecurrence:
     ])
     def test_pure_density_is_outer_product(self, params):
         psi, _ = pure_mode_amplitudes(params, 128)
-        rho = _density_matrix(params, 128)
+        (rho,) = _density_matrices([params], 128)
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
 
     def test_matches_closed_form_references(self):
@@ -535,10 +584,51 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("params", ENVELOPE_CORNERS)
     def test_density_is_physical_at_envelope_corners(self, params):
-        rho = _density_matrix(params, 256)
+        (rho,) = _density_matrices([params], 256)
         np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-15)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10  # FockState psd_tol
         assert np.trace(rho).real <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 17, 64, 128, 256])
+    def test_block_matches_the_one_mode_recurrence(self, cutoff):
+        # Blocks of 1, 3 and 8 thermal modes among as many pure ones; each
+        # factor is bit for bit the one the recurrence of that mode alone
+        # gives.
+        rng = np.random.default_rng(cutoff)
+        for thermal in (1, 3, 8):
+            drawn = [random_state_params(rng) for _ in range(2 * thermal)]
+            modes = [StateParams(zeta=m.zeta, nbar=max(m.nbar, 0.05) if k < thermal else 0.0,
+                                 phi=m.phi, alpha=m.alpha) for k, m in enumerate(drawn)]
+            modes = [modes[k] for k in rng.permutation(len(modes))]
+            for params, factor in zip(modes, _mode_factors(modes, cutoff), strict=True):
+                if params.nbar > 0:
+                    want = density_matrix(params, cutoff)
+                else:
+                    want, _ = pure_mode_amplitudes(params, cutoff)
+                assert factor.shape == want.shape
+                assert np.array_equal(factor.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("cutoff, block", [(128, 8), (256, 2), (512, 1)])
+    def test_block_holds_the_byte_budget_of_pairs(self, cutoff, block):
+        # BLOCK_BYTES of density factors, two per pair, and at least one pair.
+        thermal = StateParams(nbar=0.3, alpha=0.2)
+        states = fock_states([(thermal, thermal)] * (block + 1), cutoff)
+        bases = [state.data[0].base for state in states]
+        assert [b is bases[0] for b in bases] == [True] * block + [False]
+
+    def test_block_is_freed_before_the_next_is_built(self):
+        thermal = StateParams(nbar=0.3, alpha=0.2)
+        states = fock_states([(thermal, thermal)] * 3, 256)  # blocks of 2 pairs
+        first = weakref.ref(next(states).data[0].base)
+        next(states)
+        assert first() is not None
+        next(states)
+        assert first() is None
+
+    @pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1])
+    def test_rejects_cutoff_outside_range(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            next(fock_states([(StateParams(), StateParams())], cutoff))
 
     @settings(max_examples=40, deadline=None)
     @given(radius=st.floats(0.0, 2.0), angle=st.floats(0.0, 2.0 * np.pi),

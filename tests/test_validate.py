@@ -1,3 +1,5 @@
+import pytest
+
 from squeezewitness import validate
 from squeezewitness.validate import suite_channel_laws, suite_gaussian_fock
 
@@ -16,3 +18,17 @@ def test_failing_channel_law_still_reports_the_fold(monkeypatch):
     assert passing.passed and not failing.passed
     assert failing.detail == passing.detail
     assert failing.detail.startswith("bath-fold deviation ")
+
+
+def test_failing_gaussian_fock_suite_names_the_trial():
+    # Trial 0 of seed 3 needs a cutoff above 64 to settle.
+    result = suite_gaussian_fock(trials=40, seed=3, cutoff_max=64)
+    assert not result.passed
+    assert result.detail == ("trial 0: expectation value did not settle to "
+                             "6.44335e-07 within cutoff 64")
+
+
+def test_gaussian_fock_suite_rejects_a_ceiling_below_4():
+    # The doubling schedule would hold cutoff 2 alone, with nothing to agree with.
+    with pytest.raises(ValueError, match="cutoff_max must be >= 4, got 3"):
+        suite_gaussian_fock(trials=1, cutoff_max=3)
