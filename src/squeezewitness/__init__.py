@@ -22,12 +22,10 @@ _EXPORTS = {
     "channels": ("apply_gain_noise", "apply_loss"),
     "witness": ("CLASSICAL", "NONCLASSICAL", "TwoModeProduct", "WitnessValues",
                 "evaluate", "homodyne_variance", "witness_values"),
-    "opexpr": ("ExpressionError", "ExpressionSyntaxError", "OperatorExpr",
-               "adjoint_product", "difference_observable", "formal_normal_order",
-               "parse", "reorder"),
+    "opexpr": ("ExpressionError", "OperatorExpr", "adjoint_product",
+               "difference_observable", "formal_normal_order", "reorder"),
     "fock": ("ConvergenceError", "FockState", "TruncationError", "build_ladder",
-             "converged_cutoff", "expect", "expr_matrix", "fock_state", "fock_states",
-             "witness_general"),
+             "converged_cutoff", "expect", "fock_state", "fock_states", "witness_general"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

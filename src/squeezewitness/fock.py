@@ -1,17 +1,17 @@
 """Brute-force verification engine on a truncated two-mode Fock space.
 
 Everything here is deliberately independent of the Gaussian closed forms:
-states are concrete amplitude arrays, operators are concrete matrices, and
-expectation values are plain contractions.  The module exists to validate
-the analytic path, so it favours explicit truncation-error accounting over
-speed: no state is ever silently renormalized.
+states are concrete amplitude arrays or density matrices, operators are
+truncated ladder-operator products, and expectation values are plain
+contractions.  The module exists to validate the analytic path, so it
+favours explicit truncation-error accounting over speed: no state is ever
+silently renormalized.
 
 A one-mode word, any truncated product of ``a`` and ``a^dag``, has one
-nonzero diagonal, at offset ``#a^dag - #a``, and ``expect`` stores it as
+nonzero diagonal, at offset ``#a^dag - #a``, and the oracle stores it as
 that diagonal alone, computed as the product of the ladder roots the word
-meets.  A word then costs O(c^2) on a pure tensor, entangled or not, and
-O(c) per mode on a product state; only ``expr_matrix`` forms dense
-two-mode matrices.
+meets; no dense operator matrix is formed.  A word then costs O(c^2) on a
+pure tensor, entangled or not, and O(c) per mode on a product state.
 
 Every single-mode state, pure or thermal, is built from its
 :class:`StateParams` by one exact recurrence for Gaussian Fock elements
@@ -54,7 +54,6 @@ __all__ = [
     "expect",
     "witness_general",
     "converged_cutoff",
-    "expr_matrix",
     "coherent_amplitudes",
     "pure_mode_amplitudes",
 ]
@@ -89,20 +88,6 @@ def build_ladder(cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mode_matrix(daggers: tuple[bool, ...], cutoff: int) -> np.ndarray:
-    """Matrix of one mode's letters in written order, ``True`` for a dagger.
-
-    Accumulates from the right, so the last letter acts first.
-    """
-    a = build_ladder(cutoff)
-    out = np.eye(cutoff, dtype=complex)
-    for dagger in reversed(daggers):
-        out = (a.conj().T if dagger else a) @ out
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _mode_band(daggers: tuple[bool, ...], cutoff: int) -> tuple[int, np.ndarray]:
     """Offset ``k`` and values ``d`` of the one nonzero diagonal of a mode word.
 
@@ -110,7 +95,7 @@ def _mode_band(daggers: tuple[bool, ...], cutoff: int) -> tuple[int, np.ndarray]
     ``|n + k>`` with ``k = #a^dag - #a``.  ``d`` lists those multiples for
     the number states :func:`_kept` reads, each the product of the ladder
     square roots met on the way, applied from the last letter to the first
-    as the matrix product of :func:`_mode_matrix` applies them; a path that
+    as a product of truncated ladder matrices applies them; a path that
     leaves ``0 .. cutoff - 1`` gives exactly 0, as truncation does.  It is
     empty when ``|k| >= cutoff``.
     """
@@ -136,21 +121,6 @@ def _mode_letters(word: tuple[str, ...]) -> tuple[tuple[bool, ...], tuple[bool, 
     """Dagger flags of a word's mode-A and mode-B letters, in written order."""
     return tuple(tuple(IS_DAGGER[letter] for letter in word if MODE[letter] == mode)
                  for mode in "AB")
-
-
-def expr_matrix(expr: OperatorExpr, cutoff: int) -> np.ndarray:
-    """Full two-mode matrix of an expression (mode A is the first factor).
-
-    Only intended for small cutoffs; the result is dense of size
-    ``cutoff^2 x cutoff^2``.
-    """
-    size = cutoff * cutoff
-    out = np.zeros((size, size), dtype=complex)
-    for word, coeff in expr.terms:
-        ma, mb = (_mode_matrix(letters, cutoff) for letters in _mode_letters(word))
-        # kron(ma, mb): element [(i, k), (j, l)] is ma[i, j] mb[k, l].
-        out += coeff * np.multiply.outer(ma, mb).transpose(0, 2, 1, 3).reshape(size, size)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +278,6 @@ class FockState:
         """The product of each mode factor's leading ``cutoff`` block, with its own deficit."""
         return FockState.product(*(f[:cutoff, :cutoff] if f.ndim == 2 else f[:cutoff]
                                    for f in self.data))
-
-    def validate(self, psd_tol: float = 1e-10) -> None:
-        """Check that no norm or trace exceeds 1 and densities are PSD; raise on failure."""
-        for part in [self.data.ravel()] if self.kind == "pure" else self.data:
-            mass = _mass(part)
-            if mass > 1.0 + 1e-12:
-                raise ValueError(f"norm or trace {mass} exceeds 1")
-            if part.ndim == 2 and np.linalg.eigvalsh(part).min() < -psd_tol:
-                raise ValueError("density factor is not positive semidefinite")
 
 
 def fock_states(pairs: Iterable[tuple[StateParams, StateParams]],

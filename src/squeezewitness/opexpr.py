@@ -1,4 +1,4 @@
-"""A small expression language for two-mode ladder-operator polynomials.
+"""Two-mode ladder-operator polynomials and their ordering passes.
 
 Expressions are sums of complex-weighted words over the alphabet
 ``a, ad, b, bd`` (annihilation/creation on modes A and B).  Two distinct
@@ -11,25 +11,17 @@ rewriting passes are provided and must not be confused:
   modes to the left *formally*, dropping the commutator corrections for
   those modes.  This is a prescription, not an operator identity; it is
   what turns a measured variance into a witness.
-
-The textual syntax accepted by :func:`parse` covers sums/differences of
-products of operator symbols, decimal literals, the imaginary unit ``i``,
-phase factors ``cis(x)`` (meaning ``exp(i x)``), and ``(re,im)`` pairs as
-emitted by the canonical printer.
 """
 
 from __future__ import annotations
 
 import cmath
-import re
 from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
     "OperatorExpr",
     "ExpressionError",
-    "ExpressionSyntaxError",
-    "parse",
     "reorder",
     "formal_normal_order",
     "adjoint_product",
@@ -48,14 +40,6 @@ MAX_DEGREE = 8
 
 class ExpressionError(ValueError):
     """Raised for invalid operator expressions (e.g. degree cap exceeded)."""
-
-
-class ExpressionSyntaxError(ExpressionError):
-    """Raised by :func:`parse`; carries the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 class OperatorExpr:
@@ -158,18 +142,8 @@ class OperatorExpr:
     def __hash__(self):
         return hash(self.terms)
 
-    def to_text(self) -> str:
-        """Canonical text form: ``(re,im)`` coefficients, '*'-joined words."""
-        if not self._terms:
-            return "(0.0,0.0)"
-        parts = []
-        for word, coeff in self.terms:
-            coeff_s = f"({float(coeff.real)!r},{float(coeff.imag)!r})"
-            parts.append(coeff_s if not word else coeff_s + "*" + "*".join(word))
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"OperatorExpr({self.to_text()})"
+        return f"OperatorExpr({dict(self.terms)!r})"
 
 
 def _as_expr(value) -> OperatorExpr:
@@ -264,172 +238,3 @@ def formal_normal_order(expr: OperatorExpr, modes: Iterable[str]) -> OperatorExp
 def adjoint_product(expr: OperatorExpr) -> OperatorExpr:
     """Return ``expr^dag * expr``, expanded into a sum of words."""
     return expr.dagger() * expr
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+*(),]|-|−)"
-    r")"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {text[bad_pos]!r}", bad_pos)
-        if match.lastgroup == "number":
-            tokens.append(("number", match.group("number"), match.start("number")))
-        elif match.lastgroup == "ident":
-            tokens.append(("ident", match.group("ident"), match.start("ident")))
-        else:
-            op = match.group("op")
-            if op == "−":
-                op = "-"
-            tokens.append((op, op, match.start("op")))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, theta):
-        self.tokens = tokens
-        self.index = 0
-        self.theta = theta
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind):
-        token = self.advance()
-        if token[0] != kind:
-            raise ExpressionSyntaxError(
-                f"expected {kind!r} but found {token[1]!r}", token[2]
-            )
-        return token
-
-    def parse_expression(self) -> OperatorExpr:
-        sign = 1.0
-        if self.peek()[0] in ("+", "-"):
-            sign = -1.0 if self.advance()[0] == "-" else 1.0
-        result = sign * self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
-
-    def parse_term(self) -> OperatorExpr:
-        result = self.parse_factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            elif kind in ("number", "ident", "("):
-                # Juxtaposition is multiplication.
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> OperatorExpr:
-        kind, value, pos = self.peek()
-        if kind == "number":
-            self.advance()
-            return OperatorExpr.constant(float(value))
-        if kind == "ident":
-            self.advance()
-            if value in LETTERS:
-                return OperatorExpr.word((value,))
-            if value == "i":
-                return OperatorExpr.constant(1j)
-            if value == "cis":
-                self.expect("(")
-                phase = self.parse_phase_argument()
-                self.expect(")")
-                return OperatorExpr.constant(cmath.exp(1j * phase))
-            if value == "theta":
-                raise ExpressionSyntaxError(
-                    "'theta' may only appear inside cis(...)", pos
-                )
-            raise ExpressionSyntaxError(f"unknown symbol {value!r}", pos)
-        if kind == "(":
-            self.advance()
-            first = self.parse_expression()
-            if self.peek()[0] == ",":
-                self.advance()
-                second = self.parse_expression()
-                self.expect(")")
-                return OperatorExpr.constant(
-                    self._scalar(first, pos) + 1j * self._scalar(second, pos)
-                )
-            self.expect(")")
-            return first
-        raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
-
-    def parse_phase_argument(self) -> float:
-        sign = 1.0
-        if self.peek()[0] in ("+", "-"):
-            sign = -1.0 if self.advance()[0] == "-" else 1.0
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return sign * float(value)
-        if kind == "ident" and value == "theta":
-            if self.theta is None:
-                raise ExpressionSyntaxError("'theta' used without a binding", pos)
-            return sign * float(self.theta)
-        raise ExpressionSyntaxError(
-            "cis(...) takes a decimal or the bound symbol 'theta'", pos
-        )
-
-    @staticmethod
-    def _scalar(expr: OperatorExpr, pos: int) -> complex:
-        if expr.is_zero():
-            return 0j
-        terms = expr.terms
-        if len(terms) == 1 and terms[0][0] == ():
-            return terms[0][1]
-        raise ExpressionSyntaxError("pair literal entries must be scalar", pos)
-
-
-def parse(text: str, theta: float | None = None) -> OperatorExpr:
-    """Parse an operator expression.
-
-    Parameters
-    ----------
-    text : str
-        Sums/differences of products of ``a``, ``ad``, ``b``, ``bd``,
-        decimal literals, ``i``, ``cis(x)``, ``(re,im)`` pairs, and
-        parenthesised sub-expressions.  Juxtaposition multiplies.
-    theta : float, optional
-        Value bound to the symbol ``theta`` inside ``cis(...)``.
-
-    Raises
-    ------
-    ExpressionSyntaxError
-        On malformed input or unknown symbols, with the position.
-    """
-    parser = _Parser(_tokenize(text), theta)
-    result = parser.parse_expression()
-    end = parser.advance()
-    if end[0] != "end":
-        raise ExpressionSyntaxError(f"unexpected trailing input {end[1]!r}", end[2])
-    return result

@@ -1,7 +1,15 @@
+import numpy as np
 import pytest
+from dense_reference import reorder_deviation
 
 from squeezewitness import validate
-from squeezewitness.validate import suite_channel_laws, suite_gaussian_fock
+from squeezewitness.opexpr import formal_normal_order
+from squeezewitness.validate import (
+    random_expression,
+    suite_channel_laws,
+    suite_gaussian_fock,
+    suite_reorder_matrix,
+)
 
 
 def test_gaussian_fock_suite_passes_on_a_slow_settling_seed():
@@ -32,3 +40,25 @@ def test_gaussian_fock_suite_rejects_a_ceiling_below_4():
     # The doubling schedule would hold cutoff 2 alone, with nothing to agree with.
     with pytest.raises(ValueError, match="cutoff_max must be >= 4, got 3"):
         suite_gaussian_fock(trials=1, cutoff_max=3)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_reorder_suite_gives_the_dense_deviation(seed):
+    # The suite compares band by band; on the same draws, the dense interior
+    # block must give the same worst deviation, bit for bit.
+    rng = np.random.default_rng(seed)
+    dense = max(reorder_deviation(random_expression(rng, max_degree=4, max_terms=4),
+                                  cutoff=10, max_degree=4) for _ in range(100))
+    result = suite_reorder_matrix(100, seed)
+    assert result.passed
+    assert result.max_deviation == dense
+
+
+def test_reorder_suite_fails_when_commutators_are_dropped(monkeypatch):
+    monkeypatch.setattr(validate, "reorder", lambda e: formal_normal_order(e, {"A", "B"}))
+    assert suite_reorder_matrix(100, 42).passed is False
+
+
+def test_reorder_suite_rejects_an_empty_interior():
+    with pytest.raises(ValueError, match="cutoff must exceed max_degree, got 4 and 4"):
+        suite_reorder_matrix(trials=1, cutoff=4, max_degree=4)
