@@ -24,8 +24,8 @@ _EXPORTS = {
                 "evaluate", "homodyne_variance", "witness_values"),
     "opexpr": ("ExpressionError", "OperatorExpr", "adjoint_product",
                "difference_observable", "formal_normal_order", "reorder"),
-    "fock": ("ConvergenceError", "FockState", "TruncationError", "build_ladder",
-             "converged_cutoff", "expect", "fock_state", "fock_states", "witness_general"),
+    "fock": ("ConvergenceError", "FockState", "TruncationError", "converged_cutoff",
+             "expect", "fock_state", "fock_states", "witness_general"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,6 +12,8 @@ nonzero diagonal, at offset ``#a^dag - #a``, and the oracle stores it as
 that diagonal alone, computed as the product of the ladder roots the word
 meets; no dense operator matrix is formed.  A word then costs O(c^2) on a
 pure tensor, entangled or not, and O(c) per mode on a product state.
+:func:`evolve`, the oracle's one unitary evolution, applies words on the
+same bands.
 
 Every single-mode state, pure or thermal, is built from its
 :class:`StateParams` by one exact recurrence for Gaussian Fock elements
@@ -48,10 +50,10 @@ __all__ = [
     "FockState",
     "TruncationError",
     "ConvergenceError",
-    "build_ladder",
     "fock_state",
     "fock_states",
     "expect",
+    "evolve",
     "witness_general",
     "converged_cutoff",
     "coherent_amplitudes",
@@ -71,20 +73,6 @@ class TruncationError(Exception):
 
 class ConvergenceError(Exception):
     """The doubling schedule ran out before expectation values settled."""
-
-
-@lru_cache(maxsize=None)
-def build_ladder(cutoff: int) -> np.ndarray:
-    """Truncated annihilation matrix ``<n-1|a|n> = sqrt(n)``, read-only.
-
-    It acts on mode A or B of a two-mode state by (implicit) tensor product
-    with the identity on the other mode.
-    """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
-    a.setflags(write=False)
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +109,25 @@ def _mode_letters(word: tuple[str, ...]) -> tuple[tuple[bool, ...], tuple[bool, 
     """Dagger flags of a word's mode-A and mode-B letters, in written order."""
     return tuple(tuple(IS_DAGGER[letter] for letter in word if MODE[letter] == mode)
                  for mode in "AB")
+
+
+def _word_image(word: tuple[str, ...], psi: np.ndarray) -> tuple[tuple[slice, slice], np.ndarray]:
+    """A word applied to the two-mode tensor ``psi`` on its two mode bands:
+    the block ``psi[dst]`` it writes, and the values it writes there."""
+    cutoff = len(psi)
+    (k_a, d_a), (k_b, d_b) = (_mode_band(letters, cutoff) for letters in _mode_letters(word))
+    (src_a, dst_a), (src_b, dst_b) = _kept(k_a, cutoff), _kept(k_b, cutoff)
+    return (dst_a, dst_b), d_a[:, None] * psi[src_a, src_b] * d_b
+
+
+def _apply(expr: OperatorExpr, psi: np.ndarray) -> np.ndarray:
+    """``expr`` applied to the two-mode tensor ``psi``, each word as written
+    (not reordered), summed in ``expr.terms`` order."""
+    out = np.zeros(psi.shape, dtype=complex)
+    for word, coeff in expr.terms:
+        dst, image = _word_image(word, psi)
+        out[dst] += coeff * image
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +358,11 @@ def _expect_word(word: tuple[str, ...], state: FockState) -> complex:
 
     A band with ``|k| >= c`` keeps no states, so its word sums to exactly 0.
     """
-    bands = [_mode_band(letters, state.cutoff) for letters in _mode_letters(word)]
     if state.kind == "pure":
-        (k_a, d_a), (k_b, d_b) = bands
-        (src_a, dst_a), (src_b, dst_b) = _kept(k_a, state.cutoff), _kept(k_b, state.cutoff)
-        psi = state.data
-        return complex(np.vdot(psi[dst_a, dst_b], d_a[:, None] * psi[src_a, src_b] * d_b))
-    value_si, value_lo = (_mode_expect(k, d, f) for (k, d), f in zip(bands, state.data))
+        dst, image = _word_image(word, state.data)
+        return complex(np.vdot(state.data[dst], image))
+    value_si, value_lo = (_mode_expect(*_mode_band(letters, state.cutoff), f)
+                          for letters, f in zip(_mode_letters(word), state.data))
     return complex(value_si * value_lo)
 
 
@@ -375,6 +380,30 @@ def expect(expr: OperatorExpr, state: FockState) -> complex:
     for word, coeff in reorder(expr).terms:
         value += coeff * _expect_word(word, state)
     return value
+
+
+def evolve(psi: np.ndarray, generator: OperatorExpr, angle: float) -> np.ndarray:
+    """``exp(angle G) psi`` on the two-mode tensor ``psi[n_a, n_b]``; unitary for
+    an anti-Hermitian ``G``, each of whose words acts as written on its bands.
+
+    The Taylor series runs over steps of norm at most one, each summed to
+    machine precision, as ``expm_multiply`` does (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)); ``sum |coeff| max d_a max d_b`` over the
+    words' bands bounds ``||G||`` and sets the steps.
+    """
+    norm = 0.0
+    for word, coeff in generator.terms:
+        (_, d_a), (_, d_b) = (_mode_band(letters, len(psi)) for letters in _mode_letters(word))
+        norm += abs(coeff) * d_a.max(initial=0.0) * d_b.max(initial=0.0)
+    steps = max(1, int(np.ceil(abs(angle) * norm)))
+    for _ in range(steps):
+        floor = np.finfo(float).eps * np.abs(psi).max()
+        term, k = psi, 0
+        while np.abs(term).max() > floor:
+            k += 1
+            term = angle / (steps * k) * _apply(generator, term)
+            psi = psi + term
+    return psi
 
 
 def witness_general(f: OperatorExpr, state: FockState) -> float:

@@ -16,13 +16,14 @@ from .channels import apply_gain_noise, apply_loss
 from .fock import (
     ConvergenceError,
     FockState,
-    build_ladder,
     coherent_amplitudes,
     converged_cutoff,
+    evolve,
     expect,
     fock_states,
     pure_mode_amplitudes,
     witness_general,
+    _apply,
     _mode_band,
     _mode_letters,
 )
@@ -189,54 +190,33 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
-def _bath_evolve(psi: np.ndarray, kind: str, strength: float) -> np.ndarray:
-    """``exp(G) psi`` for the two-mode tensor ``psi[n_signal, n_ancilla]``.
-
-    ``G = angle (a^dag R - a R^dag)`` with ``R`` the ancilla's ``a`` (loss)
-    or ``a^dag`` (gain).  The signal's ladder acts from the left, the
-    ancilla's from the right transposed; the real ladder's transpose is its
-    adjoint.  The Taylor series runs over steps of norm at most one, each
-    summed to machine precision, as ``expm_multiply`` does (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-    """
-    a = build_ladder(psi.shape[0])
-    if kind == "loss":
-        if not 0.0 <= strength <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {strength}")
-        angle, right = np.arccos(np.sqrt(strength)), a.T
-    elif kind == "gain":
-        if not 1.0 <= strength < np.inf:
-            raise ValueError(f"g must be finite and >= 1, got {strength}")
-        angle, right = np.arccosh(np.sqrt(strength)), a
-    else:
-        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
-    # ||a|| = sqrt(cutoff - 1) bounds ||G|| by this count.
-    steps = max(1, int(np.ceil(2.0 * angle * (psi.shape[0] - 1))))
-    for _ in range(steps):
-        floor = np.finfo(float).eps * np.abs(psi).max()
-        term, k = psi, 0
-        while np.abs(term).max() > floor:
-            k += 1
-            term = angle / (steps * k) * (a.T @ term @ right - a @ term @ right.T)
-            psi = psi + term
-    return psi
-
-
 def bath_fold_moments(params: StateParams, kind: str, strength: float,
                       cutoff: int) -> tuple[complex, complex, float]:
     """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after a bath-unitary fold.
 
-    Couples the pure signal ``params`` to a vacuum ancilla with a beam
-    splitter of transmissivity ``strength`` (``kind == "loss"``) or a
-    two-mode squeezer of gain ``strength`` (``kind == "gain"``), evolved on
-    the truncated two-mode space.
+    Couples the pure signal ``params`` to a vacuum ancilla ``b`` by
+    :func:`~squeezewitness.fock.evolve` under ``a^dag b - a b^dag``, a beam
+    splitter of transmissivity ``strength`` (``kind == "loss"``), or ``a^dag
+    b^dag - a b``, a two-mode squeezer of gain ``strength`` (``kind == "gain"``).
     """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    if kind == "loss":
+        if not 0.0 <= strength <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {strength}")
+        angle, generator = np.arccos(np.sqrt(strength)), {("ad", "b"): 1, ("a", "bd"): -1}
+    elif kind == "gain":
+        if not 1.0 <= strength < np.inf:
+            raise ValueError(f"g must be finite and >= 1, got {strength}")
+        angle, generator = np.arccosh(np.sqrt(strength)), {("ad", "bd"): 1, ("a", "b"): -1}
+    else:
+        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
     psi = np.zeros((cutoff, cutoff), dtype=complex)
     psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
-    psi = _bath_evolve(psi, kind, strength)
-    a = build_ladder(cutoff)
-    lowered = a @ psi
-    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, a @ lowered)),
+    psi = evolve(psi, OperatorExpr(generator), angle)
+    a = OperatorExpr.word(("a",))
+    lowered = _apply(a, psi)
+    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, _apply(a, lowered))),
             float(np.vdot(lowered, lowered).real))
 
 

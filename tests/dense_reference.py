@@ -4,8 +4,13 @@ that the oracle's one-diagonal bands must agree with."""
 
 import numpy as np
 
-from squeezewitness.fock import build_ladder
+from squeezewitness.fock import pure_mode_amplitudes
 from squeezewitness.opexpr import IS_DAGGER, MODE, reorder
+
+
+def ladder(cutoff):
+    """Truncated annihilation matrix ``<n-1|a|n> = sqrt(n)``."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
 
 
 def mode_matrix(daggers, cutoff):
@@ -13,7 +18,7 @@ def mode_matrix(daggers, cutoff):
 
     Accumulates from the right, so the last letter acts first.
     """
-    a = build_ladder(cutoff)
+    a = ladder(cutoff)
     out = np.eye(cutoff, dtype=complex)
     for dagger in reversed(daggers):
         out = (a.conj().T if dagger else a) @ out
@@ -37,3 +42,33 @@ def reorder_deviation(expr, cutoff, max_degree):
     keep = [na * cutoff + nb for na in interior for nb in interior]
     diff = np.abs(expr_matrix(expr, cutoff) - expr_matrix(reorder(expr), cutoff))
     return float(diff[np.ix_(keep, keep)].max())
+
+
+def ladder_fold_moments(params, kind, strength, cutoff):
+    """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after the bath fold, by the
+    same Taylor series on dense ladder matmuls.
+
+    ``psi[n_signal, n_ancilla]`` evolves under ``G = angle (a^dag R - a
+    R^dag)`` with ``R`` the ancilla's ``a`` (loss) or ``a^dag`` (gain).  The
+    signal's ladder acts from the left, the ancilla's from the right
+    transposed; the real ladder's transpose is its adjoint.
+    """
+    a = ladder(cutoff)
+    if kind == "loss":
+        angle, right = np.arccos(np.sqrt(strength)), a.T
+    else:
+        angle, right = np.arccosh(np.sqrt(strength)), a
+    psi = np.zeros((cutoff, cutoff), dtype=complex)
+    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
+    # ||a|| = sqrt(cutoff - 1) bounds ||G|| by this count.
+    steps = max(1, int(np.ceil(2.0 * angle * (cutoff - 1))))
+    for _ in range(steps):
+        floor = np.finfo(float).eps * np.abs(psi).max()
+        term, k = psi, 0
+        while np.abs(term).max() > floor:
+            k += 1
+            term = angle / (steps * k) * (a.T @ term @ right - a @ term @ right.T)
+            psi = psi + term
+    lowered = a @ psi
+    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, a @ lowered)),
+            float(np.vdot(lowered, lowered).real))

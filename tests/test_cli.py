@@ -664,7 +664,7 @@ assert not missing, missing
 assert isinstance(squeezewitness.fock, types.ModuleType)
 assert squeezewitness.fock.fock_state is squeezewitness.fock_state
 for name in ("LadderMatrices", "SingleModeGaussian", "FieldMoments", "field_moments",
-             "parse", "ExpressionSyntaxError", "expr_matrix", "no_such_name"):
+             "parse", "ExpressionSyntaxError", "expr_matrix", "build_ladder", "no_such_name"):
     try:
         getattr(squeezewitness, name)
     except AttributeError:

@@ -3,7 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
-from dense_reference import expr_matrix, mode_matrix, reorder_deviation
+from dense_reference import (
+    expr_matrix,
+    ladder,
+    ladder_fold_moments,
+    mode_matrix,
+    reorder_deviation,
+)
 from density_reference import density_matrix
 from hypothesis import given, settings, strategies as st
 from squeezed_reference import squeezed_amplitudes
@@ -15,14 +21,15 @@ from squeezewitness.fock import (
     ConvergenceError,
     FockState,
     TruncationError,
-    build_ladder,
     coherent_amplitudes,
     converged_cutoff,
+    evolve,
     expect,
     fock_state,
     fock_states,
     pure_mode_amplitudes,
     witness_general,
+    _apply,
     _density_matrices,
     _mode_band,
     _mode_factors,
@@ -41,7 +48,6 @@ from squeezewitness.opexpr import (
     reorder,
 )
 from squeezewitness.validate import (
-    _bath_evolve,
     bath_fold_moments,
     random_expression,
     random_state_params,
@@ -53,34 +59,67 @@ NUMBER_A = OperatorExpr.word(("ad", "a"))
 NUMBER_B = OperatorExpr.word(("bd", "b"))
 
 
+def _random_tensor(cutoff, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+
+
 class TestLadder:
-    def test_cutoff_two(self):
-        np.testing.assert_array_equal(
-            build_ladder(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    """Words applied to a two-mode tensor on their truncated bands."""
 
     def test_number_operator(self):
-        a = build_ladder(3)
-        np.testing.assert_allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0]))
+        psi = _random_tensor(3, 0)
+        np.testing.assert_allclose(_apply(NUMBER_A, psi), np.arange(3.0)[:, None] * psi)
 
     def test_commutator_has_corner_defect(self):
+        # [a, a^dag] = 1 except on the last number state the cutoff keeps.
         cutoff = 9
-        a = build_ladder(cutoff)
-        commutator = a @ a.conj().T - a.conj().T @ a
-        expected = np.eye(cutoff)
-        expected[-1, -1] = -(cutoff - 1)
-        np.testing.assert_allclose(commutator, expected, atol=1e-14)
+        psi = _random_tensor(cutoff, 1)
+        expected = psi.copy()
+        expected[-1] *= -(cutoff - 1)
+        commutator = OperatorExpr({("a", "ad"): 1.0, ("ad", "a"): -1.0})
+        np.testing.assert_allclose(_apply(commutator, psi), expected, rtol=0.0, atol=1e-13)
 
-    def test_rejects_small_cutoff(self):
-        with pytest.raises(ValueError):
-            build_ladder(1)
 
+def _vacuum_tensor(cutoff):
+    psi = np.zeros((cutoff, cutoff), dtype=complex)
+    psi[0, 0] = 1.0
+    return psi
+
+
+def _displacement(alpha):
+    """``alpha a^dag - conj(alpha) a``, which ``evolve`` at angle 1 makes ``D(alpha)``."""
+    return OperatorExpr({("ad",): alpha, ("a",): -np.conj(alpha)})
+
+
+class TestEvolve:
+    """Unitary evolution on bands, independent of the Gaussian recurrence."""
+
+    def test_displaced_vacuum_is_coherent(self):
+        alpha = 1.2 - 0.7j
+        psi = evolve(_vacuum_tensor(64), _displacement(alpha), 1.0)
+        assert np.abs(psi[:, 0] - coherent_amplitudes(alpha, 64)).max() <= 1e-15
+        assert not psi[:, 1:].any()
+
+    @pytest.mark.parametrize("xi, beta", [(0.5 * np.exp(0.8j), 0.9 - 0.6j),
+                                          (0.3 * np.exp(-2.1j), -0.4 + 0.3j)])
+    def test_squeezed_then_displaced_matches_recurrence(self, xi, beta):
+        # S(xi) = exp((conj(xi) a^2 - xi a^dag^2) / 2), then D(beta).
+        squeeze = OperatorExpr({("a", "a"): np.conj(xi) / 2, ("ad", "ad"): -xi / 2})
+        psi = evolve(evolve(_vacuum_tensor(96), squeeze, 1.0), _displacement(beta), 1.0)
+        want, _ = pure_mode_amplitudes(
+            StateParams(zeta=abs(xi), phi=np.angle(xi) / 2, alpha=beta), 96)
+        got = psi[:40, 0]
+        phase = np.vdot(want[:40], got)
+        assert np.abs(got * (abs(phase) / phase) - want[:40]).max() <= 2e-15
+
+
+class TestStateConstruction:
     def test_coherent_is_number_eigenstate_on_average(self):
         state = FockState.product(
             coherent_amplitudes(1.0, 40), coherent_amplitudes(0.0, 40))
         assert expect(NUMBER_A, state).real == pytest.approx(1.0, abs=1e-12)
 
-
-class TestStateConstruction:
     def test_double_vacuum(self):
         state = fock_state(StateParams(), StateParams(), 4)
         assert state.kind == "product"
@@ -128,7 +167,7 @@ class TestStateConstruction:
         params = StateParams(zeta=0.45, phi=0.8, alpha=0.9 - 0.6j)
         vec, deficit = pure_mode_amplitudes(params, 64)
         assert deficit < 1e-10
-        a = build_ladder(64)
+        a = ladder(64)
         moments = make_state(params)
         assert np.vdot(vec, a @ vec) == pytest.approx(moments.alpha, abs=1e-9)
         assert np.vdot(vec, a @ a @ vec) == pytest.approx(moments.a_sq, abs=1e-9)
@@ -358,7 +397,7 @@ class TestNonGaussianLO:
         # delta_sq = 0.  At beta = 0 it is |1>, where the minimum is 3 sinh^2 zeta.
         cutoff = 48
         coh = coherent_amplitudes(beta, cutoff)
-        vec_lo = build_ladder(cutoff).conj().T @ coh - np.conj(beta) * coh
+        vec_lo = ladder(cutoff).conj().T @ coh - np.conj(beta) * coh
         vec_si, _ = pure_mode_amplitudes(StateParams(zeta=ZETA_3DB), cutoff)
         state = FockState.product(vec_si, vec_lo)
         thetas = np.linspace(0.0, np.pi, 25)
@@ -498,7 +537,7 @@ class TestChannelFolds:
     def test_unit_strength_returns_input_moments(self, kind):
         params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
         vec, _ = pure_mode_amplitudes(params, 16)
-        a = build_ladder(16)
+        a = ladder(16)
         want = (np.vdot(vec, a @ vec), np.vdot(vec, a @ a @ vec),
                 np.vdot(a @ vec, a @ vec).real)
         for g, w in zip(bath_fold_moments(params, kind, 1.0, cutoff=16), want):
@@ -506,10 +545,26 @@ class TestChannelFolds:
 
     @pytest.mark.parametrize("kind, strength", [("loss", 0.05), ("gain", 3.0)])
     def test_preserves_norm(self, kind, strength):
-        rng = np.random.default_rng(3)
-        psi = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        psi = _random_tensor(24, 3)
         psi /= np.linalg.norm(psi)
-        assert abs(np.linalg.norm(_bath_evolve(psi, kind, strength)) - 1.0) < 1e-13
+        if kind == "loss":
+            angle, generator = np.arccos(np.sqrt(strength)), {("ad", "b"): 1, ("a", "bd"): -1}
+        else:
+            angle, generator = np.arccosh(np.sqrt(strength)), {("ad", "bd"): 1, ("a", "b"): -1}
+        psi = evolve(psi, OperatorExpr(generator), angle)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("kind, strength, cutoff", [
+        ("loss", 0.6, 36), ("gain", 1.4, 36), ("loss", 0.3, 8), ("gain", 2.5, 8),
+    ])
+    def test_matches_dense_ladder_fold_bit_for_bit(self, kind, strength, cutoff):
+        params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
+        got = bath_fold_moments(params, kind, strength, cutoff)
+        assert repr(got) == repr(ladder_fold_moments(params, kind, strength, cutoff))
+
+    def test_rejects_cutoff_one(self):
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 2, got 1$"):
+            bath_fold_moments(StateParams(), "loss", 0.5, cutoff=1)
 
     @pytest.mark.parametrize("kind, strength", [
         ("loss", -0.1), ("loss", 1.1), ("loss", np.nan),
