@@ -349,9 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--out", required=True, help="JSON report path")
 
     val = sub.add_parser("validate", help="run the oracle property suites")
-    val.add_argument("--trials", type=int, default=200)
-    val.add_argument("--seed", type=int, default=42)
-    val.add_argument("--cutoff-max", type=int, default=256)
+    val.add_argument("--trials", type=int, default=200, help="random scenarios per suite, at "
+                     "most 100 for channel laws and reorder; 0 passes vacuously (default 200)")
+    val.add_argument("--seed", type=int, default=42, help="seed of every suite (default 42)")
+    val.add_argument("--cutoff-max", type=int, default=256, help="ceiling of the oracle's cutoff "
+                     "doubling, from 4 up to the oracle's cap of 512 (default 256)")
     val.add_argument("--out", default="", help="JSON report path (default stdout)")
     return parser
 

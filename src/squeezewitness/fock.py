@@ -16,27 +16,27 @@ pure tensor, entangled or not, and O(c) per mode on a product state.
 same bands.
 
 Every single-mode state, pure or thermal, is built from its
-:class:`StateParams` by one exact recurrence for Gaussian Fock elements
-(Dodonov, Man'ko & Man'ko, PRA 49, 2993 (1994); Miatto & Quesada,
-Quantum 4, 366 (2020)).  Its coefficients come from the analytic
-continuation of the Husimi function.  Pure amplitudes follow a 3-term
-Hermite recurrence at O(c) cost, and density matrices a 2-D recurrence at
-O(c^2).  Neither involves quadrature or a matrix exponential, and the
-elements at cutoff ``c`` are exactly the leading block of those at ``2c``.
-:func:`fock_states` builds the product states of many pairs a block at a
+:class:`StateParams` fields by one exact recurrence for Gaussian Fock
+elements (Dodonov, Man'ko & Man'ko, PRA 49, 2993 (1994); Miatto & Quesada,
+Quantum 4, 366 (2020)), with coefficients from the analytic continuation
+of the Husimi function: a 3-term Hermite recurrence for pure amplitudes at
+O(c) cost, a 2-D one for density matrices at O(c^2).  Neither involves
+quadrature or a matrix exponential, and the elements at cutoff ``c`` are
+exactly the leading block of those at ``2c``.  :func:`fock_states` builds
+the pairs of an SI and an LO :class:`StateParams` of arrays a block at a
 time: one run of the 2-D recurrence moves the rows of all thermal modes of
 a block together, bit for bit as each mode's own run would, and a block
 holds at most ``BLOCK_BYTES`` of density factors.  :func:`fock_state` is
 its one-pair call, and no state is built above ``MAX_CUTOFF``.  A product
-state keeps each mode's factor as built, amplitudes or density matrix,
-and :func:`converged_cutoff` reads every smaller cutoff of its schedule as
-a leading block of the state it is handed.
+state keeps each mode's factor as built, amplitudes or density matrix.
+:func:`converged_cutoff` reads every smaller cutoff of its schedule as a
+leading block of the state it is handed.
 ``coherent_amplitudes`` is an independent closed-form reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -152,8 +152,10 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return magnitude * phase
 
 
-def _husimi_coefficients(params: StateParams) -> tuple[float, complex, float, complex]:
-    """``(T, a11, a12, b1)`` of the coherent-state kernel of one mode.
+def _husimi_coefficients(zeta: float, nbar: float, phi: float,
+                         alpha: complex) -> tuple[float, complex, float, complex]:
+    """``(T, a11, a12, b1)`` of the coherent-state kernel of one mode from
+    its fields as Python scalars: numpy's complex arrays can round differently.
 
     For unnormalized coherent states ``|z) = sum_n z^n / sqrt(n!) |n>``,
     ``(w|rho|z) = T exp(a11 x^2/2 + a12 x y + conj(a11) y^2/2 + b1 x +
@@ -162,11 +164,11 @@ def _husimi_coefficients(params: StateParams) -> tuple[float, complex, float, co
     ``M = V + I/2`` with ``V = R_phi^T diag(e^(-2 zeta)/2 + nbar,
     e^(2 zeta)/2 + nbar) R_phi``.
     """
-    m_x = np.exp(-2.0 * params.zeta) / 2.0 + params.nbar + 0.5
-    m_p = np.exp(2.0 * params.zeta) / 2.0 + params.nbar + 0.5
-    a11 = complex(0.5 * (1.0 / m_p - 1.0 / m_x) * np.exp(2j * params.phi))
+    m_x = np.exp(-2.0 * zeta) / 2.0 + nbar + 0.5
+    m_p = np.exp(2.0 * zeta) / 2.0 + nbar + 0.5
+    a11 = complex(0.5 * (1.0 / m_p - 1.0 / m_x) * np.exp(2j * phi))
     keep = float(0.5 * (1.0 / m_x + 1.0 / m_p))  # 1 - a12
-    alpha = complex(params.alpha)
+    alpha = complex(alpha)
     b1 = keep * alpha - a11 * alpha.conjugate()
     log_t = -keep * abs(alpha) ** 2 + (a11 * alpha.conjugate() ** 2).real
     return float(np.exp(log_t) / np.sqrt(m_x * m_p)), a11, 1.0 - keep, b1
@@ -182,7 +184,7 @@ def _hermite_sequence(first: complex, a: complex, b: complex, cutoff: int) -> np
     return np.array(v, dtype=complex)
 
 
-def _density_matrices(modes: list[StateParams], cutoff: int) -> np.ndarray:
+def _density_matrices(modes: list[tuple], cutoff: int) -> np.ndarray:
     """Fock elements of thermal modes, ``rho[j]`` for ``modes[j]``, by one 2-D
     recurrence that moves the rows of every mode forward together.
 
@@ -194,7 +196,7 @@ def _density_matrices(modes: list[StateParams], cutoff: int) -> np.ndarray:
     (the quotient multiplies by the reciprocal), so every element is the
     one the recurrence of that mode alone gives, bit for bit.
     """
-    coefficients = [_husimi_coefficients(p) for p in modes]
+    coefficients = [_husimi_coefficients(*mode) for mode in modes]
     # Row m of every mode is one contiguous (modes, cutoff) block.
     rho = np.empty((cutoff, len(modes), cutoff), dtype=complex)
     for j, (t, a11, _, b1) in enumerate(coefficients):
@@ -216,18 +218,18 @@ def _density_matrices(modes: list[StateParams], cutoff: int) -> np.ndarray:
     return rho.transpose(1, 0, 2)
 
 
-def _amplitudes(params: StateParams, cutoff: int) -> np.ndarray:
+def _amplitudes(mode: tuple, cutoff: int) -> np.ndarray:
     """Amplitudes of a pure mode by the 1-D recurrence from ``sqrt(T)``."""
-    t, a11, _, b1 = _husimi_coefficients(params)
+    t, a11, _, b1 = _husimi_coefficients(*mode)
     return _hermite_sequence(np.sqrt(t), a11, b1, cutoff)
 
 
-def _mode_factors(modes: list[StateParams], cutoff: int) -> list[np.ndarray]:
-    """Amplitudes of each pure mode and the density matrix of each thermal
-    one, in order; the thermal modes are built as one block."""
-    thermal = [p for p in modes if p.nbar > 0]
+def _mode_factors(modes: list[tuple], cutoff: int) -> list[np.ndarray]:
+    """Amplitudes of each pure mode and the density matrix of each thermal one
+    from its ``(zeta, nbar, phi, alpha)``; the thermal ones as one block."""
+    thermal = [mode for mode in modes if mode[1] > 0]
     densities = iter(_density_matrices(thermal, cutoff) if thermal else ())
-    return [next(densities) if p.nbar > 0 else _amplitudes(p, cutoff) for p in modes]
+    return [next(densities) if mode[1] > 0 else _amplitudes(mode, cutoff) for mode in modes]
 
 
 def _mass(part: np.ndarray) -> float:
@@ -242,7 +244,7 @@ def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, 
     """
     if params.nbar > 0:
         raise ValueError(f"a pure mode needs nbar = 0, got {params.nbar}")
-    v = _amplitudes(params, cutoff)
+    v = _amplitudes((params.zeta, params.nbar, params.phi, params.alpha), cutoff)
     return v, max(0.0, 1.0 - _mass(v))
 
 
@@ -282,42 +284,42 @@ class FockState:
         return cls("product", cutoff, factors, 1.0 - (1.0 - lost_si) * (1.0 - lost_lo))
 
     def leading(self, cutoff: int) -> "FockState":
-        """The product of each mode factor's leading ``cutoff`` block, with its own deficit."""
+        """The leading ``cutoff`` block of the tensor or of each factor, with its own deficit."""
+        if self.kind == "pure":
+            return FockState.pure(self.data[:cutoff, :cutoff])
         return FockState.product(*(f[:cutoff, :cutoff] if f.ndim == 2 else f[:cutoff]
                                    for f in self.data))
 
 
-def fock_states(pairs: Iterable[tuple[StateParams, StateParams]],
-                cutoff: int) -> Iterator[FockState]:
-    """The product states SI x LO of ``(params_si, params_lo)`` pairs at one
-    per-mode cutoff, in order, built a block of pairs at a time.
+def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockState]:
+    """The product states SI x LO at one per-mode cutoff, one per element of the
+    fields of ``si`` and ``lo`` broadcast together, built a block of pairs at a time.
 
     The thermal modes of a block are built together by one run of the 2-D
     recurrence.  A block holds as many pairs as ``BLOCK_BYTES`` of density
     factors allow, counting two per pair, and at least one.  It is built
     when its first state is requested and freed once the caller drops its
-    states.  Each
-    state carries its truncation deficit, unchecked; :func:`fock_state`
-    checks one against a budget.
+    states.  Each state carries its truncation deficit, unchecked;
+    :func:`fock_state` checks one against a budget.
 
     Raises
     ------
     ValueError
-        If ``cutoff`` is outside ``[2, MAX_CUTOFF]``, when the first state
-        is requested.
+        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or the fields do not
+        broadcast together, when the first state is requested.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds the cap of {MAX_CUTOFF}")
-    pairs = list(pairs)
-    size = max(1, BLOCK_BYTES // (2 * cutoff * cutoff * np.dtype(complex).itemsize))
-    for start in range(0, len(pairs), size):
-        factors = iter(_mode_factors([p for pair in pairs[start:start + size] for p in pair],
-                                     cutoff))
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must be in [2, {MAX_CUTOFF}], got {cutoff}")
+    # Each mode's (zeta, nbar, phi, alpha) as Python scalars, interleaved SI, LO, SI, ...
+    columns = np.broadcast_arrays(*vars(si).values(), *vars(lo).values())
+    modes = [mode for row in zip(*(c.ravel().tolist() for c in columns))
+             for mode in (row[:4], row[4:])]
+    pairs = max(1, BLOCK_BYTES // (2 * cutoff * cutoff * np.dtype(complex).itemsize))
+    for start in range(0, len(modes), 2 * pairs):
+        factors = iter(_mode_factors(modes[start:start + 2 * pairs], cutoff))
         # From a list, so that nothing here holds the block once its last
         # state has been taken.
-        yield from [FockState.product(si, lo) for si, lo in zip(factors, factors)]
+        yield from [FockState.product(*pair) for pair in zip(factors, factors)]
 
 
 def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
@@ -328,13 +330,14 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
     Raises
     ------
     ValueError
-        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or ``budget`` outside ``[0, 1]``.
+        If ``cutoff`` is outside ``[2, MAX_CUTOFF]``, ``budget`` outside ``[0, 1]``,
+        or the params hold other than one pair.
     TruncationError
         If the truncation deficit exceeds ``budget``.
     """
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
-    state = next(fock_states([(params_si, params_lo)], cutoff))
+    (state,) = fock_states(params_si, params_lo, cutoff)
     if state.deficit > budget:
         raise TruncationError(f"truncation deficit {state.deficit:.3e} exceeds budget "
                               f"{budget:.3e} at cutoff {cutoff}")
@@ -424,13 +427,13 @@ def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
                      budget: float = DEFAULT_TRUNCATION_BUDGET) -> tuple[int, FockState]:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
-    Walks the leading blocks of the product ``state`` at cutoffs 2, 4, 8,
-    ... up to its own cutoff, and returns the first cutoff whose
+    Walks the leading blocks of ``state``, product or pure, at cutoffs 2,
+    4, 8, ... up to its own cutoff, and returns the first cutoff whose
     expectation value of ``expr`` agrees with the next doubling's to within
     ``tol``, together with the block at that next doubling, which was
     checked against the budget.  Blocks whose deficit exceeds the budget
-    are skipped.  Each block is, bit for bit, the state :func:`fock_state`
-    builds at its cutoff, so nothing is built here.
+    are skipped.  Nothing is built here: a block of a product state from
+    :func:`fock_state` is, bit for bit, the state it builds at that cutoff.
 
     Raises
     ------

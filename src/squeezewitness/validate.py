@@ -8,7 +8,7 @@ tolerances are fixed here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,18 +72,19 @@ class SuiteResult:
         }
 
 
+def _draw_fields(rng: np.random.Generator, max_alpha: float = 2.0, max_zeta: float = 0.5,
+                 max_nbar: float = 1.0) -> tuple[float, float, float, complex]:
+    """``(zeta, nbar, phi, alpha)`` of one :func:`random_state_params` draw."""
+    alpha = max_alpha * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    nbar = 0.0 if rng.uniform() < 1.0 / 3.0 else rng.uniform(0.0, max_nbar)
+    zeta = rng.uniform(-max_zeta, max_zeta)
+    return zeta, nbar, rng.uniform(0.0, np.pi), alpha
+
+
 def random_state_params(rng: np.random.Generator, max_alpha: float = 2.0,
                         max_zeta: float = 0.5, max_nbar: float = 1.0) -> StateParams:
     """Random displaced-squeezed-thermal parameters within the test envelope."""
-    radius = max_alpha * np.sqrt(rng.uniform())
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    nbar = 0.0 if rng.uniform() < 1.0 / 3.0 else rng.uniform(0.0, max_nbar)
-    return StateParams(
-        zeta=rng.uniform(-max_zeta, max_zeta),
-        nbar=nbar,
-        phi=rng.uniform(0.0, np.pi),
-        alpha=radius * np.exp(1j * angle),
-    )
+    return StateParams(*_draw_fields(rng, max_alpha, max_zeta, max_nbar))
 
 
 def haar_random_vector(rng: np.random.Generator, cutoff: int) -> np.ndarray:
@@ -104,18 +105,14 @@ def random_expression(rng: np.random.Generator, max_degree: int = 4,
 
 
 def _draw_pairs(rng: np.random.Generator, trials: int,
-                *ranges: tuple[float, float]) -> list[list]:
-    """Per trial, in this order: SI and LO ``random_state_params``, then one
-    uniform draw per ``(low, high)`` range; one list per quantity."""
-    rows = [(random_state_params(rng), random_state_params(rng),
+                *ranges: tuple[float, float]) -> tuple:
+    """Per trial, in this order: SI and LO :func:`random_state_params`, then one
+    uniform draw per ``(low, high)`` range; element ``k`` of the SI and LO
+    :class:`StateParams` of arrays and of one array per range is trial ``k``."""
+    rows = [(*_draw_fields(rng), *_draw_fields(rng),
              *(rng.uniform(low, high) for low, high in ranges)) for _ in range(trials)]
-    return [list(column) for column in zip(*rows)] or [[] for _ in range(2 + len(ranges))]
-
-
-def _stacked(params: list[StateParams]) -> StateParams:
-    """One ``StateParams`` of arrays whose element ``k`` is ``params[k]``."""
-    return StateParams(**{f.name: np.array([getattr(p, f.name) for p in params])
-                          for f in fields(StateParams)})
+    columns = [np.array(column) for column in zip(*rows)] or [np.empty(0)] * (8 + len(ranges))
+    return StateParams(*columns[:4]), StateParams(*columns[4:8]), *columns[8:]
 
 
 def _oracle_variances(top: FockState, theta: float, tol: float) -> tuple[float, float, float]:
@@ -138,19 +135,18 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     For each draw, the raw, partially ordered, and fully ordered variances
     from the field-moment closed forms are compared against the truncated-space
     evaluation of the difference observable at a converged cutoff.  The
-    closed forms take every draw in one elementwise call; the oracle builds
-    each pair once, at the top of the doubling schedule up to ``cutoff_max``,
-    a block of pairs at a time.
+    draws are one :class:`StateParams` of arrays per side: the closed forms
+    take them in one call, and :func:`fock_states` builds each pair once, a
+    block at a time, at the top of the doubling schedule up to ``cutoff_max``.
     """
     name = "gaussian_fock_agreement"
     if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
         raise ValueError(f"cutoff_max must be >= 4, got {cutoff_max}")
     params_si, params_lo, theta = _draw_pairs(np.random.default_rng(seed), trials,
                                               (0.0, 2.0 * np.pi))
-    closed = evaluate(TwoModeProduct(si=make_state(_stacked(params_si)),
-                                     lo=make_state(_stacked(params_lo))), np.array(theta))
+    closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
     top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
-    states = fock_states(zip(params_si, params_lo), top)
+    states = fock_states(params_si, params_lo, top)
     worst = 0.0
     for k in range(trials):
         # The convergence tolerance only decides how hard the oracle refines;
@@ -241,10 +237,9 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     explicit bath-unitary fold against the channels' moment maps.
     """
     name = "channel_laws"
-    params_si, params_lo, *uniform = _draw_pairs(np.random.default_rng(seed), trials,
-                                                 (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
-    theta, eta, gain = (np.array(column, dtype=float) for column in uniform)
-    si, lo = make_state(_stacked(params_si)), make_state(_stacked(params_lo))
+    params_si, params_lo, theta, eta, gain = _draw_pairs(
+        np.random.default_rng(seed), trials, (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
+    si, lo = make_state(params_si), make_state(params_lo)
     partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
     nb = mean_photon(lo)
     lossy = evaluate(TwoModeProduct(si=apply_loss(si, eta), lo=lo), theta).partial_no

@@ -14,7 +14,8 @@ def density_matrix(params, cutoff):
     + a12 sqrt(n) rho[m, n-1]) / sqrt(m+1)``; row 0 runs the 1-D recurrence
     in ``n`` with ``conj(b1)`` and ``conj(a11)`` from ``rho[0, 0] = T``.
     """
-    t, a11, a12, b1 = _husimi_coefficients(params)
+    t, a11, a12, b1 = _husimi_coefficients(params.zeta, params.nbar, params.phi,
+                                           params.alpha)
     roots = np.sqrt(np.arange(cutoff))
     cross = a12 * roots[1:]
     rho = np.empty((cutoff, cutoff), dtype=complex)

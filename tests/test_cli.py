@@ -612,6 +612,17 @@ class TestValidateCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_help_names_each_option_with_its_default(self, capsys):
+        from squeezewitness.fock import MAX_CUTOFF
+
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for help_text in ("--trials TRIALS random scenarios per suite",
+                          "(default 200)", "--seed SEED seed of every suite (default 42)",
+                          f"from 4 up to the oracle's cap of {MAX_CUTOFF} (default 256)"):
+            assert help_text in text
+
     def test_forced_truncation_failure_is_reported_not_raised(self, capsys):
         # A tiny cutoff ceiling cannot hold alpha up to 2; the suite must
         # report failure rather than crash.

@@ -59,6 +59,24 @@ NUMBER_A = OperatorExpr.word(("ad", "a"))
 NUMBER_B = OperatorExpr.word(("bd", "b"))
 
 
+def _fields(params):
+    """``(zeta, nbar, phi, alpha)``, the fields the recurrence takes."""
+    return params.zeta, params.nbar, params.phi, params.alpha
+
+
+def _stacked(params, thermal):
+    """One ``StateParams`` of arrays from scalar ones: element ``k`` is
+    ``params[k]``, made pure where ``thermal[k]`` is false and at least
+    slightly thermal where it is true."""
+    zeta, nbar, phi, alpha = (np.array(column) for column in zip(*map(_fields, params)))
+    return StateParams(zeta, np.where(thermal, np.maximum(nbar, 0.05), 0.0), phi, alpha)
+
+
+def _element(params, k):
+    """Element ``k`` of a ``StateParams`` of arrays, a scalar field as it is."""
+    return StateParams(*(f[k] if np.ndim(f) else f for f in _fields(params)))
+
+
 def _random_tensor(cutoff, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
@@ -470,6 +488,26 @@ class TestConvergedCutoff:
         with pytest.raises(ValueError, match=f"tol must be finite and > 0, got {tol}"):
             _walk(StateParams(), StateParams(), difference_observable(0.0), tol, top=8)
 
+    def test_walks_a_pure_tensor(self):
+        # The two-mode squeezed vacuum, r = 0.5: psi[n, n] = (-tanh r)^n / cosh r,
+        # whose leading c x c block keeps all but tanh(r)^(2c) of the norm.
+        r, top = 0.5, 64
+        psi = np.diag((-np.tanh(r)) ** np.arange(top) / np.cosh(r)).astype(complex)
+        state = FockState.pure(psi)
+        for c in (2, 4, 8, 16, 32, 64):
+            block = state.leading(c)
+            assert (block.kind, block.cutoff) == ("pure", c)
+            assert np.shares_memory(block.data, psi)
+            np.testing.assert_array_equal(block.data, psi[:c, :c])
+            assert block.deficit == FockState.pure(psi[:c, :c].copy()).deficit
+            assert block.deficit == pytest.approx(np.tanh(r) ** (2 * c), abs=1e-14)
+        # Blocks 2, 4 and 8 exceed the budget; 16 and 32 agree on <a^dag a>.
+        cutoff, block = converged_cutoff(state, NUMBER_A, 1e-9)
+        assert (cutoff, block.kind, block.cutoff) == (16, "pure", 32)
+        assert np.shares_memory(block.data, psi)
+        for number in (NUMBER_A, NUMBER_B):
+            assert expect(number, block).real == pytest.approx(np.sinh(r) ** 2, abs=1e-12)
+
     @pytest.mark.parametrize("budget", [np.nan, -0.1, 1.5])
     def test_rejects_budget_outside_unit_interval(self, budget):
         # A NaN budget would otherwise accept any truncated state.
@@ -610,7 +648,7 @@ class TestRecurrence:
     ])
     def test_pure_density_is_outer_product(self, params):
         psi, _ = pure_mode_amplitudes(params, 128)
-        (rho,) = _density_matrices([params], 128)
+        (rho,) = _density_matrices([_fields(params)], 128)
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
 
     def test_matches_closed_form_references(self):
@@ -623,7 +661,7 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("params", ENVELOPE_CORNERS)
     def test_density_is_physical_at_envelope_corners(self, params):
-        (rho,) = _density_matrices([params], 256)
+        (rho,) = _density_matrices([_fields(params)], 256)
         np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-15)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10  # FockState psd_tol
         assert np.trace(rho).real <= 1.0 + 1e-12
@@ -639,7 +677,8 @@ class TestRecurrence:
             modes = [StateParams(zeta=m.zeta, nbar=max(m.nbar, 0.05) if k < thermal else 0.0,
                                  phi=m.phi, alpha=m.alpha) for k, m in enumerate(drawn)]
             modes = [modes[k] for k in rng.permutation(len(modes))]
-            for params, factor in zip(modes, _mode_factors(modes, cutoff), strict=True):
+            factors = _mode_factors([_fields(m) for m in modes], cutoff)
+            for params, factor in zip(modes, factors, strict=True):
                 if params.nbar > 0:
                     want = density_matrix(params, cutoff)
                 else:
@@ -650,14 +689,14 @@ class TestRecurrence:
     @pytest.mark.parametrize("cutoff, block", [(128, 8), (256, 2), (512, 1)])
     def test_block_holds_the_byte_budget_of_pairs(self, cutoff, block):
         # BLOCK_BYTES of density factors, two per pair, and at least one pair.
-        thermal = StateParams(nbar=0.3, alpha=0.2)
-        states = fock_states([(thermal, thermal)] * (block + 1), cutoff)
+        thermal = StateParams(nbar=np.full(block + 1, 0.3), alpha=0.2)
+        states = fock_states(thermal, thermal, cutoff)
         bases = [state.data[0].base for state in states]
         assert [b is bases[0] for b in bases] == [True] * block + [False]
 
     def test_block_is_freed_before_the_next_is_built(self):
-        thermal = StateParams(nbar=0.3, alpha=0.2)
-        states = fock_states([(thermal, thermal)] * 3, 256)  # blocks of 2 pairs
+        thermal = StateParams(nbar=np.full(3, 0.3), alpha=0.2)
+        states = fock_states(thermal, thermal, 256)  # blocks of 2 pairs
         first = weakref.ref(next(states).data[0].base)
         next(states)
         assert first() is not None
@@ -667,7 +706,38 @@ class TestRecurrence:
     @pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1])
     def test_rejects_cutoff_outside_range(self, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
-            next(fock_states([(StateParams(), StateParams())], cutoff))
+            next(fock_states(StateParams(), StateParams(), cutoff))
+
+    @pytest.mark.parametrize("cutoff, pairs, scalar_lo", [
+        (128, 9, False), (256, 3, False), (128, 9, True),
+    ])
+    def test_arrays_match_one_pair_calls_bit_for_bit(self, cutoff, pairs, scalar_lo):
+        # Past the first block (8 pairs at 128, 2 at 256), pure and thermal
+        # modes on both sides; a scalar LO broadcasts against every SI.
+        rng = np.random.default_rng(cutoff + pairs)
+        k = np.arange(pairs)
+        si = _stacked([random_state_params(rng) for _ in k], k % 2 == 1)
+        lo = (StateParams(zeta=-0.3, nbar=0.4, phi=2.0, alpha=0.5j) if scalar_lo
+              else _stacked([random_state_params(rng) for _ in k], k % 3 == 0))
+        states = list(fock_states(si, lo, cutoff))
+        assert len(states) == pairs
+        for k, state in enumerate(states):
+            one = fock_state(_element(si, k), _element(lo, k), cutoff, budget=1.0)
+            assert (state.kind, state.cutoff, state.deficit) == (one.kind, one.cutoff,
+                                                                 one.deficit)
+            for got, want in zip(state.data, one.data, strict=True):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rejects_fields_that_do_not_broadcast(self):
+        with pytest.raises(ValueError):
+            next(fock_states(StateParams(zeta=np.zeros(3)), StateParams(zeta=np.zeros(2)), 8))
+
+    @pytest.mark.parametrize("pairs", [0, 2, 3])
+    def test_one_pair_call_rejects_other_counts(self, pairs):
+        # Instead of returning the first of several states, or none.
+        with pytest.raises(ValueError, match="values to unpack"):
+            fock_state(StateParams(zeta=np.zeros(pairs)), StateParams(), 512)
 
     @settings(max_examples=40, deadline=None)
     @given(radius=st.floats(0.0, 2.0), angle=st.floats(0.0, 2.0 * np.pi),

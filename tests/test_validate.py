@@ -5,7 +5,9 @@ from dense_reference import reorder_deviation
 from squeezewitness import validate
 from squeezewitness.opexpr import formal_normal_order
 from squeezewitness.validate import (
+    _draw_pairs,
     random_expression,
+    random_state_params,
     suite_channel_laws,
     suite_gaussian_fock,
     suite_reorder_matrix,
@@ -17,6 +19,39 @@ def test_gaussian_fock_suite_passes_on_a_slow_settling_seed():
     # only at cutoff 128, which takes cutoff 256 to confirm.
     result = suite_gaussian_fock(trials=10, seed=110)
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7])
+def test_draw_pairs_keeps_the_draw_order(trials):
+    # Per trial: the SI's random_state_params, the LO's, then each range;
+    # the reports are byte-identical only in this order.
+    ranges = ((0.0, 2.0 * np.pi), (1.0, 3.0))
+    rng = np.random.default_rng(11)
+    si, lo, theta, gain = _draw_pairs(rng, trials, *ranges)
+    reference = np.random.default_rng(11)
+    fields = ("zeta", "nbar", "phi", "alpha")
+    for k in range(trials):
+        for side in (si, lo):
+            want = random_state_params(reference)
+            assert [getattr(side, f)[k] for f in fields] == [getattr(want, f) for f in fields]
+        assert [theta[k], gain[k]] == [reference.uniform(low, high) for low, high in ranges]
+    for column in (*(getattr(side, f) for side in (si, lo) for f in fields), theta, gain):
+        assert np.shape(column) == (trials,)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_random_state_params_keeps_its_draw_order():
+    # Radius, angle, the thermal coin (then nbar), zeta, phi: the order every
+    # seeded report was made with.
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20):
+        params = random_state_params(rng)
+        radius = 2.0 * np.sqrt(reference.uniform())
+        angle = reference.uniform(0.0, 2.0 * np.pi)
+        nbar = 0.0 if reference.uniform() < 1.0 / 3.0 else reference.uniform(0.0, 1.0)
+        zeta = reference.uniform(-0.5, 0.5)
+        want = (zeta, nbar, reference.uniform(0.0, np.pi), radius * np.exp(1j * angle))
+        assert (params.zeta, params.nbar, params.phi, params.alpha) == want
 
 
 def test_failing_channel_law_still_reports_the_fold(monkeypatch):
