@@ -721,8 +721,8 @@ class TestRecurrence:
               else _stacked([random_state_params(rng) for _ in k], k % 3 == 0))
         states = list(fock_states(si, lo, cutoff))
         assert len(states) == pairs
-        for k, state in enumerate(states):
-            one = fock_state(_element(si, k), _element(lo, k), cutoff, budget=1.0)
+        for j, state in enumerate(states):
+            one = fock_state(_element(si, j), _element(lo, j), cutoff, budget=1.0)
             assert (state.kind, state.cutoff, state.deficit) == (one.kind, one.cutoff,
                                                                  one.deficit)
             for got, want in zip(state.data, one.data, strict=True):
