@@ -16,8 +16,11 @@ Commands
     that line; within it, a wrong cell count comes first, then a cell that
     is not a number, then a cell out of range, then an overflowing
     ``full_no``.  A repeated schema column is an error before any row is
-    read.  The report is written row by row, and ``cmd_witness`` returns
-    only its ``tol`` and ``summary``.
+    read.  The report's rows are formatted in blocks spread over the
+    available cores (one process where ``os.fork`` is missing) and written
+    in order, the same bytes for any core count; a failed write leaves no
+    report.  ``cmd_witness`` returns only the report's ``tol`` and
+    ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
@@ -30,9 +33,11 @@ are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -75,6 +80,11 @@ _ROW_NA = ('%s\n    {\n      "full_no": %r,\n      "na": %r,\n      "nb": %r,'
            '\n      "var_L": %r,\n      "verdict": %s\n    }')
 _JSON_BOOL = ("false", "true")
 _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
+# Report rows per block.  The blocks are dealt round-robin to this process
+# and its forked workers; a worker holds one formatted block, about 2.8 MB
+# with na, while it waits for its pipe to drain.
+REPORT_BLOCK_ROWS = 8192
+_LENGTH_BYTES = 8  # size of the length sent before each block on a worker's pipe
 
 
 class InputError(Exception):
@@ -232,30 +242,147 @@ def _read_rows(lines: list[str], width: int, at: tuple) -> np.ndarray:
     return records
 
 
-def _report_chunks(columns, tail: dict):
-    """Yield the witness report in ``_dump_json``'s layout: the ``rows``
-    frame with one chunk per row of ``columns``, then ``tail``."""
-    yield '{\n  "rows": ['
-    separator = ""
+def _report_block(columns, start: int) -> bytes:
+    """Rows ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``columns`` in
+    ``_dump_json``'s layout, each after the comma that ends the row before
+    it, as ASCII."""
+    rows = []
+    separator = "," if start else ""
     for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
-            *(column.tolist() for column in columns)):
+            *(column[start:start + REPORT_BLOCK_ROWS].tolist() for column in columns)):
         noise_db = '"-inf"' if n == -math.inf else repr(n)
         if given:
-            yield _ROW_NA % (separator, f, a, b, noise_db, p, _JSON_BOOL[negative],
-                             t, v, _JSON_VERDICT[nonclassical])
+            rows.append(_ROW_NA % (separator, f, a, b, noise_db, p, _JSON_BOOL[negative],
+                                   t, v, _JSON_VERDICT[nonclassical]))
         else:
-            yield _ROW % (separator, b, noise_db, p, t, v, _JSON_VERDICT[nonclassical])
+            rows.append(_ROW % (separator, b, noise_db, p, t, v,
+                                _JSON_VERDICT[nonclassical]))
         separator = ","
-    yield "\n  ],\n" if separator else "],\n"
-    yield _dump_json(tail)[2:]  # the rest of the object, after its "{\n"
+    return "".join(rows).encode("ascii")
+
+
+def _report_processes(blocks: int) -> int:
+    """How many processes format ``blocks`` report blocks: one per core
+    this process may run on, at most one per block, and one where
+    ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, blocks))
+
+
+def _fork_worker(columns, starts, workers: list) -> tuple:
+    """Fork a worker that formats the blocks at ``starts`` and sends each
+    down its own pipe, length first; returns its pid and the pipe's read
+    end.  ``workers`` holds the earlier workers, whose pipes it closes.
+
+    A full pipe blocks the worker until the writer reads its block, so it
+    holds one block at a time.  It formats only, and leaves only through
+    ``os._exit``, whatever it raises: it never runs the parent's exception
+    handlers or atexit hooks, nor flushes the parent's stdio.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            for _, pipe in workers:
+                pipe.close()
+            with open(write_end, "wb") as pipe:
+                for start in starts:
+                    block = _report_block(columns, start)
+                    pipe.write(len(block).to_bytes(_LENGTH_BYTES, "little"))
+                    pipe.write(block)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _receive(pipe) -> bytes:
+    """The next block on a worker's pipe; a block holds at least one row,
+    so an empty or short one means the pipe ended early."""
+    size = int.from_bytes(pipe.read(_LENGTH_BYTES), "little")
+    block = pipe.read(size)
+    if not block or len(block) < size:
+        raise EOFError("a formatting process ended before sending all its rows")
+    return block
+
+
+def _reap(workers: list) -> int:
+    """Close every worker's pipe, wait for each to exit and forget them;
+    returns the first nonzero exit code, or 0."""
+    for _, pipe in workers:
+        pipe.close()
+    codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    workers.clear()
+    return next(filter(None, codes), 0)
+
+
+def _write_report(path: Path, columns, tail: dict) -> None:
+    """Write the witness report in ``_dump_json``'s layout: the rows of
+    ``columns``, then ``tail``.
+
+    The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS`, dealt
+    round-robin to this process and to workers forked before the file is
+    opened, and written in block order: the bytes do not depend on how many
+    processes format them.  Any failure, a failed write or a worker that
+    ends early or exits nonzero, raises :class:`InputError` and removes the
+    partial file, unless ``path`` is a link or a device, which it leaves
+    in place.  Every worker has exited when this returns or raises.
+    """
+    starts = range(0, len(columns[0]), REPORT_BLOCK_ROWS)
+    processes = _report_processes(len(starts))
+    workers = []  # (pid, read end of its pipe); worker k formats starts[k::processes]
+    stream = None
+    complete = False
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        for k in range(1, processes):
+            workers.append(_fork_worker(columns, starts[k::processes], workers))
+        with path.open("wb") as stream:
+            stream.write(b'{\n  "rows": [')
+            for i, start in enumerate(starts):
+                k = i % processes
+                stream.write(_receive(workers[k - 1][1]) if k
+                             else _report_block(columns, start))
+            stream.write(b"\n  ],\n" if starts else b"],\n")
+            stream.write(_dump_json(tail)[2:].encode("ascii"))  # after its "{\n"
+        code = _reap(workers)
+        if code:
+            raise InputError(f"cannot write {path}: a formatting process "
+                             f"exited with code {code}")
+        complete = True
+    except (OSError, EOFError) as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        _reap(workers)
+        if stream is not None and not complete:
+            # Only a regular file named by the path itself: never a link,
+            # such as /dev/stdout, nor a device.
+            with contextlib.suppress(OSError):  # the error above is the cause
+                if not path.is_symlink() and path.is_file():
+                    path.unlink()
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
     """Evaluate measured moment records and write the JSON report.
 
-    Every input check runs before the report file is opened; the report is
-    then written row by row, never held whole.  Returns the report's
-    ``tol`` and ``summary``, without its rows.
+    Every input check runs before the report file is opened.  The rows are
+    then formatted in blocks spread over the available cores and written in
+    order, never held whole; the bytes are the same for any core count.  A
+    failed write leaves no report.  Returns the report's ``tol`` and
+    ``summary``, without its rows.
     """
     records, warnings = read_moment_records(input_path)
     for warning in warnings:
@@ -284,7 +411,7 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
     }
     columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
                has_na, na, values.full_no, values.standard_negativity)
-    _write_text(Path(out), _report_chunks(columns, tail))
+    _write_report(Path(out), columns, tail)
     return tail
 
 

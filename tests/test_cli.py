@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import squeezewitness
 from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    REPORT_BLOCK_ROWS,
     WITNESS_COLUMNS,
     InputError,
     cmd_reproduce,
@@ -548,6 +550,142 @@ WIDE_ROWS = st.lists(st.tuples(
     st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1e300),
     st.floats(0.0, 1e300, exclude_min=True), st.none() | st.floats(0.0, 1e300)),
     max_size=6)
+
+
+def mixed_rows(n):
+    """``n`` seeded valid rows that mix an empty and a given ``na`` with
+    ``var_L = 0`` (``noise_db`` ``"-inf"``) and rows at shot noise."""
+    rng = np.random.default_rng(n)
+    rows = []
+    for i, (theta, var_l, nb, na) in enumerate(rng.uniform(0.1, 20.0, (n, 4)).tolist()):
+        rows.append((theta - 10.0, (var_l, 0.0, nb)[i % 3], nb, None if i % 2 else na))
+    return rows
+
+
+def use_cores(monkeypatch, cores):
+    """Let the report see ``cores`` available cores; returns the list that
+    records each ``os.fork`` the report makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
+class TestWitnessReportBlocks:
+    """The report is the same bytes for any number of rows per core."""
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("n", [0, REPORT_BLOCK_ROWS, 3 * REPORT_BLOCK_ROWS,
+                                   3 * REPORT_BLOCK_ROWS + 17])
+    def test_report_is_json_dumps_layout(self, tmp_path, monkeypatch, cores, n):
+        rows = mixed_rows(n)
+        path = write_csv(tmp_path, moments_csv(rows))
+        forks = use_cores(monkeypatch, cores)
+        out = tmp_path / "report.json"
+        cmd_witness(path, str(out))
+        assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+        blocks = -(-n // REPORT_BLOCK_ROWS)
+        assert len(forks) == max(0, min(cores, blocks) - 1)
+        assert_no_child_left()
+
+    def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        rows = mixed_rows(2 * REPORT_BLOCK_ROWS + 1)
+        path = write_csv(tmp_path, moments_csv(rows))
+        use_cores(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "report.json"
+        cmd_witness(path, str(out))
+        assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+
+
+def break_workers(monkeypatch, fault):
+    """Make every worker raise, or exit with status 0, at its first block;
+    the fork inherits the patched formatter."""
+    parent = os.getpid()
+    block = squeezewitness.cli._report_block
+
+    def faulty_block(columns, start):
+        if os.getpid() != parent:
+            if fault == "raise":
+                raise MemoryError
+            os._exit(0)
+        return block(columns, start)
+
+    monkeypatch.setattr("squeezewitness.cli._report_block", faulty_block)
+
+
+def fill_disk(monkeypatch):
+    """Make the report's file fail with ENOSPC once it holds 1 MiB, partway
+    through the rows."""
+    open_path = Path.open
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            if self.tell() > 1 << 20:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    def open_full(self, mode="r", *args, **kwargs):
+        if mode == "wb":
+            return FullDisk(self, "w")
+        return open_path(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_full)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
+class TestWitnessReportFailure:
+    """A report that cannot be written whole leaves no file and no process."""
+
+    @pytest.fixture
+    def witness(self, tmp_path, capsys):
+        path = write_csv(tmp_path, moments_csv(mixed_rows(3 * REPORT_BLOCK_ROWS + 17)))
+
+        def run(out=tmp_path / "report.json"):
+            code = main(["witness", "--input", path, "--out", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert_no_child_left()
+            return capsys.readouterr().err
+
+        return run
+
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_worker_that_ends_early(self, tmp_path, monkeypatch, witness, fault):
+        break_workers(monkeypatch, fault)
+        forks = use_cores(monkeypatch, 3)
+        assert "a formatting process ended before sending all its rows" in witness()
+        assert len(forks) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_failed_write_in_the_parent(self, tmp_path, monkeypatch, witness, cores):
+        fill_disk(monkeypatch)
+        use_cores(monkeypatch, cores)
+        assert os.strerror(errno.ENOSPC) in witness()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_failed_write_through_a_link_keeps_the_link(self, tmp_path, monkeypatch,
+                                                        witness):
+        # A link such as /dev/stdout is the user's, whatever it points to.
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "target.json")
+        fill_disk(monkeypatch)
+        use_cores(monkeypatch, 2)
+        assert os.strerror(errno.ENOSPC) in witness(link)
+        assert link.is_symlink()
 
 
 class TestWitnessReportLayout:
