@@ -6,7 +6,7 @@ Commands
 ``reproduce --figure <id> --out <dir> [--svg] [--points N]``
     Write the CSV data, a JSON summary, and optionally an SVG plot for one
     of the built-in figures (``fluctuations``, ``noise-sweep``,
-    ``robustness``).
+    ``robustness``).  Each file is replaced whole or not at all.
 ``witness --input <csv> [--tol T] --out <json>``
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
@@ -17,23 +17,28 @@ Commands
     is not a number, then a cell out of range, then an overflowing
     ``full_no``.  A repeated schema column is an error before any row is
     read.  The report's rows are formatted in blocks spread over the
-    available cores (one process where ``os.fork`` is missing) and written
-    in order, the same bytes for any core count; a failed write leaves no
-    report.  ``cmd_witness`` returns only the report's ``tol`` and
-    ``summary``.
+    available cores by the package's one fork pool (one process where
+    ``os.fork`` is missing) and written in order, the same bytes for any
+    core count; a failed write or worker leaves no report.  ``cmd_witness``
+    returns only the report's ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
-    any fails.
+    any fails.  The suites run on every available core through the same
+    fork pool, and the report is the same bytes for any core count; a
+    failed worker exits 2 with no report.  An ``--out`` file is replaced
+    whole or not at all.
 
-Exit codes: 0 success, 1 validation failure, 2 input error.  All outputs
-are deterministic for a fixed configuration and seed.
+Exit codes: 0 success, 1 validation failure, 2 input error, a failed
+write or a failed worker process.  All outputs are deterministic for a
+fixed configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -84,11 +89,11 @@ _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
 # and its forked workers; a worker holds one formatted block, about 2.8 MB
 # with na, while it waits for its pipe to drain.
 REPORT_BLOCK_ROWS = 8192
-_LENGTH_BYTES = 8  # size of the length sent before each block on a worker's pipe
 
 
 class InputError(Exception):
-    """Bad user input (malformed CSV, unknown figure, unwritable path)."""
+    """Bad user input (malformed CSV, unknown figure, unwritable path), or a
+    worker process that failed; the command exits 2."""
 
 
 def _dump_json(payload: dict) -> str:
@@ -96,11 +101,29 @@ def _dump_json(payload: dict) -> str:
 
 
 def _write_text(path: Path, chunks) -> None:
-    """Write the strings of ``chunks``, in order, as one UTF-8 file."""
+    """Write the strings of ``chunks``, in order, as one UTF-8 file.
+
+    A regular file is replaced whole or not at all: the text goes to a new
+    file beside it, which replaces ``path`` once every chunk is written, so
+    a failed write leaves the previous file, or none.  A link, such as
+    ``/dev/stdout``, or a device is written in place.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as stream:
-            stream.writelines(chunks)
+        if path.is_symlink() or (path.exists() and not path.is_file()):
+            with path.open("w", encoding="utf-8") as stream:
+                stream.writelines(chunks)
+            return
+        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        stream = temp.open("x", encoding="utf-8")  # a name no other writer holds
+        try:
+            with stream:
+                stream.writelines(chunks)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # the error being raised is the cause
+                temp.unlink()
+            raise
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -261,112 +284,39 @@ def _report_block(columns, start: int) -> bytes:
     return "".join(rows).encode("ascii")
 
 
-def _report_processes(blocks: int) -> int:
-    """How many processes format ``blocks`` report blocks: one per core
-    this process may run on, at most one per block, and one where
-    ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, as on macOS
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, blocks))
-
-
-def _fork_worker(columns, starts, workers: list) -> tuple:
-    """Fork a worker that formats the blocks at ``starts`` and sends each
-    down its own pipe, length first; returns its pid and the pipe's read
-    end.  ``workers`` holds the earlier workers, whose pipes it closes.
-
-    A full pipe blocks the worker until the writer reads its block, so it
-    holds one block at a time.  It formats only, and leaves only through
-    ``os._exit``, whatever it raises: it never runs the parent's exception
-    handlers or atexit hooks, nor flushes the parent's stdio.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            for _, pipe in workers:
-                pipe.close()
-            with open(write_end, "wb") as pipe:
-                for start in starts:
-                    block = _report_block(columns, start)
-                    pipe.write(len(block).to_bytes(_LENGTH_BYTES, "little"))
-                    pipe.write(block)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-def _receive(pipe) -> bytes:
-    """The next block on a worker's pipe; a block holds at least one row,
-    so an empty or short one means the pipe ended early."""
-    size = int.from_bytes(pipe.read(_LENGTH_BYTES), "little")
-    block = pipe.read(size)
-    if not block or len(block) < size:
-        raise EOFError("a formatting process ended before sending all its rows")
-    return block
-
-
-def _reap(workers: list) -> int:
-    """Close every worker's pipe, wait for each to exit and forget them;
-    returns the first nonzero exit code, or 0."""
-    for _, pipe in workers:
-        pipe.close()
-    codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
-    workers.clear()
-    return next(filter(None, codes), 0)
-
-
 def _write_report(path: Path, columns, tail: dict) -> None:
     """Write the witness report in ``_dump_json``'s layout: the rows of
     ``columns``, then ``tail``.
 
-    The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS`, dealt
-    round-robin to this process and to workers forked before the file is
-    opened, and written in block order: the bytes do not depend on how many
+    The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS` by
+    :func:`~squeezewitness._pool.fork_map`, spread over the available
+    cores, and written in block order: the bytes do not depend on how many
     processes format them.  Any failure, a failed write or a worker that
     ends early or exits nonzero, raises :class:`InputError` and removes the
     partial file, unless ``path`` is a link or a device, which it leaves
     in place.  Every worker has exited when this returns or raises.
     """
+    from ._pool import WorkerError, fork_map
+
     starts = range(0, len(columns[0]), REPORT_BLOCK_ROWS)
-    processes = _report_processes(len(starts))
-    workers = []  # (pid, read end of its pipe); worker k formats starts[k::processes]
+    blocks = fork_map(functools.partial(_report_block, columns), starts)
     stream = None
     complete = False
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        for k in range(1, processes):
-            workers.append(_fork_worker(columns, starts[k::processes], workers))
-        with path.open("wb") as stream:
+        with contextlib.closing(blocks), path.open("wb") as stream:
             stream.write(b'{\n  "rows": [')
-            for i, start in enumerate(starts):
-                k = i % processes
-                stream.write(_receive(workers[k - 1][1]) if k
-                             else _report_block(columns, start))
+            stream.writelines(blocks)
             stream.write(b"\n  ],\n" if starts else b"],\n")
             stream.write(_dump_json(tail)[2:].encode("ascii"))  # after its "{\n"
-        code = _reap(workers)
-        if code:
-            raise InputError(f"cannot write {path}: a formatting process "
-                             f"exited with code {code}")
         complete = True
-    except (OSError, EOFError) as exc:
+    except WorkerError as exc:
+        cause = ("ended before sending all its rows" if exc.code is None
+                 else f"exited with code {exc.code}")
+        raise InputError(f"cannot write {path}: a formatting process {cause}") from exc
+    except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
     finally:
-        _reap(workers)
         if stream is not None and not complete:
             # Only a regular file named by the path itself: never a link,
             # such as /dev/stdout, nor a device.
@@ -428,6 +378,7 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
         raise InputError(f"seed must be >= 0, got {seed}")
     if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
         raise InputError(f"cutoff_max must be >= 4, got {cutoff_max}")
+    from ._pool import WorkerError
     from .fock import MAX_CUTOFF  # the oracle: only this command needs it
     from .validate import run_all_suites
 
@@ -438,7 +389,10 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
         print("warning: zero trials requested; suites pass vacuously",
               file=sys.stderr)
 
-    results = run_all_suites(trials=trials, seed=seed, cutoff_max=cutoff_max)
+    try:
+        results = run_all_suites(trials=trials, seed=seed, cutoff_max=cutoff_max)
+    except WorkerError as exc:
+        raise InputError(f"cannot finish the suites: {exc}") from exc
     report = {
         "config": {"trials": trials, "seed": seed, "cutoff_max": cutoff_max},
         "suites": [result.to_json_dict() for result in results],

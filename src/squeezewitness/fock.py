@@ -291,6 +291,13 @@ class FockState:
                                    for f in self.data))
 
 
+def _block_pairs(cutoff: int) -> int:
+    """Pairs in one block of :func:`fock_states` at ``cutoff``: as many as
+    ``BLOCK_BYTES`` of density factors allow, counting two per pair, and at
+    least one."""
+    return max(1, BLOCK_BYTES // (2 * cutoff * cutoff * np.dtype(complex).itemsize))
+
+
 def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockState]:
     """The product states SI x LO at one per-mode cutoff, one per element of the
     fields of ``si`` and ``lo`` broadcast together, built a block of pairs at a time.
@@ -314,7 +321,7 @@ def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockS
     columns = np.broadcast_arrays(*vars(si).values(), *vars(lo).values())
     modes = [mode for row in zip(*(c.ravel().tolist() for c in columns))
              for mode in (row[:4], row[4:])]
-    pairs = max(1, BLOCK_BYTES // (2 * cutoff * cutoff * np.dtype(complex).itemsize))
+    pairs = _block_pairs(cutoff)
     for start in range(0, len(modes), 2 * pairs):
         factors = iter(_mode_factors(modes[start:start + 2 * pairs], cutoff))
         # From a list, so that nothing here holds the block once its last
@@ -379,8 +386,13 @@ def expect(expr: OperatorExpr, state: FockState) -> complex:
     cutoff ``c``; a word that shifts a mode by ``c`` or more number states
     contributes exactly 0.
     """
+    return _expect_reordered(reorder(expr), state)
+
+
+def _expect_reordered(ordered: OperatorExpr, state: FockState) -> complex:
+    """:func:`expect` of an expression already in :func:`reorder` form."""
     value = 0j
-    for word, coeff in reorder(expr).terms:
+    for word, coeff in ordered.terms:
         value += coeff * _expect_word(word, state)
     return value
 
@@ -445,6 +457,14 @@ def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
         If the schedule is exhausted without two successive agreements; the
         message names the largest cutoff walked.
     """
+    cutoff, block, _ = _settle(state, reorder(expr), tol, budget)
+    return cutoff, block
+
+
+def _settle(state: FockState, ordered: OperatorExpr, tol: float,
+            budget: float) -> tuple[int, FockState, complex]:
+    """:func:`converged_cutoff` of an expression already in :func:`reorder`
+    form, and its expectation value on the returned block."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not 0.0 <= budget <= 1.0:
@@ -458,9 +478,9 @@ def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
         if block.deficit > budget:
             previous = None
             continue
-        value = expect(expr, block)
+        value = _expect_reordered(ordered, block)
         if previous is not None and abs(value - previous[1]) < tol:
-            return previous[0], block
+            return previous[0], block, value
         previous = (cutoff, value)
     raise ConvergenceError(
         f"expectation value did not settle to {tol:g} within cutoff {schedule[-1]}"

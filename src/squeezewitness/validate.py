@@ -8,24 +8,31 @@ tolerances are fixed here and nowhere else.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import pickle
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import fork_map
 from .channels import apply_gain_noise, apply_loss
 from .fock import (
+    DEFAULT_TRUNCATION_BUDGET,
     ConvergenceError,
     FockState,
     coherent_amplitudes,
-    converged_cutoff,
     evolve,
     expect,
     fock_states,
     pure_mode_amplitudes,
     witness_general,
     _apply,
+    _block_pairs,
     _mode_band,
     _mode_letters,
+    _settle,
 )
 from .gaussian import StateParams, make_state, mean_photon
 from .opexpr import LETTERS, OperatorExpr, difference_observable, reorder
@@ -118,14 +125,70 @@ def _draw_pairs(rng: np.random.Generator, trials: int,
 def _oracle_variances(top: FockState, theta: float, tol: float) -> tuple[float, float, float]:
     """Raw, partially and fully ordered variances of ``L(theta)`` on the
     oracle, read at the next doubling above the cutoff that
-    :func:`converged_cutoff` certifies on ``top`` to within ``tol``."""
+    :func:`~squeezewitness.fock.converged_cutoff` certifies on ``top`` to
+    within ``tol``; ``L^2`` is reordered once for the walk and the read."""
     ell = difference_observable(theta)
-    ell_sq = ell * ell
-    _, state = converged_cutoff(top, ell_sq, tol=tol)
-    var_f = (expect(ell_sq, state) - expect(ell, state) ** 2).real
+    _, state, ell_sq = _settle(top, reorder(ell * ell), tol, DEFAULT_TRUNCATION_BUDGET)
+    var_f = (ell_sq - expect(ell, state) ** 2).real
     nb_f = expect(OperatorExpr.word(("bd", "b")), state).real
     na_f = expect(OperatorExpr.word(("ad", "a")), state).real
     return var_f, var_f - nb_f, var_f - na_f - nb_f
+
+
+def _sliced(params: StateParams, part: slice) -> StateParams:
+    """The trials ``part`` of a :class:`StateParams` of arrays."""
+    return StateParams(**{name: value[part] for name, value in vars(params).items()})
+
+
+def _gaussian_fock_chunk(params_si: StateParams, params_lo: StateParams, theta: np.ndarray,
+                         closed, top: int, part: slice) -> tuple[float, str]:
+    """The oracle's side of :func:`suite_gaussian_fock` on the trials
+    ``part``, built as one block of :func:`fock_states`: the worst
+    deviation from the closed forms ``closed``, and the detail of the
+    first trial that fails to settle, or ``""``."""
+    states = fock_states(_sliced(params_si, part), _sliced(params_lo, part), top)
+    worst = 0.0
+    for k in range(part.start, part.stop):
+        # The convergence tolerance only decides how hard the oracle refines;
+        # size it to the magnitude of the compared quantity.
+        try:
+            oracle = _oracle_variances(next(states), theta[k],
+                                       tol=1e-7 * max(1.0, abs(closed.var_L[k])))
+        except ConvergenceError as exc:
+            return worst, f"trial {k}: {exc}"
+        for a, b in zip((closed.var_L[k], closed.partial_no[k], closed.full_no[k]), oracle):
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    return worst, ""
+
+
+def _gaussian_fock_chunks(trials: int, seed: int,
+                          cutoff_max: int) -> list[Callable[[], tuple[float, str]]]:
+    """:func:`suite_gaussian_fock`'s trials as calls of
+    :func:`_gaussian_fock_chunk`, one block of :func:`fock_states` each, at
+    the top of the doubling schedule; the draws and closed forms are made
+    here, before any call."""
+    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
+        raise ValueError(f"cutoff_max must be >= 4, got {cutoff_max}")
+    params_si, params_lo, theta = _draw_pairs(np.random.default_rng(seed), trials,
+                                              (0.0, 2.0 * np.pi))
+    closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
+    top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
+    pairs = _block_pairs(top)
+    return [functools.partial(_gaussian_fock_chunk, params_si, params_lo, theta, closed, top,
+                              slice(start, min(start + pairs, trials)))
+            for start in range(0, trials, pairs)]
+
+
+def _gaussian_fock_result(trials: int, chunks: Iterable[tuple[float, str]]) -> SuiteResult:
+    """:func:`suite_gaussian_fock`'s result from its chunks' outcomes in
+    trial order; it stops at the first failing chunk."""
+    name = "gaussian_fock_agreement"
+    worst = 0.0
+    for chunk_worst, failure in chunks:
+        if failure:
+            return SuiteResult(name, trials, np.inf, False, failure)
+        worst = max(worst, chunk_worst)
+    return SuiteResult(name, trials, worst, bool(worst <= GAUSSIAN_FOCK_RTOL))
 
 
 def suite_gaussian_fock(trials: int = 200, seed: int = 42,
@@ -139,28 +202,8 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     take them in one call, and :func:`fock_states` builds each pair once, a
     block at a time, at the top of the doubling schedule up to ``cutoff_max``.
     """
-    name = "gaussian_fock_agreement"
-    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
-        raise ValueError(f"cutoff_max must be >= 4, got {cutoff_max}")
-    params_si, params_lo, theta = _draw_pairs(np.random.default_rng(seed), trials,
-                                              (0.0, 2.0 * np.pi))
-    closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
-    top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
-    states = fock_states(params_si, params_lo, top)
-    worst = 0.0
-    for k in range(trials):
-        # The convergence tolerance only decides how hard the oracle refines;
-        # size it to the magnitude of the compared quantity.  The state goes
-        # straight into the call, so no name here keeps its block alive
-        # while fock_states builds the next one.
-        try:
-            oracle = _oracle_variances(next(states), theta[k],
-                                       tol=1e-7 * max(1.0, abs(closed.var_L[k])))
-        except ConvergenceError as exc:
-            return SuiteResult(name, trials, np.inf, False, f"trial {k}: {exc}")
-        for a, b in zip((closed.var_L[k], closed.partial_no[k], closed.full_no[k]), oracle):
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return SuiteResult(name, trials, worst, bool(worst <= GAUSSIAN_FOCK_RTOL))
+    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
+    return _gaussian_fock_result(trials, (chunk() for chunk in chunks))
 
 
 def suite_classicality(trials: int = 200, seed: int = 42,
@@ -298,18 +341,34 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42, cutoff: int = 10,
     return SuiteResult(name, trials, worst, bool(worst <= REORDER_TOL))
 
 
+def _pickled_call(call: Callable[[], object]) -> bytes:
+    return pickle.dumps(call())
+
+
 def run_all_suites(trials: int = 200, seed: int = 42,
                    cutoff_max: int = 256) -> list[SuiteResult]:
-    """Run the four suites with a shared seed; vacuous at zero trials."""
+    """Run the four suites with a shared seed; vacuous at zero trials.
+
+    The work runs on every available core, through
+    :func:`~squeezewitness._pool.fork_map`: the classicality, channel-law
+    and reorder suites are one item each, and the Gaussian-Fock suite's
+    trials are one item per block of :func:`fock_states`, drawn and put in
+    closed form here, before any worker is forked.  The results come back
+    in item order, so they are the same for any core count.  A worker that
+    fails raises :class:`~squeezewitness._pool.WorkerError`.
+    """
     if trials == 0:
         return [
             SuiteResult(name, 0, 0.0, True, detail="vacuous pass: zero trials")
             for name in ("gaussian_fock_agreement", "classicality_nonnegativity",
                          "channel_laws", "reorder_matrix_equality")
         ]
-    return [
-        suite_gaussian_fock(trials=trials, seed=seed, cutoff_max=cutoff_max),
-        suite_classicality(trials=trials, seed=seed),
-        suite_channel_laws(trials=min(trials, 100), seed=seed),
-        suite_reorder_matrix(trials=min(trials, 100), seed=seed),
-    ]
+    suites = [functools.partial(suite_classicality, trials=trials, seed=seed),
+              functools.partial(suite_channel_laws, trials=min(trials, 100), seed=seed),
+              functools.partial(suite_reorder_matrix, trials=min(trials, 100), seed=seed)]
+    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
+    # The results are pickled only to cross between this package's own processes.
+    with contextlib.closing(fork_map(_pickled_call, suites + chunks)) as results:
+        outcomes = map(pickle.loads, results)
+        others = [next(outcomes) for _ in suites]
+        return [_gaussian_fock_result(trials, outcomes), *others]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from forking import assert_no_child_left, use_cores
 from hypothesis import given, settings, strategies as st
 
 import squeezewitness
@@ -117,6 +118,90 @@ class TestReproduceCommand:
         assert "unknown figure" in capsys.readouterr().err
         assert main(["reproduce", "--figure", "noise-sweep", "--points", "7",
                      "--out", str(tmp_path)]) == EXIT_OK
+
+
+def fail_output(monkeypatch, nth, limit):
+    """Make the ``nth`` new output file (0-based) fail with ENOSPC once it
+    holds ``limit`` bytes, as a full disk does."""
+    open_path = Path.open
+    opened = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            room = limit - self.tell()
+            if room <= 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(bytes(data)[:room])
+
+    def open_full(self, mode="r", *args, **kwargs):
+        if mode in ("w", "x"):
+            opened.append(self)
+            if len(opened) == nth + 1:
+                return io.TextIOWrapper(io.BufferedWriter(FullDisk(self, mode)),
+                                        encoding="utf-8")
+        return open_path(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_full)
+
+
+def listing(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestOutputWriteFailure:
+    """A failed write exits 2 and leaves the previous file, or none, whole."""
+
+    # Where in the file the write fails: at its first byte, its middle or
+    # its last byte.
+    SPOTS = {"first": lambda size: 0, "middle": lambda size: size // 2,
+             "last": lambda size: size - 1}
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    @pytest.mark.parametrize("nth", [0, 1, 2])
+    @pytest.mark.parametrize("previous", [True, False])
+    def test_reproduce(self, tmp_path, monkeypatch, capsys, spot, nth, previous):
+        argv = ["reproduce", "--figure", "fluctuations", "--svg", "--out"]
+        assert main(argv + [str(tmp_path / "fresh")]) == EXIT_OK
+        written = listing(tmp_path / "fresh")
+        out = tmp_path / "out"
+        out.mkdir()
+        if previous:  # a smaller grid, so that every file differs from this run's
+            assert main(argv + [str(out), "--points", "11"]) == EXIT_OK
+        before = listing(out)
+        assert all(before[name] != written[name] for name in before)
+        names = ["fluctuations.csv", "fluctuations_summary.json", "fluctuations.svg"]
+        fail_output(monkeypatch, nth, self.SPOTS[spot](len(written[names[nth]])))
+        capsys.readouterr()
+        assert main(argv + [str(out)]) == EXIT_INPUT_ERROR
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        # The files before the failing one are this run's; the rest are untouched.
+        assert listing(out) == {**before, **{name: written[name] for name in names[:nth]}}
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    @pytest.mark.parametrize("previous", [True, False])
+    def test_validate_out(self, tmp_path, monkeypatch, capsys, spot, previous):
+        argv = ["validate", "--trials", "2", "--cutoff-max", "128", "--out"]
+        assert main(argv + [str(tmp_path / "fresh.json")]) == EXIT_OK
+        size = (tmp_path / "fresh.json").stat().st_size
+        out = tmp_path / "out"
+        out.mkdir()
+        if previous:
+            (out / "v.json").write_bytes(b"previous report\n")
+        before = listing(out)
+        fail_output(monkeypatch, 0, self.SPOTS[spot](size))
+        assert main(argv + [str(out / "v.json")]) == EXIT_INPUT_ERROR
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert listing(out) == before
+
+    def test_a_link_is_written_through(self, tmp_path):
+        # A link such as /dev/stdout is the user's: it is written through,
+        # not replaced.
+        target = tmp_path / "target.json"
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["validate", "--trials", "0", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["all_passed"] is True
 
 
 def write_csv(tmp_path, text):
@@ -562,27 +647,6 @@ def mixed_rows(n):
     return rows
 
 
-def use_cores(monkeypatch, cores):
-    """Let the report see ``cores`` available cores; returns the list that
-    records each ``os.fork`` the report makes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
 class TestWitnessReportBlocks:
     """The report is the same bytes for any number of rows per core."""
@@ -668,6 +732,13 @@ class TestWitnessReportFailure:
         forks = use_cores(monkeypatch, 3)
         assert "a formatting process ended before sending all its rows" in witness()
         assert len(forks) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_worker_that_exits_nonzero(self, tmp_path, monkeypatch, witness):
+        use_cores(monkeypatch, 3)
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))  # only workers exit
+        assert "a formatting process exited with code 3" in witness()
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("cores", [1, 3])
@@ -774,6 +845,33 @@ class TestValidateCommand:
         assert "settle" in gauss["detail"]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
+def test_validate_reports_a_failed_worker_not_a_pass(tmp_path, monkeypatch, capfd):
+    # The channel-law suite is the second item, which a worker runs on two cores.
+    import squeezewitness.validate as validate
+
+    parent = os.getpid()
+    suite = validate.suite_channel_laws
+
+    def failing_suite(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the suite")
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "suite_channel_laws", failing_suite)
+    forks = use_cores(monkeypatch, 2)
+    out = tmp_path / "v.json"
+    assert main(["validate", "--trials", "3", "--cutoff-max", "128",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert not out.exists()
+    err = capfd.readouterr().err
+    assert "MemoryError: no room for the suite" in err  # the worker's traceback
+    assert err.endswith("error: cannot finish the suites: a worker process ended "
+                        "before sending all its results\n")
+
+
 def _fresh_python(code: str) -> str:
     """Stdout of ``code`` run in a new interpreter that imports this package."""
     src = str(Path(squeezewitness.__file__).parents[1])
@@ -789,6 +887,19 @@ def test_cli_import_loads_no_oracle():
     code = ("import sys, squeezewitness.cli; "
             "print(sorted(m for m in sys.modules if m in ('squeezewitness.fock', "
             "'squeezewitness.opexpr', 'squeezewitness.validate')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_reproduce_loads_no_pool_nor_oracle(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from squeezewitness.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["reproduce", "--figure", "robustness", "--points", "5",
+                 "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m in ("squeezewitness.fock", "squeezewitness.opexpr",
+                                             "squeezewitness.validate", "squeezewitness._pool")))
+"""
     assert _fresh_python(code).strip() == "[]"
 
 

@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from dense_reference import reorder_deviation
+from forking import assert_no_child_left, use_cores
 
 from squeezewitness import validate
 from squeezewitness.opexpr import formal_normal_order
@@ -8,7 +12,9 @@ from squeezewitness.validate import (
     _draw_pairs,
     random_expression,
     random_state_params,
+    run_all_suites,
     suite_channel_laws,
+    suite_classicality,
     suite_gaussian_fock,
     suite_reorder_matrix,
 )
@@ -97,3 +103,31 @@ def test_reorder_suite_fails_when_commutators_are_dropped(monkeypatch):
 def test_reorder_suite_rejects_an_empty_interior():
     with pytest.raises(ValueError, match="cutoff must exceed max_degree, got 4 and 4"):
         suite_reorder_matrix(trials=1, cutoff=4, max_degree=4)
+
+
+def suite_report(results) -> str:
+    return json.dumps([result.to_json_dict() for result in results], indent=2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the suites fork their workers")
+@pytest.mark.parametrize("trials, seed, cutoff_max", [
+    # Blocks of 8 pairs at ceiling 128 and of 2 at 256, the last one short.
+    (37, 42, 128), (37, 42, 256),
+    # Trial 9 fails to settle within 128, in the second block.
+    (10, 110, 128),
+])
+def test_suites_give_the_same_report_on_any_core_count(monkeypatch, trials, seed, cutoff_max):
+    # Each suite run on its own in this process is the reference.
+    reference = suite_report([
+        suite_gaussian_fock(trials, seed, cutoff_max), suite_classicality(trials, seed),
+        suite_channel_laws(min(trials, 100), seed), suite_reorder_matrix(min(trials, 100), seed)])
+    if seed == 110:
+        assert ('"detail": "trial 9: expectation value did not settle to 1.63313e-06 '
+                'within cutoff 128"') in reference
+    for cores in (1, 2, 3):
+        forks = use_cores(monkeypatch, cores)
+        assert suite_report(run_all_suites(trials, seed, cutoff_max)) == reference
+        assert len(forks) == cores - 1
+        assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert suite_report(run_all_suites(trials, seed, cutoff_max)) == reference
