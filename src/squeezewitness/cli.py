@@ -6,7 +6,7 @@ Commands
 ``reproduce --figure <id> --out <dir> [--svg] [--points N]``
     Write the CSV data, a JSON summary, and optionally an SVG plot for one
     of the built-in figures (``fluctuations``, ``noise-sweep``,
-    ``robustness``).  Each file is replaced whole or not at all.
+    ``robustness``).
 ``witness --input <csv> [--tol T] --out <json>``
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
@@ -19,15 +19,21 @@ Commands
     read.  The report's rows are formatted in blocks spread over the
     available cores by the package's one fork pool (one process where
     ``os.fork`` is missing) and written in order, the same bytes for any
-    core count; a failed write or worker leaves no report.  ``cmd_witness``
-    returns only the report's ``tol`` and ``summary``.
+    core count.  ``cmd_witness`` returns only the report's ``tol`` and
+    ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
     any fails.  The suites run on every available core through the same
     fork pool, and the report is the same bytes for any core count; a
-    failed worker exits 2 with no report.  An ``--out`` file is replaced
-    whole or not at all.
+    failed worker exits 2 with no report.
+
+Every output file goes through one writer: the bytes of each regular file
+go to a new file beside it, which replaces it, with its permission bits,
+once every file of the run is written.  So a failed write or worker leaves
+every previous file whole, or none, and no new file.  A link, such as
+``/dev/stdout``, or a device is written in place.  Line ends are ``\n`` on
+every platform.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, a failed
 write or a failed worker process.  All outputs are deterministic for a
@@ -39,10 +45,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import operator
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -100,32 +108,46 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: Path, chunks) -> None:
-    """Write the strings of ``chunks``, in order, as one UTF-8 file.
+def _write_files(files) -> None:
+    """Write each ``(path, chunks)`` of ``files``: the bytes of ``chunks``, in
+    order, as the file at ``path``.
 
-    A regular file is replaced whole or not at all: the text goes to a new
-    file beside it, which replaces ``path`` once every chunk is written, so
-    a failed write leaves the previous file, or none.  A link, such as
-    ``/dev/stdout``, or a device is written in place.
+    Every regular file is replaced whole or not at all: its bytes go to a new
+    file beside it, and once every file is written, each replaces its target
+    with the target's permission bits.  A failed write, or a failed chunk,
+    removes the new files, so it leaves every previous file, or none.  A
+    link, such as ``/dev/stdout``, or a device is written in place.  An
+    ``OSError`` is raised as :class:`InputError` naming the path.
     """
+    temps = []  # (new file, its target)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.is_symlink() or (path.exists() and not path.is_file()):
-            with path.open("w", encoding="utf-8") as stream:
+        for path, chunks in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_symlink() or (path.exists() and not path.is_file()):
+                with path.open("wb") as stream:
+                    stream.writelines(chunks)
+                continue
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            with temp.open("xb") as stream:  # a name no other writer holds
+                temps.append((temp, path))
                 stream.writelines(chunks)
-            return
-        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-        stream = temp.open("x", encoding="utf-8")  # a name no other writer holds
-        try:
-            with stream:
-                stream.writelines(chunks)
+            if path.exists():
+                os.chmod(temp, stat.S_IMODE(path.stat().st_mode))
+        for temp, path in temps:
             os.replace(temp, path)
-        except BaseException:
+    except BaseException as exc:
+        for temp, _ in temps:
             with contextlib.suppress(OSError):  # the error being raised is the cause
                 temp.unlink()
-            raise
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _encoded(build, *args, **kwargs):
+    """Yield ``build(*args, **kwargs)`` as UTF-8, built only once the writer
+    asks for it."""
+    yield build(*args, **kwargs).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +165,14 @@ def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
         ) from None
     out_dir = Path(out)
     stem = figure.name.replace("-", "_")
-    written = []
-
-    csv_path = out_dir / f"{stem}.csv"
-    _write_text(csv_path, [render_csv(figure)])
-    written.append(csv_path)
-
-    summary_path = out_dir / f"{stem}_summary.json"
-    _write_text(summary_path, [_dump_json(figure.summary)])
-    written.append(summary_path)
-
+    files = [(out_dir / f"{stem}.csv", _encoded(render_csv, figure)),
+             (out_dir / f"{stem}_summary.json", _encoded(_dump_json, figure.summary))]
     if svg:
-        svg_path = out_dir / f"{stem}.svg"
-        _write_text(svg_path, [line_plot_svg(
-            figure.series, title=figure.name, x_label=figure.x_label,
-            y_label=figure.y_label, log_x=figure.log_x)])
-        written.append(svg_path)
-    return written
+        files.append((out_dir / f"{stem}.svg", _encoded(
+            line_plot_svg, figure.series, title=figure.name, x_label=figure.x_label,
+            y_label=figure.y_label, log_x=figure.log_x)))
+    _write_files(files)
+    return [path for path, _ in files]
 
 
 # ---------------------------------------------------------------------------
@@ -286,43 +299,29 @@ def _report_block(columns, start: int) -> bytes:
 
 def _write_report(path: Path, columns, tail: dict) -> None:
     """Write the witness report in ``_dump_json``'s layout: the rows of
-    ``columns``, then ``tail``.
+    ``columns``, then ``tail``, through :func:`_write_files`.
 
     The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS` by
     :func:`~squeezewitness._pool.fork_map`, spread over the available
     cores, and written in block order: the bytes do not depend on how many
-    processes format them.  Any failure, a failed write or a worker that
-    ends early or exits nonzero, raises :class:`InputError` and removes the
-    partial file, unless ``path`` is a link or a device, which it leaves
-    in place.  Every worker has exited when this returns or raises.
+    processes format them.  A worker that ends early or exits nonzero fails
+    the write as a full disk does: it raises :class:`InputError` and leaves
+    the previous report, or none.  Every worker has exited when this
+    returns or raises.
     """
     from ._pool import WorkerError, fork_map
 
     starts = range(0, len(columns[0]), REPORT_BLOCK_ROWS)
     blocks = fork_map(functools.partial(_report_block, columns), starts)
-    stream = None
-    complete = False
+    # The tail's keys follow the rows, after its own "{\n".
+    end = (b"\n  ],\n" if starts else b"],\n") + _dump_json(tail)[2:].encode("ascii")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.closing(blocks), path.open("wb") as stream:
-            stream.write(b'{\n  "rows": [')
-            stream.writelines(blocks)
-            stream.write(b"\n  ],\n" if starts else b"],\n")
-            stream.write(_dump_json(tail)[2:].encode("ascii"))  # after its "{\n"
-        complete = True
+        with contextlib.closing(blocks):
+            _write_files([(path, itertools.chain([b'{\n  "rows": ['], blocks, [end]))])
     except WorkerError as exc:
         cause = ("ended before sending all its rows" if exc.code is None
                  else f"exited with code {exc.code}")
         raise InputError(f"cannot write {path}: a formatting process {cause}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if stream is not None and not complete:
-            # Only a regular file named by the path itself: never a link,
-            # such as /dev/stdout, nor a device.
-            with contextlib.suppress(OSError):  # the error above is the cause
-                if not path.is_symlink() and path.is_file():
-                    path.unlink()
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
@@ -331,8 +330,8 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
     Every input check runs before the report file is opened.  The rows are
     then formatted in blocks spread over the available cores and written in
     order, never held whole; the bytes are the same for any core count.  A
-    failed write leaves no report.  Returns the report's ``tol`` and
-    ``summary``, without its rows.
+    failed write or worker leaves the previous report, or none.  Returns the
+    report's ``tol`` and ``summary``, without its rows.
     """
     records, warnings = read_moment_records(input_path)
     for warning in warnings:
@@ -400,7 +399,7 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
     }
     text = _dump_json(report)
     if out:
-        _write_text(Path(out), [text])
+        _write_files([(Path(out), [text.encode("utf-8")])])
     else:
         sys.stdout.write(text)
     return report, EXIT_OK if report["all_passed"] else EXIT_VALIDATION_FAILURE

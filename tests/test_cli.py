@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -121,8 +122,9 @@ class TestReproduceCommand:
 
 
 def fail_output(monkeypatch, nth, limit):
-    """Make the ``nth`` new output file (0-based) fail with ENOSPC once it
-    holds ``limit`` bytes, as a full disk does."""
+    """Make the ``nth`` output file opened (0-based), a new file or a link
+    written in place, fail with ENOSPC once it holds ``limit`` bytes, as a
+    full disk does."""
     open_path = Path.open
     opened = []
 
@@ -134,11 +136,10 @@ def fail_output(monkeypatch, nth, limit):
             return super().write(bytes(data)[:room])
 
     def open_full(self, mode="r", *args, **kwargs):
-        if mode in ("w", "x"):
+        if mode in ("wb", "xb"):
             opened.append(self)
             if len(opened) == nth + 1:
-                return io.TextIOWrapper(io.BufferedWriter(FullDisk(self, mode)),
-                                        encoding="utf-8")
+                return io.BufferedWriter(FullDisk(self, mode))
         return open_path(self, mode, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", open_full)
@@ -174,8 +175,24 @@ class TestOutputWriteFailure:
         capsys.readouterr()
         assert main(argv + [str(out)]) == EXIT_INPUT_ERROR
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
-        # The files before the failing one are this run's; the rest are untouched.
-        assert listing(out) == {**before, **{name: written[name] for name in names[:nth]}}
+        # Every file is replaced only once all are written: a failure at any
+        # of them leaves every previous file, or none, and no new file.
+        assert listing(out) == before
+
+    def test_reproduce_onto_a_directory_keeps_every_file(self, tmp_path, capsys):
+        # The summary's target is a directory, which fails after the new CSV
+        # is written: the previous CSV is kept.
+        argv = ["reproduce", "--figure", "fluctuations", "--out", str(tmp_path), "--points"]
+        assert main(argv + ["11"]) == EXIT_OK
+        csv = (tmp_path / "fluctuations.csv").read_bytes()
+        summary = tmp_path / "fluctuations_summary.json"
+        summary.unlink()
+        summary.mkdir()
+        assert main(argv + ["13"]) == EXIT_INPUT_ERROR
+        assert "fluctuations_summary.json" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fluctuations.csv", "fluctuations_summary.json"]
+        assert (tmp_path / "fluctuations.csv").read_bytes() == csv
 
     @pytest.mark.parametrize("spot", SPOTS)
     @pytest.mark.parametrize("previous", [True, False])
@@ -202,6 +219,25 @@ class TestOutputWriteFailure:
         assert main(["validate", "--trials", "0", "--out", str(link)]) == EXIT_OK
         assert link.is_symlink()
         assert json.loads(target.read_text())["all_passed"] is True
+
+
+@pytest.mark.parametrize("command", ["reproduce", "witness", "validate"])
+def test_a_replaced_file_keeps_its_mode(tmp_path, command):
+    out = tmp_path / "out.json"
+    argv = {
+        "reproduce": ["reproduce", "--figure", "robustness", "--points", "5",
+                      "--out", str(tmp_path)],
+        "witness": ["witness", "--input", write_csv(tmp_path, "theta_rad,var_L,nb\n0,1,1\n"),
+                    "--out", str(out)],
+        "validate": ["validate", "--trials", "0", "--out", str(out)],
+    }[command]
+    if command == "reproduce":
+        out = tmp_path / "robustness.csv"
+    out.write_bytes(b"previous\n")
+    out.chmod(0o600)
+    assert main(argv) == EXIT_OK
+    assert out.read_bytes() != b"previous\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
 
 
 def write_csv(tmp_path, text):
@@ -691,28 +727,13 @@ def break_workers(monkeypatch, fault):
     monkeypatch.setattr("squeezewitness.cli._report_block", faulty_block)
 
 
-def fill_disk(monkeypatch):
-    """Make the report's file fail with ENOSPC once it holds 1 MiB, partway
-    through the rows."""
-    open_path = Path.open
-
-    class FullDisk(io.FileIO):
-        def write(self, data):
-            if self.tell() > 1 << 20:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return super().write(data)
-
-    def open_full(self, mode="r", *args, **kwargs):
-        if mode == "wb":
-            return FullDisk(self, "w")
-        return open_path(self, mode, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "open", open_full)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
 class TestWitnessReportFailure:
-    """A report that cannot be written whole leaves no file and no process."""
+    """A report that cannot be written whole leaves the previous report, or
+    none, no new file and no process."""
+
+    # The disk fills at 1 MiB, partway through the report's rows.
+    FULL = 1 << 20
 
     @pytest.fixture
     def witness(self, tmp_path, capsys):
@@ -726,34 +747,49 @@ class TestWitnessReportFailure:
 
         return run
 
-    @pytest.mark.parametrize("fault", ["raise", "exit"])
-    def test_worker_that_ends_early(self, tmp_path, monkeypatch, witness, fault):
+    @staticmethod
+    def listing_before(tmp_path, previous):
+        """The directory's files, after writing a previous report if ``previous``."""
+        if previous:
+            (tmp_path / "report.json").write_bytes(b"previous report\n")
+        return listing(tmp_path)
+
+    @pytest.mark.parametrize("fault, previous", [
+        ("raise", False), ("exit", False), ("raise", True), ("exit", True)],
+        ids=["raise", "exit", "raise-previous", "exit-previous"])
+    def test_worker_that_ends_early(self, tmp_path, monkeypatch, witness, fault, previous):
+        before = self.listing_before(tmp_path, previous)
         break_workers(monkeypatch, fault)
         forks = use_cores(monkeypatch, 3)
         assert "a formatting process ended before sending all its rows" in witness()
         assert len(forks) == 2
-        assert not (tmp_path / "report.json").exists()
+        assert listing(tmp_path) == before
 
-    def test_worker_that_exits_nonzero(self, tmp_path, monkeypatch, witness):
+    @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+    def test_worker_that_exits_nonzero(self, tmp_path, monkeypatch, witness, previous):
+        before = self.listing_before(tmp_path, previous)
         use_cores(monkeypatch, 3)
         exit_now = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: exit_now(3))  # only workers exit
         assert "a formatting process exited with code 3" in witness()
-        assert not (tmp_path / "report.json").exists()
+        assert listing(tmp_path) == before
 
-    @pytest.mark.parametrize("cores", [1, 3])
-    def test_failed_write_in_the_parent(self, tmp_path, monkeypatch, witness, cores):
-        fill_disk(monkeypatch)
+    @pytest.mark.parametrize("cores, previous", [(1, False), (3, False), (1, True), (3, True)],
+                             ids=["1", "3", "1-previous", "3-previous"])
+    def test_failed_write_in_the_parent(self, tmp_path, monkeypatch, witness, cores,
+                                        previous):
+        before = self.listing_before(tmp_path, previous)
+        fail_output(monkeypatch, 0, self.FULL)
         use_cores(monkeypatch, cores)
         assert os.strerror(errno.ENOSPC) in witness()
-        assert not (tmp_path / "report.json").exists()
+        assert listing(tmp_path) == before
 
     def test_failed_write_through_a_link_keeps_the_link(self, tmp_path, monkeypatch,
                                                         witness):
         # A link such as /dev/stdout is the user's, whatever it points to.
         link = tmp_path / "link.json"
         link.symlink_to(tmp_path / "target.json")
-        fill_disk(monkeypatch)
+        fail_output(monkeypatch, 0, self.FULL)
         use_cores(monkeypatch, 2)
         assert os.strerror(errno.ENOSPC) in witness(link)
         assert link.is_symlink()
