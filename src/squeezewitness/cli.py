@@ -81,16 +81,9 @@ WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
 # One measured row: its cells, with ``na`` NaN where that cell was left empty.
 RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
                          ("na", float)])
-# One witness report row as ``_dump_json`` lays it out (indent 2, keys
-# sorted), without and with the ``na`` columns.  The first field is the comma
-# after the previous row; ``%r`` of a float is ``float.__repr__``, which is
-# how ``json`` writes floats.
-_ROW = ('%s\n    {\n      "nb": %r,\n      "noise_db": %s,\n      "partial_no": %r,'
-        '\n      "theta_rad": %r,\n      "var_L": %r,\n      "verdict": %s\n    }')
-_ROW_NA = ('%s\n    {\n      "full_no": %r,\n      "na": %r,\n      "nb": %r,'
-           '\n      "noise_db": %s,\n      "partial_no": %r,'
-           '\n      "standard_negativity": %s,\n      "theta_rad": %r,'
-           '\n      "var_L": %r,\n      "verdict": %s\n    }')
+# A witness report row is one f-string in ``_dump_json``'s layout (indent 2,
+# keys sorted), without or with the ``na`` columns; ``!r`` of a float is
+# ``float.__repr__``, which is how ``json`` writes floats.
 _JSON_BOOL = ("false", "true")
 _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
 # Report rows per block.  The blocks are dealt round-robin to this process
@@ -282,19 +275,19 @@ def _report_block(columns, start: int) -> bytes:
     """Rows ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``columns`` in
     ``_dump_json``'s layout, each after the comma that ends the row before
     it, as ASCII."""
-    rows = []
-    separator = "," if start else ""
-    for t, v, b, p, n, nonclassical, given, a, f, negative in zip(
-            *(column[start:start + REPORT_BLOCK_ROWS].tolist() for column in columns)):
-        noise_db = '"-inf"' if n == -math.inf else repr(n)
-        if given:
-            rows.append(_ROW_NA % (separator, f, a, b, noise_db, p, _JSON_BOOL[negative],
-                                   t, v, _JSON_VERDICT[nonclassical]))
-        else:
-            rows.append(_ROW % (separator, b, noise_db, p, t, v,
-                                _JSON_VERDICT[nonclassical]))
-        separator = ","
-    return "".join(rows).encode("ascii")
+    cells = zip(*(column[start:start + REPORT_BLOCK_ROWS].tolist() for column in columns))
+    rows = [
+        f'\n    {{\n      "full_no": {f!r},\n      "na": {a!r},\n      "nb": {b!r},'
+        f'\n      "noise_db": {noise_db},\n      "partial_no": {p!r},'
+        f'\n      "standard_negativity": {_JSON_BOOL[negative]},\n      "theta_rad": {t!r},'
+        f'\n      "var_L": {v!r},\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
+        if given else
+        f'\n    {{\n      "nb": {b!r},\n      "noise_db": {noise_db},\n      "partial_no": {p!r},'
+        f'\n      "theta_rad": {t!r},\n      "var_L": {v!r},'
+        f'\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
+        for t, v, b, p, n, nonclassical, given, a, f, negative in cells
+        for noise_db in ('"-inf"' if n == -math.inf else repr(n),)]
+    return (("," if start else "") + ",".join(rows)).encode("ascii")
 
 
 def _write_report(path: Path, columns, tail: dict) -> None:

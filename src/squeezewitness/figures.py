@@ -17,6 +17,8 @@ Three scenarios are provided:
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,7 @@ from .channels import apply_gain_noise, apply_loss
 from .gaussian import coherent, db_to_squeeze, mean_photon, squeezed_vacuum
 from .witness import TwoModeProduct, evaluate, homodyne_variance, witness_values
 
-__all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "format_value",
-           "render_csv"]
+__all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "render_csv"]
 
 FIGURE_IDS = ("fluctuations", "noise-sweep", "robustness")
 
@@ -47,25 +48,24 @@ class FigureData:
     log_x: bool = False
 
 
-def format_value(value) -> str:
-    """Render one CSV cell; floats use shortest round-trip form."""
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    if value == -np.inf:
-        return "-inf"
-    return repr(value)
-
-
 def db_json_value(value: float):
     """A noise parameter for a JSON report: ``-inf`` becomes ``"-inf"``."""
     return "-inf" if value == -np.inf else value
 
 
+def _csv_column(column: tuple) -> Iterable[str]:
+    return column if isinstance(column[0], str) else map(repr, map(float, column))
+
+
 def render_csv(figure: FigureData) -> str:
-    lines = [",".join(figure.header)]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in figure.rows)
-    return "\n".join(lines) + "\n"
+    """The figure's header and rows as CSV text, a column at a time.
+
+    A column whose first cell is a ``str`` is text and is written as it is;
+    every other cell is written as ``repr(float(cell))``, the shortest form
+    that round-trips, so ``-inf`` is ``-inf``.
+    """
+    rows = map(",".join, zip(*map(_csv_column, zip(*figure.rows))))
+    return "\n".join(itertools.chain([",".join(figure.header)], rows)) + "\n"
 
 
 def figure_fluctuations(points: int = 361) -> FigureData:
@@ -152,34 +152,35 @@ def figure_robustness(points: int = 21) -> FigureData:
     lo = squeezed_vacuum(zeta)
     theta = np.pi / 2.0
     nb = mean_photon(lo)
-    etas = np.linspace(0.0, 1.0, points).tolist()
-    gains = np.linspace(1.0, 2.0, points).tolist()
+    etas = np.linspace(0.0, 1.0, points)
+    gains = np.linspace(1.0, 2.0, points)
     var = [homodyne_variance(TwoModeProduct(si=signal, lo=lo), theta)
            for signal in (si, apply_loss(si, etas), apply_gain_noise(si, gains))]
-    partials = witness_values(np.hstack(var), nb).partial_no.tolist()
-    ideal, lossy, noisy = partials[0], partials[1:points + 1], partials[points + 1:]
-    rows = [("loss", eta, p, eta * ideal) for eta, p in zip(etas, lossy)]
-    rows += [("gain", g, p, g * ideal + (g - 1.0) * (2.0 * nb + 1.0))
-             for g, p in zip(gains, noisy)]
+    partials = witness_values(np.hstack(var), nb).partial_no
+    ideal, lossy, noisy = float(partials[0]), partials[1:points + 1], partials[points + 1:]
+    laws = {  # channel: (parameter, partial_no, the law's prediction)
+        "loss": (etas, lossy, etas * ideal),
+        "gain": (gains, noisy, gains * ideal + (gains - 1.0) * (2.0 * nb + 1.0)),
+    }
+    rows = [row for channel, columns in laws.items()
+            for row in zip(itertools.repeat(channel), *(c.tolist() for c in columns))]
 
     summary = {
         "figure": "robustness",
         "points": points,
         "scenario": f"squeezed SI and LO ({SQUEEZING_DB} dB), theta = pi/2",
         "ideal_partial_no": ideal,
-        "max_loss_law_deviation": max(
-            abs(row[2] - row[3]) for row in rows if row[0] == "loss"),
-        "max_gain_law_deviation": max(
-            abs(row[2] - row[3]) for row in rows if row[0] == "gain"),
-        "loss_creates_negativity": bool(any(
-            row[2] < ideal - 1e-12 for row in rows if row[0] == "loss")),
+        "max_loss_law_deviation": float(np.max(np.abs(lossy - laws["loss"][2]))),
+        "max_gain_law_deviation": float(np.max(np.abs(noisy - laws["gain"][2]))),
+        "loss_creates_negativity": bool(np.any(lossy < ideal - 1e-12)),
     }
     return FigureData(
         name="robustness",
         header=("channel", "param", "partial_no", "predicted"),
         rows=rows,
         summary=summary,
-        series=[("loss (vs eta)", etas, lossy), ("gain (vs g)", gains, noisy)],
+        series=[("loss (vs eta)", etas.tolist(), lossy.tolist()),
+                ("gain (vs g)", gains.tolist(), noisy.tolist())],
         x_label="channel parameter",
         y_label="LO-agnostic variance",
     )
