@@ -1,20 +1,22 @@
 """The package's one fork pool: ``task(item)`` for each item, in item order.
 
-The items are dealt round-robin to this process and to workers made with
-``os.fork``: one process per core this process may run on, at most one per
-item, and this process alone where ``os.fork`` is missing.  A task returns
-``bytes``.  Each worker computes its items in order and sends each result
-down its own pipe, length first, in one unbuffered write, so the parent
-can read it as soon as it is made.  A full pipe blocks the worker until the
-parent reads, so a worker holds at most one result that its pipe has not
-taken.  A worker leaves only through ``os._exit``: it never runs the
-parent's exception handlers or atexit hooks, nor flushes the parent's stdio.
-A worker that raises prints its traceback to stderr first.
+Where ``os.fork`` exists, the items are dealt round-robin to workers made
+with it: one per core this process may run on, at most one per item, and
+none for no items.  This process runs no task; it only reads the results.
+Where ``os.fork`` is missing, this process computes every item itself.
+Each worker computes its items in order and pickles each result down its
+own pipe, flushed after each, so the parent can read it as soon as it is
+made.  A full pipe blocks the worker until the parent reads, so a worker
+holds at most one result that its pipe has not taken.  A worker leaves only
+through ``os._exit``: it never runs the parent's exception handlers or
+atexit hooks, nor flushes the parent's stdio.  A worker that raises prints
+its traceback to stderr first.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import traceback
 from collections.abc import Callable, Iterator, Sequence
@@ -23,8 +25,7 @@ from typing import BinaryIO, TypeVar
 __all__ = ["WorkerError", "fork_map"]
 
 T = TypeVar("T")
-
-_LENGTH_BYTES = 8  # size of the length sent before each result
+R = TypeVar("R")
 
 
 class WorkerError(Exception):
@@ -37,31 +38,22 @@ class WorkerError(Exception):
         self.code = code
 
 
-def _processes(items: int) -> int:
-    """How many processes compute ``items`` items: one per core this process
-    may run on, at most one per item, and one where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
+def _workers(items: int) -> int:
+    """How many workers compute ``items`` items: one per core this process
+    may run on, at most one per item."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call, as on macOS
         cores = os.cpu_count() or 1
-    return max(1, min(cores, items))
+    return min(cores, items)
 
 
-def _send(fd: int, result: bytes) -> None:
-    """Write ``result`` to ``fd`` after its length, with no buffer between."""
-    data = memoryview(len(result).to_bytes(_LENGTH_BYTES, "little") + result)
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _fork_worker(task: Callable[[T], bytes], items: Sequence[T],
+def _fork_worker(task: Callable[[T], R], items: Sequence[T],
                  workers: list) -> tuple[int, BinaryIO]:
-    """Fork a worker that sends ``task(item)`` for each of ``items`` down its
-    own pipe; returns its pid and the pipe's read end.  ``workers`` holds
-    the earlier workers, whose pipes it closes, so that each pipe's only
-    reader is the parent."""
+    """Fork a worker that pickles ``task(item)`` for each of ``items`` down
+    its own pipe; returns its pid and the pipe's read end.  ``workers``
+    holds the earlier workers, whose pipes it closes, so that each pipe's
+    only reader is the parent."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -75,8 +67,10 @@ def _fork_worker(task: Callable[[T], bytes], items: Sequence[T],
             os.close(read_end)
             for _, pipe in workers:
                 pipe.close()
+            pipe = open(write_end, "wb")
             for item in items:
-                _send(write_end, task(item))
+                pickle.dump(task(item), pipe)
+                pipe.flush()
             status = 0
         except BrokenPipeError:
             pass  # the parent stopped reading: it no longer waits for a result
@@ -89,14 +83,13 @@ def _fork_worker(task: Callable[[T], bytes], items: Sequence[T],
     return pid, open(read_end, "rb")
 
 
-def _receive(pipe: BinaryIO) -> bytes:
-    """The next result on a worker's pipe."""
-    header = pipe.read(_LENGTH_BYTES)
-    size = int.from_bytes(header, "little")
-    result = pipe.read(size)
-    if len(header) < _LENGTH_BYTES or len(result) < size:
-        raise WorkerError()
-    return result
+def _receive(pipe: BinaryIO):
+    """The next result on a worker's pipe; a pipe that ends, between results
+    or inside one, raises :class:`WorkerError`."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise WorkerError() from None
 
 
 def _reap(workers: list) -> int:
@@ -109,24 +102,27 @@ def _reap(workers: list) -> int:
     return next(filter(None, codes), 0)
 
 
-def fork_map(task: Callable[[T], bytes], items: Sequence[T]) -> Iterator[bytes]:
+def fork_map(task: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """Yield ``task(item)`` for each of ``items``, in item order.
 
-    Item ``i`` is computed by process ``i % P`` of ``P`` processes: this one,
-    then workers forked when the first result is requested.  The results
-    come in item order whatever ``P`` is.  A worker whose pipe ends early,
-    or that exits nonzero, raises :class:`WorkerError` here.  Every worker
-    has exited when the generator finishes, raises or is closed; a caller
-    that may stop early closes it, as ``contextlib.closing`` does.
+    Item ``i`` is computed by worker ``i % P`` of ``P`` workers, forked when
+    the first result is requested; where ``os.fork`` is missing, this is
+    ``map(task, items)``.  The results come in item order whatever ``P`` is.
+    A worker whose pipe ends early, or that exits nonzero, raises
+    :class:`WorkerError` here.  Every worker has exited when the generator
+    finishes, raises or is closed; a caller that may stop early closes it,
+    as ``contextlib.closing`` does.
     """
-    processes = _processes(len(items))
-    workers = []  # (pid, read end of its pipe); worker k computes items[k::processes]
+    if not hasattr(os, "fork"):
+        yield from map(task, items)
+        return
+    count = _workers(len(items))
+    workers = []  # (pid, read end of its pipe); worker k computes items[k::count]
     try:
-        for k in range(1, processes):
-            workers.append(_fork_worker(task, items[k::processes], workers))
-        for i, item in enumerate(items):
-            k = i % processes
-            yield _receive(workers[k - 1][1]) if k else task(item)
+        for k in range(count):
+            workers.append(_fork_worker(task, items[k::count], workers))
+        for i in range(len(items)):
+            yield _receive(workers[i % count][1])
         code = _reap(workers)
         if code:
             raise WorkerError(code)

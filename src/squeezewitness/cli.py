@@ -16,17 +16,18 @@ Commands
     that line; within it, a wrong cell count comes first, then a cell that
     is not a number, then a cell out of range, then an overflowing
     ``full_no``.  A repeated schema column is an error before any row is
-    read.  The report's rows are formatted in blocks spread over the
-    available cores by the package's one fork pool (one process where
-    ``os.fork`` is missing) and written in order, the same bytes for any
-    core count.  ``cmd_witness`` returns only the report's ``tol`` and
-    ``summary``.
+    read.  The report's rows are formatted in blocks by the package's one
+    fork pool and written in order, the same bytes for any core count.
+    ``cmd_witness`` returns only the report's ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
-    any fails.  The suites run on every available core through the same
-    fork pool, and the report is the same bytes for any core count; a
-    failed worker exits 2 with no report.
+    any fails.  The suites run in the same fork pool, and the report is the
+    same bytes for any core count.
+
+Where ``os.fork`` exists, the pool runs every task in a forked worker, on
+one core too, so a task that raises, or a worker that dies, exits 2 on any
+core count, with the worker's traceback on stderr.
 
 Every output file goes through one writer: the bytes of each regular file
 go to a new file beside it, which replaces it, with its permission bits,
@@ -36,8 +37,8 @@ every previous file whole, or none, and no new file.  A link, such as
 every platform.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, a failed
-write or a failed worker process.  All outputs are deterministic for a
-fixed configuration and seed.
+write, or a failed task or worker process.  All outputs are deterministic
+for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -86,15 +87,15 @@ RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
 # ``float.__repr__``, which is how ``json`` writes floats.
 _JSON_BOOL = ("false", "true")
 _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
-# Report rows per block.  The blocks are dealt round-robin to this process
-# and its forked workers; a worker holds one formatted block, about 2.8 MB
-# with na, while it waits for its pipe to drain.
+# Report rows per block.  The blocks are dealt round-robin to the forked
+# workers; a worker holds one formatted block, about 2.8 MB with na, while
+# it waits for its pipe to drain.
 REPORT_BLOCK_ROWS = 8192
 
 
 class InputError(Exception):
     """Bad user input (malformed CSV, unknown figure, unwritable path), or a
-    worker process that failed; the command exits 2."""
+    task that failed in a worker process; the command exits 2."""
 
 
 def _dump_json(payload: dict) -> str:
@@ -295,8 +296,8 @@ def _write_report(path: Path, columns, tail: dict) -> None:
     ``columns``, then ``tail``, through :func:`_write_files`.
 
     The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS` by
-    :func:`~squeezewitness._pool.fork_map`, spread over the available
-    cores, and written in block order: the bytes do not depend on how many
+    :func:`~squeezewitness._pool.fork_map`'s workers, one per available
+    core, and written in block order: the bytes do not depend on how many
     processes format them.  A worker that ends early or exits nonzero fails
     the write as a full disk does: it raises :class:`InputError` and leaves
     the previous report, or none.  Every worker has exited when this
@@ -321,10 +322,10 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
     """Evaluate measured moment records and write the JSON report.
 
     Every input check runs before the report file is opened.  The rows are
-    then formatted in blocks spread over the available cores and written in
-    order, never held whole; the bytes are the same for any core count.  A
-    failed write or worker leaves the previous report, or none.  Returns the
-    report's ``tol`` and ``summary``, without its rows.
+    then formatted in blocks by forked workers, one per available core, and
+    written in order, never held whole; the bytes are the same for any core
+    count.  A failed write or worker leaves the previous report, or none.
+    Returns the report's ``tol`` and ``summary``, without its rows.
     """
     records, warnings = read_moment_records(input_path)
     for warning in warnings:

@@ -1,16 +1,16 @@
 """Randomized property suites pitting the closed forms against the oracle.
 
 Each suite draws reproducible random scenarios from a seeded generator and
-reports the worst deviation it saw.  The suites are used both by the
-command-line ``validate`` command and by the acceptance tests, so their
-tolerances are fixed here and nowhere else.
+reports the worst deviation it saw; a NaN is the worst, and fails the suite.
+The suites are used both by the command-line ``validate`` command and by the
+acceptance tests, so their tolerances are fixed here and nowhere else.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import pickle
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -73,10 +73,16 @@ class SuiteResult:
         return {
             "name": self.name,
             "trials": self.trials,
-            "max_deviation": deviation if np.isfinite(deviation) else "inf",
+            "max_deviation": deviation if np.isfinite(deviation) else str(float(deviation)),
             "passed": self.passed,
             "detail": self.detail,
         }
+
+
+def _worse(worst: float, deviation: float) -> float:
+    """The larger of two deviations, or NaN if either is NaN: ``max`` would
+    drop a NaN and let a suite pass on it."""
+    return deviation if math.isnan(deviation) or deviation > worst else worst
 
 
 def _draw_fields(rng: np.random.Generator, max_alpha: float = 2.0, max_zeta: float = 0.5,
@@ -157,7 +163,7 @@ def _gaussian_fock_chunk(params_si: StateParams, params_lo: StateParams, theta: 
         except ConvergenceError as exc:
             return worst, f"trial {k}: {exc}"
         for a, b in zip((closed.var_L[k], closed.partial_no[k], closed.full_no[k]), oracle):
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+            worst = _worse(worst, abs(a - b) / max(1.0, abs(b)))
     return worst, ""
 
 
@@ -187,7 +193,7 @@ def _gaussian_fock_result(trials: int, chunks: Iterable[tuple[float, str]]) -> S
     for chunk_worst, failure in chunks:
         if failure:
             return SuiteResult(name, trials, np.inf, False, failure)
-        worst = max(worst, chunk_worst)
+        worst = _worse(worst, chunk_worst)
     return SuiteResult(name, trials, worst, bool(worst <= GAUSSIAN_FOCK_RTOL))
 
 
@@ -216,7 +222,7 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     """
     name = "classicality_nonnegativity"
     rng = np.random.default_rng(seed)
-    lowest = 0.0
+    deviation = 0.0
     for _ in range(trials):
         radius = 2.0 * np.sqrt(rng.uniform())
         alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -224,8 +230,9 @@ def suite_classicality(trials: int = 200, seed: int = 42,
         psi_lo = haar_random_vector(rng, cutoff)
         state = FockState.product(psi_si, psi_lo)
         f = random_expression(rng, max_degree=2, max_terms=4)
-        lowest = min(lowest, witness_general(f, state))
-    deviation = max(0.0, -lowest)
+        value = witness_general(f, state)
+        # A witness that is not finite fails: at +inf, -value would pass.
+        deviation = _worse(deviation, -value if math.isfinite(value) else math.nan)
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
@@ -268,7 +275,7 @@ def _bath_fold_deviation(cutoff: int = 36) -> float:
         mode = channel(make_state(params), strength)
         folded = bath_fold_moments(params, kind, strength, cutoff)
         for got, want in zip(folded, (mode.alpha, mode.a_sq, mode.n_a)):
-            worst = max(worst, abs(got - want))
+            worst = _worse(worst, abs(got - want))
     return worst
 
 
@@ -292,7 +299,7 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     worst = float(np.max(np.concatenate(laws), initial=0.0))
     fold = _bath_fold_deviation()
     passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL
-    return SuiteResult(name, trials, max(worst, fold), bool(passed),
+    return SuiteResult(name, trials, _worse(worst, fold), bool(passed),
                        detail=f"bath-fold deviation {fold:.3e}")
 
 
@@ -337,25 +344,22 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42, cutoff: int = 10,
         for ks in direct.keys() | ordered.keys():
             rows, cols = (max(0, interior - abs(k)) for k in ks)
             diff = np.abs(direct.get(ks, 0.0) - ordered.get(ks, 0.0))[:rows, :cols]
-            worst = max(worst, float(np.max(diff, initial=0.0)))
+            worst = _worse(worst, float(np.max(diff, initial=0.0)))
     return SuiteResult(name, trials, worst, bool(worst <= REORDER_TOL))
-
-
-def _pickled_call(call: Callable[[], object]) -> bytes:
-    return pickle.dumps(call())
 
 
 def run_all_suites(trials: int = 200, seed: int = 42,
                    cutoff_max: int = 256) -> list[SuiteResult]:
     """Run the four suites with a shared seed; vacuous at zero trials.
 
-    The work runs on every available core, through
-    :func:`~squeezewitness._pool.fork_map`: the classicality, channel-law
-    and reorder suites are one item each, and the Gaussian-Fock suite's
-    trials are one item per block of :func:`fock_states`, drawn and put in
-    closed form here, before any worker is forked.  The results come back
-    in item order, so they are the same for any core count.  A worker that
-    fails raises :class:`~squeezewitness._pool.WorkerError`.
+    The work runs in :func:`~squeezewitness._pool.fork_map`'s workers, one
+    per available core: the classicality, channel-law and reorder suites
+    are one item each, and the Gaussian-Fock suite's trials are one item
+    per block of :func:`fock_states`, drawn and put in closed form here,
+    before any worker is forked.  Each result comes back as a pickle, in
+    item order, so they are the same for any core count.  A suite that
+    raises, or a worker that dies, raises
+    :class:`~squeezewitness._pool.WorkerError` here on any core count.
     """
     if trials == 0:
         return [
@@ -367,8 +371,6 @@ def run_all_suites(trials: int = 200, seed: int = 42,
               functools.partial(suite_channel_laws, trials=min(trials, 100), seed=seed),
               functools.partial(suite_reorder_matrix, trials=min(trials, 100), seed=seed)]
     chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
-    # The results are pickled only to cross between this package's own processes.
-    with contextlib.closing(fork_map(_pickled_call, suites + chunks)) as results:
-        outcomes = map(pickle.loads, results)
-        others = [next(outcomes) for _ in suites]
-        return [_gaussian_fock_result(trials, outcomes), *others]
+    with contextlib.closing(fork_map(lambda call: call(), suites + chunks)) as results:
+        others = [next(results) for _ in suites]
+        return [_gaussian_fock_result(trials, results), *others]

@@ -698,7 +698,7 @@ class TestWitnessReportBlocks:
         cmd_witness(path, str(out))
         assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
         blocks = -(-n // REPORT_BLOCK_ROWS)
-        assert len(forks) == max(0, min(cores, blocks) - 1)
+        assert len(forks) == min(cores, blocks)
         assert_no_child_left()
 
     def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch):
@@ -714,15 +714,11 @@ class TestWitnessReportBlocks:
 def break_workers(monkeypatch, fault):
     """Make every worker raise, or exit with status 0, at its first block;
     the fork inherits the patched formatter."""
-    parent = os.getpid()
-    block = squeezewitness.cli._report_block
 
     def faulty_block(columns, start):
-        if os.getpid() != parent:
-            if fault == "raise":
-                raise MemoryError
-            os._exit(0)
-        return block(columns, start)
+        if fault == "raise":
+            raise MemoryError
+        os._exit(0)
 
     monkeypatch.setattr("squeezewitness.cli._report_block", faulty_block)
 
@@ -754,15 +750,18 @@ class TestWitnessReportFailure:
             (tmp_path / "report.json").write_bytes(b"previous report\n")
         return listing(tmp_path)
 
-    @pytest.mark.parametrize("fault, previous", [
-        ("raise", False), ("exit", False), ("raise", True), ("exit", True)],
-        ids=["raise", "exit", "raise-previous", "exit-previous"])
-    def test_worker_that_ends_early(self, tmp_path, monkeypatch, witness, fault, previous):
+    @pytest.mark.parametrize("fault, previous, cores", [
+        ("raise", False, 3), ("exit", False, 3), ("raise", True, 3), ("exit", True, 3),
+        ("raise", False, 1), ("exit", False, 1), ("raise", True, 2), ("exit", True, 2)],
+        ids=["raise", "exit", "raise-previous", "exit-previous",
+             "raise-1core", "exit-1core", "raise-previous-2cores", "exit-previous-2cores"])
+    def test_worker_that_ends_early(self, tmp_path, monkeypatch, witness, fault, previous,
+                                    cores):
         before = self.listing_before(tmp_path, previous)
         break_workers(monkeypatch, fault)
-        forks = use_cores(monkeypatch, 3)
+        forks = use_cores(monkeypatch, cores)
         assert "a formatting process ended before sending all its rows" in witness()
-        assert len(forks) == 2
+        assert len(forks) == cores
         assert listing(tmp_path) == before
 
     @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
@@ -883,29 +882,49 @@ class TestValidateCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
 def test_validate_reports_a_failed_worker_not_a_pass(tmp_path, monkeypatch, capfd):
-    # The channel-law suite is the second item, which a worker runs on two cores.
+    # The channel-law suite is the second item, which the second worker runs on two cores.
     import squeezewitness.validate as validate
 
-    parent = os.getpid()
-    suite = validate.suite_channel_laws
-
     def failing_suite(*args, **kwargs):
-        if os.getpid() != parent:
-            raise MemoryError("no room for the suite")
-        return suite(*args, **kwargs)
+        raise MemoryError("no room for the suite")
 
     monkeypatch.setattr(validate, "suite_channel_laws", failing_suite)
     forks = use_cores(monkeypatch, 2)
     out = tmp_path / "v.json"
     assert main(["validate", "--trials", "3", "--cutoff-max", "128",
                  "--out", str(out)]) == EXIT_INPUT_ERROR
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert_no_child_left()
     assert not out.exists()
     err = capfd.readouterr().err
     assert "MemoryError: no room for the suite" in err  # the worker's traceback
     assert err.endswith("error: cannot finish the suites: a worker process ended "
                         "before sending all its results\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+@pytest.mark.parametrize("suite", ["suite_classicality", "suite_channel_laws"])
+def test_validate_exits_2_when_a_task_fails(tmp_path, monkeypatch, capfd, suite, fault,
+                                            cores):
+    # The classicality suite is the first item and the channel-law suite the second.
+    def failing_suite(*args, **kwargs):
+        if fault == "raise":
+            raise MemoryError("no room for the suite")
+        os._exit(0)
+
+    monkeypatch.setattr(f"squeezewitness.validate.{suite}", failing_suite)
+    use_cores(monkeypatch, cores)
+    out = tmp_path / "v.json"
+    out.write_bytes(b"previous report\n")
+    before = listing(tmp_path)
+    assert main(["validate", "--trials", "3", "--cutoff-max", "16",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert_no_child_left()
+    assert listing(tmp_path) == before
+    assert capfd.readouterr().err.endswith("error: cannot finish the suites: a worker process "
+                                           "ended before sending all its results\n")
 
 
 def _fresh_python(code: str) -> str:

@@ -1,18 +1,20 @@
 import contextlib
+import io
 import os
+import pickle
 
 import pytest
 from forking import assert_no_child_left, use_cores
 
-from squeezewitness._pool import WorkerError, fork_map
+from squeezewitness._pool import WorkerError, _receive, fork_map
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
 
 
 def square(item):
-    """A result per item, empty for every third one: an empty result is a
+    """A result per item, None for every third one: a None result is a
     result, not a pipe that ended."""
-    return b"" if item % 3 == 2 else str(item * item).encode()
+    return None if item % 3 == 2 else item * item
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 4])
@@ -20,23 +22,28 @@ def square(item):
 def test_results_come_in_item_order(monkeypatch, cores, n):
     forks = use_cores(monkeypatch, cores)
     assert list(fork_map(square, range(n))) == [square(item) for item in range(n)]
-    assert len(forks) == max(0, min(cores, n) - 1)
+    assert len(forks) == min(cores, n)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_no_task_runs_in_this_process(monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    pids = list(fork_map(lambda item: os.getpid(), range(7)))
+    assert os.getpid() not in pids
+    assert len(set(pids)) == cores
     assert_no_child_left()
 
 
 def test_without_fork_this_process_computes_every_item(monkeypatch):
     use_cores(monkeypatch, 3)
     monkeypatch.delattr(os, "fork")
-    parent = os.getpid()
-    assert list(fork_map(lambda item: str(os.getpid() == parent).encode(), range(4))) == \
-        [b"True"] * 4
+    assert list(fork_map(lambda item: os.getpid(), range(4))) == [os.getpid()] * 4
 
 
 def test_items_are_dealt_round_robin(monkeypatch):
     use_cores(monkeypatch, 3)
-    pids = [int(result) for result in fork_map(lambda item: str(os.getpid()).encode(),
-                                               range(7))]
-    assert pids[0] == os.getpid()
+    pids = list(fork_map(lambda item: os.getpid(), range(7)))
     assert pids == pids[:3] * 2 + pids[:1]
     assert len(set(pids)) == 3
     assert_no_child_left()
@@ -45,10 +52,9 @@ def test_items_are_dealt_round_robin(monkeypatch):
 @pytest.mark.parametrize("fault", ["raise", "exit"])
 def test_worker_that_ends_early(monkeypatch, capfd, fault):
     use_cores(monkeypatch, 2)
-    parent = os.getpid()
 
     def task(item):
-        if os.getpid() != parent and item == 3:
+        if item == 3:
             if fault == "raise":
                 raise MemoryError("out of room in the worker")
             os._exit(0)
@@ -64,6 +70,35 @@ def test_worker_that_ends_early(monkeypatch, capfd, fault):
         assert "Traceback" in err and "MemoryError: out of room in the worker" in err
     else:
         assert err == ""
+
+
+class ExitWhilePickled:
+    """Ends the worker when pickled, after what comes before it in the
+    result's pickle has gone down the pipe."""
+
+    def __reduce__(self):
+        os._exit(0)
+
+
+def test_worker_that_dies_inside_a_result(monkeypatch):
+    use_cores(monkeypatch, 1)
+    big = b"x" * (1 << 20)  # so large that the pickler writes it to the pipe at once
+
+    def task(item):
+        return (big, ExitWhilePickled()) if item == 1 else big
+
+    results = []
+    with pytest.raises(WorkerError, match="ended before sending all its results"):
+        results.extend(fork_map(task, range(3)))
+    assert results == [big]
+    assert_no_child_left()
+
+
+def test_a_pipe_cut_anywhere_in_a_result_raises_worker_error():
+    data = pickle.dumps((b"x" * 100, 2.5, None))
+    for cut in range(len(data)):
+        with pytest.raises(WorkerError, match="ended before sending all its results"):
+            _receive(io.BytesIO(data[:cut]))
 
 
 def test_worker_that_exits_nonzero_after_its_results(monkeypatch):
@@ -89,7 +124,9 @@ def test_a_parent_that_stops_early_leaves_no_worker(monkeypatch, capfd):
 
 
 def test_a_failing_parent_task_leaves_no_worker(monkeypatch):
+    # Only without os.fork does this process run a task; its error is the task's own.
     use_cores(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
 
     def task(item):
         if item == 2:
@@ -98,4 +135,3 @@ def test_a_failing_parent_task_leaves_no_worker(monkeypatch):
 
     with pytest.raises(ValueError, match="bad item"):
         list(fork_map(task, range(5)))
-    assert_no_child_left()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ from dense_reference import reorder_deviation
 from forking import assert_no_child_left, use_cores
 
 from squeezewitness import validate
-from squeezewitness.opexpr import formal_normal_order
+from squeezewitness.opexpr import OperatorExpr, formal_normal_order
 from squeezewitness.validate import (
     _draw_pairs,
     random_expression,
@@ -105,6 +106,41 @@ def test_reorder_suite_rejects_an_empty_interior():
         suite_reorder_matrix(trials=1, cutoff=4, max_degree=4)
 
 
+def assert_fails_on_nan(result):
+    """``max`` drops a NaN; a suite must fail on it and report it as strict JSON."""
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert json.dumps(result.to_json_dict(), allow_nan=False)
+    assert result.to_json_dict()["max_deviation"] == "nan"
+
+
+def test_gaussian_fock_suite_fails_on_a_nan_oracle(monkeypatch):
+    monkeypatch.setattr(validate, "_oracle_variances", lambda *args, **kwargs: (math.nan,) * 3)
+    assert_fails_on_nan(suite_gaussian_fock(3, 42, 16))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_classicality_suite_fails_on_a_witness_that_is_not_finite(monkeypatch, value):
+    monkeypatch.setattr(validate, "witness_general", lambda f, state: value)
+    assert_fails_on_nan(suite_classicality(3, 42))
+
+
+@pytest.mark.parametrize("spot", ["laws", "fold"])
+def test_channel_suite_fails_on_nan(monkeypatch, spot):
+    if spot == "laws":
+        monkeypatch.setattr(validate, "mean_photon", lambda mode: math.nan)
+    else:
+        monkeypatch.setattr(validate, "bath_fold_moments", lambda *args: (math.nan,) * 3)
+    assert_fails_on_nan(suite_channel_laws(5, 42))
+
+
+def test_reorder_suite_fails_on_nan(monkeypatch):
+    reorder = validate.reorder
+    monkeypatch.setattr(validate, "reorder",
+                        lambda expr: reorder(expr) + OperatorExpr.constant(math.nan))
+    assert_fails_on_nan(suite_reorder_matrix(3, 42))
+
+
 def suite_report(results) -> str:
     return json.dumps([result.to_json_dict() for result in results], indent=2)
 
@@ -127,7 +163,7 @@ def test_suites_give_the_same_report_on_any_core_count(monkeypatch, trials, seed
     for cores in (1, 2, 3):
         forks = use_cores(monkeypatch, cores)
         assert suite_report(run_all_suites(trials, seed, cutoff_max)) == reference
-        assert len(forks) == cores - 1
+        assert len(forks) == cores  # the items outnumber the cores
         assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     assert suite_report(run_all_suites(trials, seed, cutoff_max)) == reference
