@@ -29,13 +29,13 @@ R = TypeVar("R")
 
 
 class WorkerError(Exception):
-    """A worker ended before sending all its results, or exited nonzero;
-    ``code`` is its exit code, or None when its pipe ended early."""
+    """A worker could not be started, ended before sending all its results,
+    or exited nonzero, as ``reason`` says; ``code`` is its exit code, or
+    None when it has none."""
 
-    def __init__(self, code: int | None = None):
-        super().__init__("a worker process ended before sending all its results"
-                         if code is None else f"a worker process exited with code {code}")
-        self.code = code
+    def __init__(self, reason: str, code: int | None = None):
+        super().__init__(f"a worker process {reason}")
+        self.reason, self.code = reason, code
 
 
 def _workers(items: int) -> int:
@@ -53,14 +53,14 @@ def _fork_worker(task: Callable[[T], R], items: Sequence[T],
     """Fork a worker that pickles ``task(item)`` for each of ``items`` down
     its own pipe; returns its pid and the pipe's read end.  ``workers``
     holds the earlier workers, whose pipes it closes, so that each pipe's
-    only reader is the parent."""
+    only reader is the parent.  A failed fork raises :class:`WorkerError`."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read_end)
         os.close(write_end)
-        raise
+        raise WorkerError(f"could not be started: {exc}") from exc
     if pid == 0:
         status = 1
         try:
@@ -89,7 +89,7 @@ def _receive(pipe: BinaryIO):
     try:
         return pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        raise WorkerError() from None
+        raise WorkerError("ended before sending all its results") from None
 
 
 def _reap(workers: list) -> int:
@@ -108,10 +108,10 @@ def fork_map(task: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     Item ``i`` is computed by worker ``i % P`` of ``P`` workers, forked when
     the first result is requested; where ``os.fork`` is missing, this is
     ``map(task, items)``.  The results come in item order whatever ``P`` is.
-    A worker whose pipe ends early, or that exits nonzero, raises
-    :class:`WorkerError` here.  Every worker has exited when the generator
-    finishes, raises or is closed; a caller that may stop early closes it,
-    as ``contextlib.closing`` does.
+    A worker that cannot be forked, whose pipe ends early, or that exits
+    nonzero, raises :class:`WorkerError` here.  Every worker has exited when
+    the generator finishes, raises or is closed; a caller that may stop
+    early closes it, as ``contextlib.closing`` does.
     """
     if not hasattr(os, "fork"):
         yield from map(task, items)
@@ -125,6 +125,6 @@ def fork_map(task: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
             yield _receive(workers[i % count][1])
         code = _reap(workers)
         if code:
-            raise WorkerError(code)
+            raise WorkerError(f"exited with code {code}", code)
     finally:
         _reap(workers)

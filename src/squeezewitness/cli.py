@@ -22,12 +22,13 @@ Commands
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
-    any fails.  The suites run in the same fork pool, and the report is the
-    same bytes for any core count.
+    any fails.  ``validate.run_all_suites`` checks ``N``, ``S`` and ``C``,
+    for a library call too.  The suites run in the same fork pool, and the
+    report is the same bytes for any core count.
 
 Where ``os.fork`` exists, the pool runs every task in a forked worker, on
-one core too, so a task that raises, or a worker that dies, exits 2 on any
-core count, with the worker's traceback on stderr.
+one core too, so a task that raises, or a worker that dies or cannot be
+forked, exits 2 on any core count, with the worker's traceback on stderr.
 
 Every output file goes through one writer: the bytes of each regular file
 go to a new file beside it, which replaces it, with its permission bits,
@@ -185,13 +186,19 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
     ``float`` rejects, then the first that breaks its rule (not finite,
     then out of range), then an overflowing ``full_no``.  A schema column
     named twice in the header is an error, since which of its cells is
-    meant cannot be known; a repeated extra column is only ignored.  A
-    UTF-8 byte-order mark is accepted.
+    meant cannot be known; a repeated extra column is only ignored, and an
+    unnamed one is named by its 1-based position.  A UTF-8 byte-order mark
+    is accepted; a byte that is not UTF-8 is an error naming its line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # exc.object holds the bytes after any mark; "." stands in for the bad byte.
+        line_no = len((exc.object[:exc.start].decode("utf-8") + ".").splitlines())
+        raise InputError(f"line {line_no}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                         f"({exc.reason})") from None
     lines = text.splitlines()
     if not lines:
         raise InputError(f"{path}: empty file")
@@ -203,7 +210,8 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
         if not count and column != "na":
             raise InputError(f"{path}: missing required column {column!r}")
     warnings = []
-    extras = [name for name in header if name not in WITNESS_COLUMNS]
+    extras = [name or f"unnamed column {k}" for k, name in enumerate(header, start=1)
+              if name not in WITNESS_COLUMNS]
     if extras:
         warnings.append(f"ignoring extra columns: {', '.join(extras)}")
     at = tuple(header.index(name) if name in header else None
@@ -298,10 +306,10 @@ def _write_report(path: Path, columns, tail: dict) -> None:
     The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS` by
     :func:`~squeezewitness._pool.fork_map`'s workers, one per available
     core, and written in block order: the bytes do not depend on how many
-    processes format them.  A worker that ends early or exits nonzero fails
-    the write as a full disk does: it raises :class:`InputError` and leaves
-    the previous report, or none.  Every worker has exited when this
-    returns or raises.
+    processes format them.  A worker that cannot be forked, ends early or
+    exits nonzero fails the write as a full disk does: it raises
+    :class:`InputError` and leaves the previous report, or none.  Every
+    worker has exited when this returns or raises.
     """
     from ._pool import WorkerError, fork_map
 
@@ -313,9 +321,7 @@ def _write_report(path: Path, columns, tail: dict) -> None:
         with contextlib.closing(blocks):
             _write_files([(path, itertools.chain([b'{\n  "rows": ['], blocks, [end]))])
     except WorkerError as exc:
-        cause = ("ended before sending all its rows" if exc.code is None
-                 else f"exited with code {exc.code}")
-        raise InputError(f"cannot write {path}: a formatting process {cause}") from exc
+        raise InputError(f"cannot write {path}: a formatting process {exc.reason}") from exc
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
@@ -365,27 +371,15 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
 def cmd_validate(trials: int, seed: int, cutoff_max: int,
                  out: str = "") -> tuple[dict, int]:
     """Run the property suites; returns the report and the exit code."""
-    if trials < 0:
-        raise InputError(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
-        raise InputError(f"cutoff_max must be >= 4, got {cutoff_max}")
     from ._pool import WorkerError
-    from .fock import MAX_CUTOFF  # the oracle: only this command needs it
-    from .validate import run_all_suites
-
-    if cutoff_max > MAX_CUTOFF:
-        raise InputError(f"cutoff_max must be <= {MAX_CUTOFF}, the oracle's cap, "
-                         f"got {cutoff_max}")
-    if trials == 0:
-        print("warning: zero trials requested; suites pass vacuously",
-              file=sys.stderr)
+    from .validate import run_all_suites  # the oracle: only this command needs it
 
     try:
         results = run_all_suites(trials=trials, seed=seed, cutoff_max=cutoff_max)
     except WorkerError as exc:
         raise InputError(f"cannot finish the suites: {exc}") from exc
+    if trials == 0:
+        print("warning: zero trials requested; suites pass vacuously", file=sys.stderr)
     report = {
         "config": {"trials": trials, "seed": seed, "cutoff_max": cutoff_max},
         "suites": [result.to_json_dict() for result in results],

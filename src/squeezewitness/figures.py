@@ -29,8 +29,6 @@ from .witness import TwoModeProduct, evaluate, homodyne_variance, witness_values
 
 __all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "render_csv"]
 
-FIGURE_IDS = ("fluctuations", "noise-sweep", "robustness")
-
 SQUEEZING_DB = 3.0
 
 
@@ -186,18 +184,17 @@ def figure_robustness(points: int = 21) -> FigureData:
     )
 
 
+_BUILDERS = {"fluctuations": figure_fluctuations, "noise-sweep": figure_noise_sweep,
+             "robustness": figure_robustness}
+FIGURE_IDS = tuple(_BUILDERS)
+
+
 def build_figure(figure_id: str, points: int | None = None) -> FigureData:
-    """Build one of the known figures; unknown ids raise ``KeyError`` and
-    fewer than 2 ``points`` raise ``ValueError``."""
-    builders = {
-        "fluctuations": figure_fluctuations,
-        "noise-sweep": figure_noise_sweep,
-        "robustness": figure_robustness,
-    }
-    if figure_id not in builders:
-        raise KeyError(figure_id)
+    """Build one of the :data:`FIGURE_IDS` figures; unknown ids raise
+    ``KeyError`` and fewer than 2 ``points`` raise ``ValueError``."""
+    build = _BUILDERS[figure_id]
     if points is None:
-        return builders[figure_id]()
+        return build()
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    return builders[figure_id](points=points)
+    return build(points=points)

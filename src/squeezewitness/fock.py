@@ -29,8 +29,8 @@ a block together, bit for bit as each mode's own run would, and a block
 holds at most ``BLOCK_BYTES`` of density factors.  :func:`fock_state` is
 its one-pair call, and no state is built above ``MAX_CUTOFF``.  A product
 state keeps each mode's factor as built, amplitudes or density matrix.
-:func:`converged_cutoff` reads every smaller cutoff of its schedule as a
-leading block of the state it is handed.
+:func:`converged_cutoff`, the oracle's one walk, reads each smaller cutoff as
+a leading block of the state it is handed, and returns the value it settled on.
 ``coherent_amplitudes`` is an independent closed-form reference.
 """
 
@@ -436,15 +436,17 @@ def witness_general(f: OperatorExpr, state: FockState) -> float:
 
 
 def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
-                     budget: float = DEFAULT_TRUNCATION_BUDGET) -> tuple[int, FockState]:
+                     budget: float = DEFAULT_TRUNCATION_BUDGET
+                     ) -> tuple[int, FockState, complex]:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
     Walks the leading blocks of ``state``, product or pure, at cutoffs 2,
     4, 8, ... up to its own cutoff, and returns the first cutoff whose
     expectation value of ``expr`` agrees with the next doubling's to within
-    ``tol``, together with the block at that next doubling, which was
-    checked against the budget.  Blocks whose deficit exceeds the budget
-    are skipped.  Nothing is built here: a block of a product state from
+    ``tol``, the block at that next doubling, which was checked against the
+    budget, and the value on it, equal to :func:`expect` bit for bit.
+    Blocks whose deficit exceeds the budget are skipped, and ``expr`` is
+    reordered once.  Nothing is built here: a block of a product state from
     :func:`fock_state` is, bit for bit, the state it builds at that cutoff.
 
     Raises
@@ -457,20 +459,13 @@ def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
         If the schedule is exhausted without two successive agreements; the
         message names the largest cutoff walked.
     """
-    cutoff, block, _ = _settle(state, reorder(expr), tol, budget)
-    return cutoff, block
-
-
-def _settle(state: FockState, ordered: OperatorExpr, tol: float,
-            budget: float) -> tuple[int, FockState, complex]:
-    """:func:`converged_cutoff` of an expression already in :func:`reorder`
-    form, and its expectation value on the returned block."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not 0.0 <= budget <= 1.0:
         raise ValueError(f"budget must be in [0, 1], got {budget}")
     if state.cutoff < 4:
         raise ValueError(f"the state's cutoff must be >= 4, got {state.cutoff}")
+    ordered = reorder(expr)
     schedule = [2 ** k for k in range(1, state.cutoff.bit_length())]
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:

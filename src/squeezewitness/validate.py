@@ -2,6 +2,7 @@
 
 Each suite draws reproducible random scenarios from a seeded generator and
 reports the worst deviation it saw; a NaN is the worst, and fails the suite.
+A negative trial count or seed raises ``ValueError`` before anything is drawn.
 The suites are used both by the command-line ``validate`` command and by the
 acceptance tests, so their tolerances are fixed here and nowhere else.
 """
@@ -19,10 +20,11 @@ import numpy as np
 from ._pool import fork_map
 from .channels import apply_gain_noise, apply_loss
 from .fock import (
-    DEFAULT_TRUNCATION_BUDGET,
+    MAX_CUTOFF,
     ConvergenceError,
     FockState,
     coherent_amplitudes,
+    converged_cutoff,
     evolve,
     expect,
     fock_states,
@@ -32,7 +34,6 @@ from .fock import (
     _block_pairs,
     _mode_band,
     _mode_letters,
-    _settle,
 )
 from .gaussian import StateParams, make_state, mean_photon
 from .opexpr import LETTERS, OperatorExpr, difference_observable, reorder
@@ -117,6 +118,15 @@ def random_expression(rng: np.random.Generator, max_degree: int = 4,
     return OperatorExpr(terms)
 
 
+def _generator(trials: int, seed: int) -> np.random.Generator:
+    """A suite's generator, made from ``seed`` once it and ``trials`` are checked."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _draw_pairs(rng: np.random.Generator, trials: int,
                 *ranges: tuple[float, float]) -> tuple:
     """Per trial, in this order: SI and LO :func:`random_state_params`, then one
@@ -132,9 +142,9 @@ def _oracle_variances(top: FockState, theta: float, tol: float) -> tuple[float, 
     """Raw, partially and fully ordered variances of ``L(theta)`` on the
     oracle, read at the next doubling above the cutoff that
     :func:`~squeezewitness.fock.converged_cutoff` certifies on ``top`` to
-    within ``tol``; ``L^2`` is reordered once for the walk and the read."""
+    within ``tol``; ``<L^2>`` is the value the walk settled on."""
     ell = difference_observable(theta)
-    _, state, ell_sq = _settle(top, reorder(ell * ell), tol, DEFAULT_TRUNCATION_BUDGET)
+    _, state, ell_sq = converged_cutoff(top, ell * ell, tol)
     var_f = (ell_sq - expect(ell, state) ** 2).real
     nb_f = expect(OperatorExpr.word(("bd", "b")), state).real
     na_f = expect(OperatorExpr.word(("ad", "a")), state).real
@@ -172,11 +182,12 @@ def _gaussian_fock_chunks(trials: int, seed: int,
     """:func:`suite_gaussian_fock`'s trials as calls of
     :func:`_gaussian_fock_chunk`, one block of :func:`fock_states` each, at
     the top of the doubling schedule; the draws and closed forms are made
-    here, before any call."""
-    if cutoff_max < 4:  # the doubling schedule needs two cutoffs, 2 and 4
-        raise ValueError(f"cutoff_max must be >= 4, got {cutoff_max}")
-    params_si, params_lo, theta = _draw_pairs(np.random.default_rng(seed), trials,
-                                              (0.0, 2.0 * np.pi))
+    here, before any call, once the arguments are checked."""
+    rng = _generator(trials, seed)
+    if not 4 <= cutoff_max <= MAX_CUTOFF:  # a doubling from 2 to 4, and no state above the cap
+        bound = ">= 4" if cutoff_max < 4 else f"<= {MAX_CUTOFF}, the oracle's cap"
+        raise ValueError(f"cutoff_max must be {bound}, got {cutoff_max}")
+    params_si, params_lo, theta = _draw_pairs(rng, trials, (0.0, 2.0 * np.pi))
     closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
     top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
     pairs = _block_pairs(top)
@@ -206,7 +217,8 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     evaluation of the difference observable at a converged cutoff.  The
     draws are one :class:`StateParams` of arrays per side: the closed forms
     take them in one call, and :func:`fock_states` builds each pair once, a
-    block at a time, at the top of the doubling schedule up to ``cutoff_max``.
+    block at a time, at the top of the doubling schedule up to ``cutoff_max``,
+    which must lie in ``[4, MAX_CUTOFF]``.
     """
     chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
     return _gaussian_fock_result(trials, (chunk() for chunk in chunks))
@@ -221,7 +233,7 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     above ``-1e-8``.
     """
     name = "classicality_nonnegativity"
-    rng = np.random.default_rng(seed)
+    rng = _generator(trials, seed)
     deviation = 0.0
     for _ in range(trials):
         radius = 2.0 * np.sqrt(rng.uniform())
@@ -288,7 +300,7 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     """
     name = "channel_laws"
     params_si, params_lo, theta, eta, gain = _draw_pairs(
-        np.random.default_rng(seed), trials, (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
+        _generator(trials, seed), trials, (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
     si, lo = make_state(params_si), make_state(params_lo)
     partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
     nb = mean_photon(lo)
@@ -335,7 +347,7 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42, cutoff: int = 10,
     interior = cutoff - max_degree
     if interior < 1:  # no state to compare on, which would pass vacuously
         raise ValueError(f"cutoff must exceed max_degree, got {cutoff} and {max_degree}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(trials, seed)
     worst = 0.0
     for _ in range(trials):
         expr = random_expression(rng, max_degree=max_degree, max_terms=4)
@@ -359,8 +371,10 @@ def run_all_suites(trials: int = 200, seed: int = 42,
     before any worker is forked.  Each result comes back as a pickle, in
     item order, so they are the same for any core count.  A suite that
     raises, or a worker that dies, raises
-    :class:`~squeezewitness._pool.WorkerError` here on any core count.
+    :class:`~squeezewitness._pool.WorkerError` here on any core count.  A
+    bad argument raises ``ValueError`` before any draw or fork.
     """
+    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)  # checks every argument
     if trials == 0:
         return [
             SuiteResult(name, 0, 0.0, True, detail="vacuous pass: zero trials")
@@ -370,7 +384,6 @@ def run_all_suites(trials: int = 200, seed: int = 42,
     suites = [functools.partial(suite_classicality, trials=trials, seed=seed),
               functools.partial(suite_channel_laws, trials=min(trials, 100), seed=seed),
               functools.partial(suite_reorder_matrix, trials=min(trials, 100), seed=seed)]
-    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
     with contextlib.closing(fork_map(lambda call: call(), suites + chunks)) as results:
         others = [next(results) for _ in suites]
         return [_gaussian_fock_result(trials, results), *others]

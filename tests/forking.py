@@ -1,5 +1,6 @@
 """Helpers for tests of the fork pool and the commands that use it."""
 
+import errno
 import os
 
 import pytest
@@ -19,6 +20,23 @@ def use_cores(monkeypatch, cores):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def fail_fork(monkeypatch, nth):
+    """Make call ``nth`` (from 0) of ``os.fork`` fail as a full process table
+    does; returns the error it raises."""
+    error = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    calls = []
+    fork = os.fork
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == nth + 1:
+            raise error
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    return error
 
 
 def assert_no_child_left():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from forking import assert_no_child_left, use_cores
+from forking import assert_no_child_left, fail_fork, use_cores
 from hypothesis import given, settings, strategies as st
 
 import squeezewitness
@@ -415,6 +415,31 @@ class TestWitnessCommand:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("data, message", [
+        (b"theta_rad,var_L,nb\n0,0.5,1\n0,0.5,1\xe9\n",
+         "line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        # After a byte-order mark, a blank line and \r\n line ends, at the end of the file.
+        (b"\xef\xbb\xbftheta_rad,var_L,nb\r\n0,0.5,1\r\n\r\n0,0.5,1\xe9",
+         "line 4: byte 0xe9 is not UTF-8 (unexpected end of data)"),
+        (b"theta_rad,var_L,\xffnb\n0,0.5,1\n",
+         "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+    ], ids=["row", "marked-crlf-end", "header"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, data, message):
+        path = tmp_path / "moments.csv"
+        path.write_bytes(data)
+        out = tmp_path / "report.json"
+        assert main(["witness", "--input", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unnamed_extra_column_is_named_by_position(self, tmp_path):
+        # A header that ends in a comma has an empty last name.
+        path = write_csv(tmp_path, "theta_rad,var_L,nb,,detector_id,\n0,0.5,1,2,7,\n")
+        records, warnings = read_moment_records(path)
+        assert records["var_L"].tolist() == [0.5]
+        assert warnings == ["ignoring extra columns: unnamed column 4, detector_id, "
+                            "unnamed column 6"]
+
     @pytest.mark.parametrize("row", ["0,0,1.7e308,1.7e308", "0,1e308,1.7e308,1.7e308"])
     def test_overflowing_full_no_reports_line(self, tmp_path, capsys, row):
         # Each cell is finite, but var_L - nb - na is not.
@@ -760,8 +785,19 @@ class TestWitnessReportFailure:
         before = self.listing_before(tmp_path, previous)
         break_workers(monkeypatch, fault)
         forks = use_cores(monkeypatch, cores)
-        assert "a formatting process ended before sending all its rows" in witness()
+        assert "a formatting process ended before sending all its results" in witness()
         assert len(forks) == cores
+        assert listing(tmp_path) == before
+
+    @pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
+                             ids=["1core-first", "2cores-first", "2cores-second"])
+    @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+    def test_failed_fork(self, tmp_path, monkeypatch, witness, cores, nth, previous):
+        # One core forks one worker; two cores fork two, the second after the first.
+        before = self.listing_before(tmp_path, previous)
+        use_cores(monkeypatch, cores)
+        error = fail_fork(monkeypatch, nth)
+        assert witness().endswith(f"a formatting process could not be started: {error}\n")
         assert listing(tmp_path) == before
 
     @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
@@ -856,6 +892,10 @@ class TestValidateCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_zero_trials_warns_only_once_the_arguments_pass(self, capsys):
+        assert main(["validate", "--trials", "0", "--cutoff-max", "3"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: cutoff_max must be >= 4, got 3\n"
+
     def test_help_names_each_option_with_its_default(self, capsys):
         from squeezewitness.fock import MAX_CUTOFF
 
@@ -925,6 +965,26 @@ def test_validate_exits_2_when_a_task_fails(tmp_path, monkeypatch, capfd, suite,
     assert listing(tmp_path) == before
     assert capfd.readouterr().err.endswith("error: cannot finish the suites: a worker process "
                                            "ended before sending all its results\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
+                         ids=["1core-first", "2cores-first", "2cores-second"])
+@pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+def test_validate_exits_2_when_a_fork_fails(tmp_path, monkeypatch, capfd, cores, nth, previous):
+    # Exit 1 would say that a suite failed.
+    out = tmp_path / "v.json"
+    if previous:
+        out.write_bytes(b"previous report\n")
+    before = listing(tmp_path)
+    use_cores(monkeypatch, cores)
+    error = fail_fork(monkeypatch, nth)
+    assert main(["validate", "--trials", "3", "--cutoff-max", "16",
+                 "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert_no_child_left()
+    assert listing(tmp_path) == before
+    assert capfd.readouterr().err == ("error: cannot finish the suites: a worker process "
+                                      f"could not be started: {error}\n")
 
 
 def _fresh_python(code: str) -> str:

@@ -442,16 +442,19 @@ def _walk(params_si, params_lo, expr, tol, top=MAX_CUTOFF,
 class TestConvergedCutoff:
     def test_vacuum_converges_immediately(self):
         ell = difference_observable(0.0)
-        cutoff, state = _walk(StateParams(), StateParams(), ell * ell, 1e-9)
+        cutoff, state, value = _walk(StateParams(), StateParams(), ell * ell, 1e-9)
         assert cutoff == 2
         assert state.cutoff == 4
+        assert value == expect(ell * ell, state)
 
     def test_typical_scenario_converges_modestly(self):
         ell = difference_observable(0.0)
         params_si, params_lo = StateParams(alpha=1.0), StateParams(zeta=ZETA_3DB)
         top = fock_state(params_si, params_lo, MAX_CUTOFF, budget=1.0)
-        cutoff, state = converged_cutoff(top, ell * ell, 1e-9)
+        cutoff, state, value = converged_cutoff(top, ell * ell, 1e-9)
         assert cutoff <= 64
+        # The value it settled on is the one expect reads on the returned block.
+        assert value == expect(ell * ell, state)
         # The returned state is a leading block of the one it was handed,
         # equal to the one fock_state builds at the next doubling.
         assert all(np.shares_memory(part, whole) for part, whole in zip(state.data, top.data))
@@ -502,8 +505,9 @@ class TestConvergedCutoff:
             assert block.deficit == FockState.pure(psi[:c, :c].copy()).deficit
             assert block.deficit == pytest.approx(np.tanh(r) ** (2 * c), abs=1e-14)
         # Blocks 2, 4 and 8 exceed the budget; 16 and 32 agree on <a^dag a>.
-        cutoff, block = converged_cutoff(state, NUMBER_A, 1e-9)
+        cutoff, block, value = converged_cutoff(state, NUMBER_A, 1e-9)
         assert (cutoff, block.kind, block.cutoff) == (16, "pure", 32)
+        assert value == expect(NUMBER_A, block)
         assert np.shares_memory(block.data, psi)
         for number in (NUMBER_A, NUMBER_B):
             assert expect(number, block).real == pytest.approx(np.sinh(r) ** 2, abs=1e-12)

@@ -4,7 +4,7 @@ import os
 import pickle
 
 import pytest
-from forking import assert_no_child_left, use_cores
+from forking import assert_no_child_left, fail_fork, use_cores
 
 from squeezewitness._pool import WorkerError, _receive, fork_map
 
@@ -47,6 +47,21 @@ def test_items_are_dealt_round_robin(monkeypatch):
     assert pids == pids[:3] * 2 + pids[:1]
     assert len(set(pids)) == 3
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_a_failed_fork_raises_worker_error(monkeypatch, cores, nth):
+    # The workers forked before it have exited, and no pipe is left open.
+    forks = use_cores(monkeypatch, cores)
+    error = fail_fork(monkeypatch, nth)
+    descriptors = len(os.listdir("/dev/fd"))
+    with pytest.raises(WorkerError) as caught:
+        list(fork_map(square, range(5)))
+    assert str(caught.value) == f"a worker process could not be started: {error}"
+    assert caught.value.__cause__ is error and caught.value.code is None
+    assert len(forks) == nth
+    assert_no_child_left()
+    assert len(os.listdir("/dev/fd")) == descriptors
 
 
 @pytest.mark.parametrize("fault", ["raise", "exit"])

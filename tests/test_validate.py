@@ -84,6 +84,41 @@ def test_gaussian_fock_suite_rejects_a_ceiling_below_4():
         suite_gaussian_fock(trials=1, cutoff_max=3)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="counts the forks of the suites")
+@pytest.mark.parametrize("suite", [suite_gaussian_fock, suite_classicality, suite_channel_laws,
+                                   suite_reorder_matrix, run_all_suites],
+                         ids=lambda suite: suite.__name__)
+@pytest.mark.parametrize("argument, message", [("trials", "trials must be >= 0, got -5"),
+                                               ("seed", "seed must be >= 0, got -5")],
+                         ids=["trials", "seed"])
+def test_negative_trials_or_seed_is_rejected_before_any_fork(monkeypatch, suite, argument,
+                                                             message):
+    # A negative trial count would pass vacuously, and report itself.
+    forks = use_cores(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        suite(**{argument: -5})
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="counts the forks of the suites")
+@pytest.mark.parametrize("suite", [suite_gaussian_fock, run_all_suites],
+                         ids=lambda suite: suite.__name__)
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("cutoff_max, message", [
+    (3, "cutoff_max must be >= 4, got 3"),
+    # The oracle builds no state above MAX_CUTOFF, so a larger ceiling would
+    # be reported but never used.
+    (513, "cutoff_max must be <= 512, the oracle's cap, got 513"),
+    (10 ** 6, "cutoff_max must be <= 512, the oracle's cap, got 1000000"),
+], ids=["below-4", "cap", "far-above-cap"])
+def test_ceiling_outside_the_oracle_range_is_rejected_before_any_fork(
+        monkeypatch, suite, trials, cutoff_max, message):
+    forks = use_cores(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        suite(trials, 42, cutoff_max)
+    assert forks == []
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_reorder_suite_gives_the_dense_deviation(seed):
     # The suite compares band by band; on the same draws, the dense interior
