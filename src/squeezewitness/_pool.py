@@ -53,13 +53,17 @@ def _fork_worker(task: Callable[[T], R], items: Sequence[T],
     """Fork a worker that pickles ``task(item)`` for each of ``items`` down
     its own pipe; returns its pid and the pipe's read end.  ``workers``
     holds the earlier workers, whose pipes it closes, so that each pipe's
-    only reader is the parent.  A failed fork raises :class:`WorkerError`."""
-    read_end, write_end = os.pipe()
+    only reader is the parent.  A failed pipe or fork raises
+    :class:`WorkerError`."""
     try:
-        pid = os.fork()
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
     except OSError as exc:
-        os.close(read_end)
-        os.close(write_end)
         raise WorkerError(f"could not be started: {exc}") from exc
     if pid == 0:
         status = 1
@@ -108,7 +112,7 @@ def fork_map(task: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     Item ``i`` is computed by worker ``i % P`` of ``P`` workers, forked when
     the first result is requested; where ``os.fork`` is missing, this is
     ``map(task, items)``.  The results come in item order whatever ``P`` is.
-    A worker that cannot be forked, whose pipe ends early, or that exits
+    A worker whose pipe or fork fails, whose pipe ends early, or that exits
     nonzero, raises :class:`WorkerError` here.  Every worker has exited when
     the generator finishes, raises or is closed; a caller that may stop
     early closes it, as ``contextlib.closing`` does.

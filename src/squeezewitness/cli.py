@@ -10,15 +10,17 @@ Commands
 ``witness --input <csv> [--tol T] --out <json>``
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
-    blocked-signal (vacuum) calibration of the difference variance.  The
-    rows are parsed and checked in one pass, a column at a time.  The first
-    bad line of the file, malformed or out of range, is an error naming
-    that line; within it, a wrong cell count comes first, then a cell that
-    is not a number, then a cell out of range, then an overflowing
-    ``full_no``.  A repeated schema column is an error before any row is
-    read.  The report's rows are formatted in blocks by the package's one
-    fork pool and written in order, the same bytes for any core count.
-    ``cmd_witness`` returns only the report's ``tol`` and ``summary``.
+    blocked-signal (vacuum) calibration of the difference variance.
+    ``T`` is checked first; then this process reads the file and checks its
+    header, and a repeated schema column is an error before any row is
+    read.  Each block of lines is one task of the package's one fork pool,
+    which parses and checks it a column at a time, evaluates it and formats
+    its report rows; the blocks are written in order, the same bytes for
+    any core count.  The first bad line of the file, malformed or out of
+    range, is an error naming that line; within it, a wrong cell count
+    comes first, then a cell that is not a number, then a cell out of
+    range, then an overflowing ``full_no``.  ``cmd_witness`` returns only
+    the report's ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
@@ -28,14 +30,15 @@ Commands
 
 Where ``os.fork`` exists, the pool runs every task in a forked worker, on
 one core too, so a task that raises, or a worker that dies or cannot be
-forked, exits 2 on any core count, with the worker's traceback on stderr.
+started, exits 2 on any core count, with the worker's traceback on stderr.
 
 Every output file goes through one writer: the bytes of each regular file
 go to a new file beside it, which replaces it, with its permission bits,
 once every file of the run is written.  So a failed write or worker leaves
 every previous file whole, or none, and no new file.  A link, such as
-``/dev/stdout``, or a device is written in place.  Line ends are ``\n`` on
-every platform.
+``/dev/stdout``, or a device is written in place, once and whole, only
+after every file's bytes are made.  Line ends are ``\n`` on every
+platform.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, a failed
 write, or a failed task or worker process.  All outputs are deterministic
@@ -47,13 +50,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import operator
 import os
+import shutil
 import stat
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +92,10 @@ RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
 # ``float.__repr__``, which is how ``json`` writes floats.
 _JSON_BOOL = ("false", "true")
 _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
-# Report rows per block.  The blocks are dealt round-robin to the forked
-# workers; a worker holds one formatted block, about 2.8 MB with na, while
-# it waits for its pipe to drain.
+# Input lines per block, blank lines included.  The blocks are dealt
+# round-robin to the forked workers, which parse, check, evaluate and format
+# them; a worker holds one formatted block, about 2.8 MB with na, while it
+# waits for its pipe to drain.
 REPORT_BLOCK_ROWS = 8192
 
 
@@ -107,20 +112,25 @@ def _write_files(files) -> None:
     """Write each ``(path, chunks)`` of ``files``: the bytes of ``chunks``, in
     order, as the file at ``path``.
 
-    Every regular file is replaced whole or not at all: its bytes go to a new
-    file beside it, and once every file is written, each replaces its target
-    with the target's permission bits.  A failed write, or a failed chunk,
-    removes the new files, so it leaves every previous file, or none.  A
-    link, such as ``/dev/stdout``, or a device is written in place.  An
-    ``OSError`` is raised as :class:`InputError` naming the path.
+    Every file is written only once the chunks of every file are made.  A
+    regular file is replaced whole or not at all: its bytes go to a new file
+    beside it, which replaces it with its permission bits.  A link, such as
+    ``/dev/stdout``, or a device is written in place, once, from an unlinked
+    temporary file that holds its bytes; the links and devices are written
+    before any file is replaced.  So a failed chunk leaves every target as it
+    was, and a failed write removes the new files and leaves every previous
+    regular file, or none.  An ``OSError`` is raised as :class:`InputError`
+    naming the target.
     """
     temps = []  # (new file, its target)
+    staged = []  # (unlinked temporary file, its link or device target)
     try:
         for path, chunks in files:
             path.parent.mkdir(parents=True, exist_ok=True)
             if path.is_symlink() or (path.exists() and not path.is_file()):
-                with path.open("wb") as stream:
-                    stream.writelines(chunks)
+                stage = tempfile.TemporaryFile()
+                staged.append((stage, path))
+                stage.writelines(chunks)
                 continue
             temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
             with temp.open("xb") as stream:  # a name no other writer holds
@@ -128,6 +138,10 @@ def _write_files(files) -> None:
                 stream.writelines(chunks)
             if path.exists():
                 os.chmod(temp, stat.S_IMODE(path.stat().st_mode))
+        for stage, path in staged:
+            stage.seek(0)
+            with path.open("wb") as stream:
+                shutil.copyfileobj(stage, stream)
         for temp, path in temps:
             os.replace(temp, path)
     except BaseException as exc:
@@ -137,6 +151,9 @@ def _write_files(files) -> None:
         if isinstance(exc, OSError):
             raise InputError(f"cannot write {path}: {exc}") from exc
         raise
+    finally:
+        for stage, _ in staged:
+            stage.close()
 
 
 def _encoded(build, *args, **kwargs):
@@ -174,21 +191,16 @@ def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
 # witness
 # ---------------------------------------------------------------------------
 
-def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
-    """Parse and check a measured-moments CSV; returns the rows and warnings.
+def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
+    """Read the CSV at ``path`` and check its header; returns its lines, the
+    header's width, each schema column's index in a line (None for a missing
+    ``na``) and the warnings.
 
-    The rows form a structured array of :data:`RECORD_DTYPE`, one element
-    per data row, so ``records["var_L"]`` is a column.  They are parsed a
-    column at a time, and every cell is checked by :data:`CELL_RULES` in the
-    same pass.  The error is the first bad line of the file, malformed or
-    out of range, with its 1-based number.  Within that line a wrong cell
-    count is named first, then the first cell in schema order that
-    ``float`` rejects, then the first that breaks its rule (not finite,
-    then out of range), then an overflowing ``full_no``.  A schema column
-    named twice in the header is an error, since which of its cells is
-    meant cannot be known; a repeated extra column is only ignored, and an
-    unnamed one is named by its 1-based position.  A UTF-8 byte-order mark
-    is accepted; a byte that is not UTF-8 is an error naming its line.
+    A UTF-8 byte-order mark is accepted; a byte that is not UTF-8 is an
+    error naming its line.  A schema column named twice in the header is an
+    error, since which of its cells is meant cannot be known; a repeated
+    extra column is only ignored, and an unnamed one is named by its 1-based
+    position.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -216,10 +228,27 @@ def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
         warnings.append(f"ignoring extra columns: {', '.join(extras)}")
     at = tuple(header.index(name) if name in header else None
                for name in WITNESS_COLUMNS)
-    return _read_rows(lines[1:], len(header), at), warnings
+    return lines, len(header), at, warnings
 
 
-def _read_rows(lines: list[str], width: int, at: tuple) -> np.ndarray:
+def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
+    """Parse and check a measured-moments CSV; returns the rows and warnings.
+
+    The rows form a structured array of :data:`RECORD_DTYPE`, one element
+    per data row, so ``records["var_L"]`` is a column.  They are parsed a
+    column at a time, and every cell is checked by :data:`CELL_RULES` in the
+    same pass.  The error is the first bad line of the file, malformed or
+    out of range, with its 1-based number.  Within that line a wrong cell
+    count is named first, then the first cell in schema order that
+    ``float`` rejects, then the first that breaks its rule (not finite,
+    then out of range), then an overflowing ``full_no``.  The header is
+    checked first, as :func:`cmd_witness` checks it.
+    """
+    lines, width, at, warnings = _read_header(path)
+    return _read_rows(lines[1:], width, at, 2), warnings
+
+
+def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> np.ndarray:
     """The records of ``lines``, parsed and checked a column at a time.
 
     ``at`` holds each schema column's index in a line, None for a missing
@@ -227,7 +256,8 @@ def _read_rows(lines: list[str], width: int, at: tuple) -> np.ndarray:
     errors within a line (cell count, ``float``, the rules, ``full_no``) and
     each error narrows the later checks to the rows above it, so the last
     one found is on the first bad line.  It raises :class:`InputError` with
-    that line's 1-based number (the header is line 1).
+    that line's 1-based number in the file, where ``lines[0]`` is line
+    ``first``.
     """
     rows = list(filter(str.strip, lines))
     n, error = len(rows), None  # error: the message for row n
@@ -275,16 +305,15 @@ def _read_rows(lines: list[str], width: int, at: tuple) -> np.ndarray:
         n = int(overflow.argmax())
         error = f"full_no = var_L - nb - na = {float(full_no[n])!r} is not finite"
     if error is not None:
-        line_no = [no for no, line in enumerate(lines, start=2) if line.strip()][n]
+        line_no = [no for no, line in enumerate(lines, start=first) if line.strip()][n]
         raise InputError(f"line {line_no}: {error}")
     return records
 
 
-def _report_block(columns, start: int) -> bytes:
-    """Rows ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``columns`` in
-    ``_dump_json``'s layout, each after the comma that ends the row before
-    it, as ASCII."""
-    cells = zip(*(column[start:start + REPORT_BLOCK_ROWS].tolist() for column in columns))
+def _report_block(columns) -> bytes:
+    """The rows of ``columns`` in ``_dump_json``'s layout, joined by the
+    commas between them, as ASCII."""
+    cells = zip(*(column.tolist() for column in columns))
     rows = [
         f'\n    {{\n      "full_no": {f!r},\n      "na": {a!r},\n      "nb": {b!r},'
         f'\n      "noise_db": {noise_db},\n      "partial_no": {p!r},'
@@ -296,71 +325,85 @@ def _report_block(columns, start: int) -> bytes:
         f'\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
         for t, v, b, p, n, nonclassical, given, a, f, negative in cells
         for noise_db in ('"-inf"' if n == -math.inf else repr(n),)]
-    return (("," if start else "") + ",".join(rows)).encode("ascii")
+    return ",".join(rows).encode("ascii")
 
 
-def _write_report(path: Path, columns, tail: dict) -> None:
-    """Write the witness report in ``_dump_json``'s layout: the rows of
-    ``columns``, then ``tail``, through :func:`_write_files`.
-
-    The rows are formatted in blocks of :data:`REPORT_BLOCK_ROWS` by
-    :func:`~squeezewitness._pool.fork_map`'s workers, one per available
-    core, and written in block order: the bytes do not depend on how many
-    processes format them.  A worker that cannot be forked, ends early or
-    exits nonzero fails the write as a full disk does: it raises
-    :class:`InputError` and leaves the previous report, or none.  Every
-    worker has exited when this returns or raises.
-    """
-    from ._pool import WorkerError, fork_map
-
-    starts = range(0, len(columns[0]), REPORT_BLOCK_ROWS)
-    blocks = fork_map(functools.partial(_report_block, columns), starts)
-    # The tail's keys follow the rows, after its own "{\n".
-    end = (b"\n  ],\n" if starts else b"],\n") + _dump_json(tail)[2:].encode("ascii")
+def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: int):
+    """Lines ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``lines`` (0-based,
+    the header is line 0) as report rows: parsed and checked by
+    :func:`_read_rows`, evaluated by the kernel and formatted by
+    :func:`_report_block`.  Returns the rows' bytes, their count and how
+    many are nonclassical, or the message of the block's first bad line."""
     try:
-        with contextlib.closing(blocks):
-            _write_files([(path, itertools.chain([b'{\n  "rows": ['], blocks, [end]))])
-    except WorkerError as exc:
-        raise InputError(f"cannot write {path}: a formatting process {exc.reason}") from exc
+        records = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at, start + 1)
+        theta, var_L, nb, na = (records[name] for name in WITNESS_COLUMNS)
+        has_na = ~np.isnan(na)  # the reader leaves every given na finite
+        # An empty na cell becomes 0 so that only given cells meet the kernel.
+        values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
+        # The kernel keeps partial_no and full_no finite and the reader's rules
+        # leave no other non-finite value; this check keeps the report strict
+        # JSON even so, as allow_nan=False does in _dump_json.
+        noise_db = values.noise_db
+        for column, cells in (("theta_rad", theta), ("var_L", var_L), ("nb", nb),
+                              ("noise_db", noise_db[noise_db != -np.inf]),
+                              ("na", na[has_na])):
+            if not np.isfinite(cells).all():
+                raise ValueError(f"{column} holds a value that JSON cannot represent")
+    except (InputError, ValueError) as exc:
+        return str(exc)
+    columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
+               has_na, na, values.full_no, values.standard_negativity)
+    return _report_block(columns), len(records), int(values.nonclassical.sum())
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
     """Evaluate measured moment records and write the JSON report.
 
-    Every input check runs before the report file is opened.  The rows are
-    then formatted in blocks by forked workers, one per available core, and
-    written in order, never held whole; the bytes are the same for any core
-    count.  A failed write or worker leaves the previous report, or none.
+    ``tol`` is checked first, then the file is read and its header checked
+    in this process.  Every block of :data:`REPORT_BLOCK_ROWS` lines is then
+    one task of :func:`~squeezewitness._pool.fork_map`, whose workers, one
+    per available core, parse, check, evaluate and format it.  The blocks
+    are written in order, so the bytes are the same for any core count,
+    and the first block with a bad line raises :class:`InputError` naming
+    that line.  A bad line, a failed write, or a worker that cannot be
+    started, ends early or exits nonzero leaves the previous report, or
+    none; the warnings are printed only once every line has passed.
     Returns the report's ``tol`` and ``summary``, without its rows.
     """
-    records, warnings = read_moment_records(input_path)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    theta, var_L, nb, na = (records[name] for name in WITNESS_COLUMNS)
-    has_na = ~np.isnan(na)  # the reader leaves every given na finite
-    # An empty na cell becomes 0 so that only given cells meet the kernel.
-    values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
-    # The kernel keeps partial_no and full_no finite and the reader's rules
-    # leave no other non-finite value; this check keeps the report strict
-    # JSON even so, as allow_nan=False does in _dump_json.
-    noise_db = values.noise_db
-    for column, cells in (("theta_rad", theta), ("var_L", var_L), ("nb", nb),
-                          ("noise_db", noise_db[noise_db != -np.inf]),
-                          ("na", na[has_na])):
-        if not np.isfinite(cells).all():
-            raise ValueError(f"{column} holds a value that JSON cannot represent")
-    n_nonclassical = int(values.nonclassical.sum())
-    tail = {
-        "summary": {
-            "n_rows": len(records),
-            "nonclassical_SI": n_nonclassical,
-            "classical_consistent": len(records) - n_nonclassical,
-        },
-        "tol": tol,
-    }
-    columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
-               has_na, na, values.full_no, values.standard_negativity)
-    _write_report(Path(out), columns, tail)
+    from ._pool import WorkerError, fork_map
+
+    witness_values((), (), tol=tol)  # the kernel's check of tol, on no rows
+    lines, width, at, warnings = _read_header(input_path)
+    starts = range(1, len(lines), REPORT_BLOCK_ROWS)
+    summary = {"n_rows": 0, "nonclassical_SI": 0, "classical_consistent": 0}
+    tail = {"summary": summary, "tol": tol}
+
+    def chunks(blocks):
+        yield b'{\n  "rows": ['
+        for block in blocks:
+            if isinstance(block, str):
+                raise InputError(block)
+            rows, n_rows, n_nonclassical = block
+            if n_rows:
+                if summary["n_rows"]:
+                    yield b","
+                yield rows
+                summary["n_rows"] += n_rows
+                summary["nonclassical_SI"] += n_nonclassical
+        summary["classical_consistent"] = summary["n_rows"] - summary["nonclassical_SI"]
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        # The tail's keys follow the rows, after its own "{\n".
+        yield ((b"\n  ],\n" if summary["n_rows"] else b"],\n")
+               + _dump_json(tail)[2:].encode("ascii"))
+
+    path = Path(out)
+    blocks = fork_map(functools.partial(_witness_block, lines, width, at, tol), starts)
+    try:
+        with contextlib.closing(blocks):
+            _write_files([(path, chunks(blocks))])
+    except WorkerError as exc:
+        raise InputError(f"cannot write {path}: a formatting process {exc.reason}") from exc
     return tail
 
 

@@ -22,21 +22,37 @@ def use_cores(monkeypatch, cores):
     return forks
 
 
-def fail_fork(monkeypatch, nth):
-    """Make call ``nth`` (from 0) of ``os.fork`` fail as a full process table
-    does; returns the error it raises."""
-    error = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+def _fail_call(monkeypatch, name, nth, error):
+    """Make call ``nth`` (from 0) of ``os.<name>`` raise ``error``; returns it."""
     calls = []
-    fork = os.fork
+    call = getattr(os, name)
 
-    def failing_fork():
+    def failing_call():
         calls.append(None)
         if len(calls) == nth + 1:
             raise error
-        return fork()
+        return call()
 
-    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, name, failing_call)
     return error
+
+
+def fail_fork(monkeypatch, nth):
+    """Make call ``nth`` (from 0) of ``os.fork`` fail as a full process table
+    does; returns the error it raises."""
+    return _fail_call(monkeypatch, "fork", nth,
+                      BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+
+
+def fail_pipe(monkeypatch, nth):
+    """Make call ``nth`` (from 0) of ``os.pipe`` fail as a full descriptor
+    table does; returns the error it raises."""
+    return _fail_call(monkeypatch, "pipe", nth, OSError(errno.EMFILE, os.strerror(errno.EMFILE)))
+
+
+def open_descriptors():
+    """How many file descriptors this process holds open."""
+    return len(os.listdir("/dev/fd"))
 
 
 def assert_no_child_left():

@@ -13,10 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from forking import assert_no_child_left, fail_fork, use_cores
+from forking import (
+    assert_no_child_left,
+    fail_fork,
+    fail_pipe,
+    open_descriptors,
+    use_cores,
+)
 from hypothesis import given, settings, strategies as st
 
 import squeezewitness
+import squeezewitness.cli as cli
 from squeezewitness.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -493,6 +500,15 @@ class TestWitnessCommand:
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("csv", [None, "theta_rad,var_L,nb\n0.0,nan,0.1\n"],
+                             ids=["missing-file", "bad-line"])
+    def test_tol_is_checked_before_the_file_is_read(self, tmp_path, capsys, csv):
+        path = str(tmp_path / "moments.csv") if csv is None else write_csv(tmp_path, csv)
+        code = main(["witness", "--input", path, "--tol", "-1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: tol must be finite and >= 0, got -1.0\n"
+
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 nonnegative = st.floats(0.0, 1e6)
@@ -735,12 +751,56 @@ class TestWitnessReportBlocks:
         cmd_witness(path, str(out))
         assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_cut_into_blocks_gives_the_reader_and_the_reference(self, data):
+        # Blocks of two or three lines, cut through blank lines and rows, and
+        # at most one bad line anywhere: the command names the line that the
+        # reader names, or writes the reference bytes.
+        block_rows = data.draw(st.integers(2, 3), label="lines per block")
+        cores = data.draw(st.integers(1, 3), label="cores")
+        # Each line is a valid row's tuple or a blank line.
+        lines = [line for piece in data.draw(st.lists(
+            VALID_ROWS | st.sampled_from(["", "  "]).map(lambda blank: [blank])
+            | st.just([""] * block_rows), max_size=6), label="pieces") for line in piece]
+        rows = [line for line in lines if isinstance(line, tuple)]
+        body = [line if isinstance(line, str) else moments_csv([line]).splitlines()[1]
+                for line in lines]
+        bad = data.draw(st.booleans(), label="one bad line")
+        if bad:
+            body.insert(data.draw(st.integers(0, len(body)), label="at"), data.draw(
+                BAD_CELL.map(lambda cell: bad_line(*cell)) | MALFORMED, label="bad"))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            path = Path(tmp) / "moments.csv"
+            path.write_text("\n".join(["theta_rad,var_L,nb,na", *body]) + "\n",
+                            encoding="utf-8")
+            out = Path(tmp) / "report.json"
+            try:
+                read_moment_records(str(path))
+            except InputError as exc:
+                expected = str(exc)
+            else:
+                expected = None
+            assert (expected is not None) == bad
+            patch.setattr(cli, "REPORT_BLOCK_ROWS", block_rows)
+            forks = use_cores(patch, cores)
+            if expected is not None:
+                with pytest.raises(InputError) as caught:
+                    cmd_witness(str(path), str(out))
+                assert str(caught.value) == expected
+                assert not out.exists()
+            else:
+                cmd_witness(str(path), str(out))
+                assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+            assert len(forks) == min(cores, -(-len(body) // block_rows))
+            assert_no_child_left()
+
 
 def break_workers(monkeypatch, fault):
     """Make every worker raise, or exit with status 0, at its first block;
     the fork inherits the patched formatter."""
 
-    def faulty_block(columns, start):
+    def faulty_block(columns):
         if fault == "raise":
             raise MemoryError
         os._exit(0)
@@ -789,16 +849,31 @@ class TestWitnessReportFailure:
         assert len(forks) == cores
         assert listing(tmp_path) == before
 
+    def assert_no_worker_starts(self, tmp_path, monkeypatch, witness, cores, nth, previous,
+                                fail):
+        # One core forks one worker; two cores fork two, the second after the
+        # first.  Each worker's pipe is made just before its fork.
+        before = self.listing_before(tmp_path, previous)
+        use_cores(monkeypatch, cores)
+        descriptors = open_descriptors()
+        error = fail(monkeypatch, nth)
+        assert witness().endswith(f"a formatting process could not be started: {error}\n")
+        assert listing(tmp_path) == before
+        assert open_descriptors() == descriptors
+
     @pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
                              ids=["1core-first", "2cores-first", "2cores-second"])
     @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
     def test_failed_fork(self, tmp_path, monkeypatch, witness, cores, nth, previous):
-        # One core forks one worker; two cores fork two, the second after the first.
-        before = self.listing_before(tmp_path, previous)
-        use_cores(monkeypatch, cores)
-        error = fail_fork(monkeypatch, nth)
-        assert witness().endswith(f"a formatting process could not be started: {error}\n")
-        assert listing(tmp_path) == before
+        self.assert_no_worker_starts(tmp_path, monkeypatch, witness, cores, nth, previous,
+                                     fail_fork)
+
+    @pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
+                             ids=["1core-first", "2cores-first", "2cores-second"])
+    @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+    def test_failed_pipe(self, tmp_path, monkeypatch, witness, cores, nth, previous):
+        self.assert_no_worker_starts(tmp_path, monkeypatch, witness, cores, nth, previous,
+                                     fail_pipe)
 
     @pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
     def test_worker_that_exits_nonzero(self, tmp_path, monkeypatch, witness, previous):
@@ -828,6 +903,54 @@ class TestWitnessReportFailure:
         use_cores(monkeypatch, 2)
         assert os.strerror(errno.ENOSPC) in witness(link)
         assert link.is_symlink()
+
+    @pytest.mark.parametrize("fault", ["bad-line", "worker"])
+    @pytest.mark.parametrize("previous", [False, True], ids=["absent", "previous"])
+    def test_a_link_receives_nothing_of_a_failed_report(self, tmp_path, monkeypatch, capsys,
+                                                        fault, previous):
+        # The fault is in the last block: the blocks before it are made, but
+        # none of their bytes reach the link's target.
+        rows = mixed_rows(3 * REPORT_BLOCK_ROWS + 17)
+        bad = [("var_L", "nan")] if fault == "bad-line" else []
+        path = write_csv(tmp_path, moments_csv(rows, *bad))
+        if fault == "worker":
+            report_block = cli._report_block
+
+            def dying_at_the_last_block(columns):
+                if len(columns[0]) < REPORT_BLOCK_ROWS:
+                    os._exit(0)
+                return report_block(columns)
+
+            monkeypatch.setattr(cli, "_report_block", dying_at_the_last_block)
+        target = tmp_path / "target.json"
+        if previous:
+            target.write_bytes(b"previous report\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        before = listing(tmp_path) if previous else {}
+        use_cores(monkeypatch, 2)
+        assert main(["witness", "--input", path, "--out", str(link)]) == EXIT_INPUT_ERROR
+        assert_no_child_left()
+        assert capsys.readouterr().err == {
+            "bad-line": f"error: line {len(rows) + 2}: var_L = nan is not finite\n",
+            "worker": f"error: cannot write {link}: a formatting process ended before "
+                      "sending all its results\n"}[fault]
+        assert link.is_symlink()
+        if previous:
+            assert listing(tmp_path) == before
+        else:
+            assert not target.exists()
+
+    def test_warnings_only_once_every_line_has_passed(self, tmp_path, capsys):
+        rows = ["0,0.5,1,7"] * (2 * REPORT_BLOCK_ROWS)
+        header = "theta_rad,var_L,nb,run_id"
+        out = tmp_path / "r.json"
+        for last, err in [("0,nan,1,7", f"error: line {len(rows) + 2}: var_L = nan is not finite\n"),
+                          ("0,0.5,1,7", "warning: ignoring extra columns: run_id\n")]:
+            path = write_csv(tmp_path, "\n".join([header, *rows, last]) + "\n")
+            code = main(["witness", "--input", path, "--out", str(out)])
+            assert capsys.readouterr().err == err
+            assert code == (EXIT_OK if err.startswith("warning") else EXIT_INPUT_ERROR)
 
 
 class TestWitnessReportLayout:
@@ -967,24 +1090,41 @@ def test_validate_exits_2_when_a_task_fails(tmp_path, monkeypatch, capfd, suite,
                                            "ended before sending all its results\n")
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
-@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
-                         ids=["1core-first", "2cores-first", "2cores-second"])
-@pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
-def test_validate_exits_2_when_a_fork_fails(tmp_path, monkeypatch, capfd, cores, nth, previous):
+def assert_validate_exits_2_at_start(tmp_path, monkeypatch, capfd, cores, nth, previous,
+                                     fail):
     # Exit 1 would say that a suite failed.
     out = tmp_path / "v.json"
     if previous:
         out.write_bytes(b"previous report\n")
     before = listing(tmp_path)
     use_cores(monkeypatch, cores)
-    error = fail_fork(monkeypatch, nth)
+    descriptors = open_descriptors()
+    error = fail(monkeypatch, nth)
     assert main(["validate", "--trials", "3", "--cutoff-max", "16",
                  "--out", str(out)]) == EXIT_INPUT_ERROR
     assert_no_child_left()
     assert listing(tmp_path) == before
+    assert open_descriptors() == descriptors
     assert capfd.readouterr().err == ("error: cannot finish the suites: a worker process "
                                       f"could not be started: {error}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
+                         ids=["1core-first", "2cores-first", "2cores-second"])
+@pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+def test_validate_exits_2_when_a_fork_fails(tmp_path, monkeypatch, capfd, cores, nth, previous):
+    assert_validate_exits_2_at_start(tmp_path, monkeypatch, capfd, cores, nth, previous,
+                                     fail_fork)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="validate forks its workers")
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1)],
+                         ids=["1core-first", "2cores-first", "2cores-second"])
+@pytest.mark.parametrize("previous", [False, True], ids=["none", "previous"])
+def test_validate_exits_2_when_a_pipe_fails(tmp_path, monkeypatch, capfd, cores, nth, previous):
+    assert_validate_exits_2_at_start(tmp_path, monkeypatch, capfd, cores, nth, previous,
+                                     fail_pipe)
 
 
 def _fresh_python(code: str) -> str:

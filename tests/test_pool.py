@@ -4,7 +4,7 @@ import os
 import pickle
 
 import pytest
-from forking import assert_no_child_left, fail_fork, use_cores
+from forking import assert_no_child_left, fail_fork, fail_pipe, open_descriptors, use_cores
 
 from squeezewitness._pool import WorkerError, _receive, fork_map
 
@@ -49,19 +49,29 @@ def test_items_are_dealt_round_robin(monkeypatch):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1), (3, 2)])
-def test_a_failed_fork_raises_worker_error(monkeypatch, cores, nth):
+def assert_worker_error_at_start(monkeypatch, cores, nth, fail):
     # The workers forked before it have exited, and no pipe is left open.
     forks = use_cores(monkeypatch, cores)
-    error = fail_fork(monkeypatch, nth)
-    descriptors = len(os.listdir("/dev/fd"))
+    error = fail(monkeypatch, nth)
+    descriptors = open_descriptors()
     with pytest.raises(WorkerError) as caught:
         list(fork_map(square, range(5)))
     assert str(caught.value) == f"a worker process could not be started: {error}"
     assert caught.value.__cause__ is error and caught.value.code is None
     assert len(forks) == nth
     assert_no_child_left()
-    assert len(os.listdir("/dev/fd")) == descriptors
+    assert open_descriptors() == descriptors
+
+
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_a_failed_fork_raises_worker_error(monkeypatch, cores, nth):
+    assert_worker_error_at_start(monkeypatch, cores, nth, fail_fork)
+
+
+@pytest.mark.parametrize("cores, nth", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_a_failed_pipe_raises_worker_error(monkeypatch, cores, nth):
+    # Each worker's pipe is made just before its fork.
+    assert_worker_error_at_start(monkeypatch, cores, nth, fail_pipe)
 
 
 @pytest.mark.parametrize("fault", ["raise", "exit"])
