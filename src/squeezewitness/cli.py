@@ -191,16 +191,25 @@ def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
 # witness
 # ---------------------------------------------------------------------------
 
+def _lines(text: str) -> list[str]:
+    """``str.splitlines``, but breaking only at ``\\n``, ``\\r\\n`` and ``\\r``, as
+    ``open()`` does: not at the form feeds, NELs or U+2028s that editors do not show."""
+    if "\r" in text:  # a scan for it is cheaper than a replace that finds none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
 def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
     """Read the CSV at ``path`` and check its header; returns its lines, the
     header's width, each schema column's index in a line (None for a missing
     ``na``) and the warnings.
 
-    A UTF-8 byte-order mark is accepted; a byte that is not UTF-8 is an
-    error naming its line.  A schema column named twice in the header is an
-    error, since which of its cells is meant cannot be known; a repeated
-    extra column is only ignored, and an unnamed one is named by its 1-based
-    position.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` alone.  A UTF-8 byte-order mark
+    is accepted; a byte that is not UTF-8 is an error naming its line.  A
+    schema column named twice in the header is an error, since which of its
+    cells is meant cannot be known; a repeated extra column is only ignored,
+    and an unnamed one is named by its 1-based position.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -208,10 +217,10 @@ def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # exc.object holds the bytes after any mark; "." stands in for the bad byte.
-        line_no = len((exc.object[:exc.start].decode("utf-8") + ".").splitlines())
+        line_no = len(_lines(exc.object[:exc.start].decode("utf-8") + "."))
         raise InputError(f"line {line_no}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
                          f"({exc.reason})") from None
-    lines = text.splitlines()
+    lines = _lines(text)
     if not lines:
         raise InputError(f"{path}: empty file")
     header = [cell.strip() for cell in lines[0].split(",")]

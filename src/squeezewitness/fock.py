@@ -5,7 +5,8 @@ states are concrete amplitude arrays or density matrices, operators are
 truncated ladder-operator products, and expectation values are plain
 contractions.  The module exists to validate the analytic path, so it
 favours explicit truncation-error accounting over speed: no state is ever
-silently renormalized.
+silently renormalized, and :func:`fock_state` and :func:`converged_cutoff`
+refuse a deficit over the fixed ``TRUNCATION_BUDGET``.
 
 A one-mode word, any truncated product of ``a`` and ``a^dag``, has one
 nonzero diagonal, at offset ``#a^dag - #a``, and the oracle stores it as
@@ -60,7 +61,7 @@ __all__ = [
     "pure_mode_amplitudes",
 ]
 
-DEFAULT_TRUNCATION_BUDGET = 1e-8
+TRUNCATION_BUDGET = 1e-8
 MAX_CUTOFF = 512
 # Bytes of density factors that one block of ``fock_states`` holds: 8 pairs
 # at cutoff 128, 2 at 256 and 1 at 512.
@@ -307,7 +308,7 @@ def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockS
     factors allow, counting two per pair, and at least one.  It is built
     when its first state is requested and freed once the caller drops its
     states.  Each state carries its truncation deficit, unchecked;
-    :func:`fock_state` checks one against a budget.
+    :func:`fock_state` checks one against ``TRUNCATION_BUDGET``.
 
     Raises
     ------
@@ -329,25 +330,22 @@ def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockS
         yield from [FockState.product(*pair) for pair in zip(factors, factors)]
 
 
-def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int,
-               budget: float = DEFAULT_TRUNCATION_BUDGET) -> FockState:
+def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int) -> FockState:
     """Build the product state SI x LO at the given per-mode cutoff, as the
     one-pair call of :func:`fock_states`.
 
     Raises
     ------
     ValueError
-        If ``cutoff`` is outside ``[2, MAX_CUTOFF]``, ``budget`` outside ``[0, 1]``,
-        or the params hold other than one pair.
+        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or the params hold other
+        than one pair.
     TruncationError
-        If the truncation deficit exceeds ``budget``.
+        If the truncation deficit exceeds ``TRUNCATION_BUDGET``.
     """
-    if not 0.0 <= budget <= 1.0:
-        raise ValueError(f"budget must be in [0, 1], got {budget}")
     (state,) = fock_states(params_si, params_lo, cutoff)
-    if state.deficit > budget:
+    if state.deficit > TRUNCATION_BUDGET:
         raise TruncationError(f"truncation deficit {state.deficit:.3e} exceeds budget "
-                              f"{budget:.3e} at cutoff {cutoff}")
+                              f"{TRUNCATION_BUDGET:.3e} at cutoff {cutoff}")
     return state
 
 
@@ -435,34 +433,31 @@ def witness_general(f: OperatorExpr, state: FockState) -> float:
     return expect(ordered, state).real
 
 
-def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
-                     budget: float = DEFAULT_TRUNCATION_BUDGET
-                     ) -> tuple[int, FockState, complex]:
+def converged_cutoff(state: FockState, expr: OperatorExpr,
+                     tol: float) -> tuple[int, FockState, complex]:
     """Smallest cutoff in a doubling schedule with settled expectation values.
 
     Walks the leading blocks of ``state``, product or pure, at cutoffs 2,
     4, 8, ... up to its own cutoff, and returns the first cutoff whose
     expectation value of ``expr`` agrees with the next doubling's to within
-    ``tol``, the block at that next doubling, which was checked against the
-    budget, and the value on it, equal to :func:`expect` bit for bit.
-    Blocks whose deficit exceeds the budget are skipped, and ``expr`` is
-    reordered once.  Nothing is built here: a block of a product state from
+    ``tol``, the block at that next doubling, which was checked against
+    ``TRUNCATION_BUDGET``, and the value on it, equal to :func:`expect` bit
+    for bit.  Blocks over the budget are skipped, and ``expr`` is reordered
+    once.  Nothing is built here: a block of a product state from
     :func:`fock_state` is, bit for bit, the state it builds at that cutoff.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive, if ``budget`` is outside
-        ``[0, 1]``, or if the state's cutoff is below 4: the schedule then
-        holds cutoff 2 alone, which has no next doubling to agree with.
+        If ``tol`` is not finite and positive, or if the state's cutoff is
+        below 4: the schedule then holds cutoff 2 alone, which has no next
+        doubling to agree with.
     ConvergenceError
         If the schedule is exhausted without two successive agreements; the
         message names the largest cutoff walked.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not 0.0 <= budget <= 1.0:
-        raise ValueError(f"budget must be in [0, 1], got {budget}")
     if state.cutoff < 4:
         raise ValueError(f"the state's cutoff must be >= 4, got {state.cutoff}")
     ordered = reorder(expr)
@@ -470,7 +465,7 @@ def converged_cutoff(state: FockState, expr: OperatorExpr, tol: float,
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
         block = state.leading(cutoff)
-        if block.deficit > budget:
+        if block.deficit > TRUNCATION_BUDGET:
             previous = None
             continue
         value = _expect_reordered(ordered, block)

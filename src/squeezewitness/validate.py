@@ -4,7 +4,8 @@ Each suite draws reproducible random scenarios from a seeded generator and
 reports the worst deviation it saw; a NaN is the worst, and fails the suite.
 A negative trial count or seed raises ``ValueError`` before anything is drawn.
 The suites are used both by the command-line ``validate`` command and by the
-acceptance tests, so their tolerances are fixed here and nowhere else.
+acceptance tests, so their tolerances and cutoffs, bar ``cutoff_max``, are
+fixed here and nowhere else.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ CLASSICALITY_BOUND = 1e-8
 CHANNEL_LAW_TOL = 1e-12
 CHANNEL_FOLD_TOL = 1e-8
 REORDER_TOL = 1e-10
+CLASSICALITY_CUTOFF = 32
+BATH_FOLD_CUTOFF = 36
+REORDER_CUTOFF = 10
+REORDER_MAX_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -224,13 +229,12 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     return _gaussian_fock_result(trials, (chunk() for chunk in chunks))
 
 
-def suite_classicality(trials: int = 200, seed: int = 42,
-                       cutoff: int = 32) -> SuiteResult:
+def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     """Nonnegativity of the witness on coherent signals with arbitrary LOs.
 
-    Draws a coherent SI, a Haar-random LO vector, and a random operator of
-    degree at most two; the partially ordered quadratic form must stay
-    above ``-1e-8``.
+    Draws a coherent SI, a Haar-random LO vector, both at
+    ``CLASSICALITY_CUTOFF``, and a random operator of degree at most two; the
+    partially ordered quadratic form must stay above ``-1e-8``.
     """
     name = "classicality_nonnegativity"
     rng = _generator(trials, seed)
@@ -238,8 +242,8 @@ def suite_classicality(trials: int = 200, seed: int = 42,
     for _ in range(trials):
         radius = 2.0 * np.sqrt(rng.uniform())
         alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        psi_si = coherent_amplitudes(alpha, cutoff)
-        psi_lo = haar_random_vector(rng, cutoff)
+        psi_si = coherent_amplitudes(alpha, CLASSICALITY_CUTOFF)
+        psi_lo = haar_random_vector(rng, CLASSICALITY_CUTOFF)
         state = FockState.product(psi_si, psi_lo)
         f = random_expression(rng, max_degree=2, max_terms=4)
         value = witness_general(f, state)
@@ -278,19 +282,6 @@ def bath_fold_moments(params: StateParams, kind: str, strength: float,
             float(np.vdot(lowered, lowered).real))
 
 
-def _bath_fold_deviation(cutoff: int = 36) -> float:
-    """Worst moment error of the Gaussian channels against a bath unitary."""
-    params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
-    worst = 0.0
-    for kind, strength, channel in (("loss", 0.6, apply_loss),
-                                    ("gain", 1.4, apply_gain_noise)):
-        mode = channel(make_state(params), strength)
-        folded = bath_fold_moments(params, kind, strength, cutoff)
-        for got, want in zip(folded, (mode.alpha, mode.a_sq, mode.n_a)):
-            worst = _worse(worst, abs(got - want))
-    return worst
-
-
 def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     """Scaling laws of the witness under loss and excess noise.
 
@@ -309,7 +300,13 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     laws = (np.abs(lossy - eta * partial),
             np.abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
     worst = float(np.max(np.concatenate(laws), initial=0.0))
-    fold = _bath_fold_deviation()
+    params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
+    fold = 0.0
+    for kind, strength, channel in (("loss", 0.6, apply_loss), ("gain", 1.4, apply_gain_noise)):
+        mode = channel(make_state(params), strength)
+        folded = bath_fold_moments(params, kind, strength, BATH_FOLD_CUTOFF)
+        for got, want in zip(folded, (mode.alpha, mode.a_sq, mode.n_a)):
+            fold = _worse(fold, abs(got - want))
     passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL
     return SuiteResult(name, trials, _worse(worst, fold), bool(passed),
                        detail=f"bath-fold deviation {fold:.3e}")
@@ -333,26 +330,24 @@ def _offset_bands(expr: OperatorExpr, cutoff: int) -> dict[tuple[int, int], np.n
     return bands
 
 
-def suite_reorder_matrix(trials: int = 100, seed: int = 42, cutoff: int = 10,
-                         max_degree: int = 4) -> SuiteResult:
+def suite_reorder_matrix(trials: int = 100, seed: int = 42) -> SuiteResult:
     """Operator identity of the rewriter on truncated matrices.
 
-    The matrices of an expression and of its reordered form must agree on
-    the interior block whose mode indices stay ``max_degree`` below the
-    cutoff, where truncation cannot leak in.  Both are compared band by
-    band: in a band of offset ``k``, the states ``n`` with ``n`` and ``n +
-    k`` in the interior are its first ``interior - |k|``.
+    The matrices at ``REORDER_CUTOFF`` of an expression of degree at most
+    ``REORDER_MAX_DEGREE`` and of its reordered form must agree on the
+    interior block that stays that degree below the cutoff, where truncation
+    cannot leak in.  Both are compared band by band: in a band of offset
+    ``k``, the states ``n`` with ``n`` and ``n + k`` in the interior are its
+    first ``interior - |k|``.
     """
     name = "reorder_matrix_equality"
-    interior = cutoff - max_degree
-    if interior < 1:  # no state to compare on, which would pass vacuously
-        raise ValueError(f"cutoff must exceed max_degree, got {cutoff} and {max_degree}")
+    interior = REORDER_CUTOFF - REORDER_MAX_DEGREE
     rng = _generator(trials, seed)
     worst = 0.0
     for _ in range(trials):
-        expr = random_expression(rng, max_degree=max_degree, max_terms=4)
-        direct = _offset_bands(expr, cutoff)
-        ordered = _offset_bands(reorder(expr), cutoff)
+        expr = random_expression(rng, max_degree=REORDER_MAX_DEGREE, max_terms=4)
+        direct = _offset_bands(expr, REORDER_CUTOFF)
+        ordered = _offset_bands(reorder(expr), REORDER_CUTOFF)
         for ks in direct.keys() | ordered.keys():
             rows, cols = (max(0, interior - abs(k)) for k in ks)
             diff = np.abs(direct.get(ks, 0.0) - ordered.get(ks, 0.0))[:rows, :cols]

@@ -439,6 +439,29 @@ class TestWitnessCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("data, message", [
+        (b"theta_rad,var_L,nb\n0,0.5,1\n0,0.5,1\xc2\x85\n0,nan,1\n",
+         "line 4: var_L = nan is not finite"),
+        (b"theta_rad,var_L,nb\n0,0.5,1\x0b\n0,0.5,1\n0,nan,1\n",
+         "line 4: var_L = nan is not finite"),
+        (b"theta_rad,var_L,nb\n0,0.5,1\xe2\x80\xa8\n0,0.5,1\n0,0.5,1\xe9\n",
+         "line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ], ids=["nel", "vertical-tab", "line-separator"])
+    def test_only_universal_newlines_end_a_line(self, tmp_path, capsys, data, message):
+        # A NEL, a vertical tab or a U+2028 that ends line 2 or 3 starts no line.
+        path = tmp_path / "moments.csv"
+        path.write_bytes(data)
+        out = tmp_path / "report.json"
+        assert main(["witness", "--input", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_form_feed_in_a_cell_is_space_around_its_number(self, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_bytes(b"theta_rad,var_L,nb\n0,0.5\x0c,1\n")
+        records, warnings = read_moment_records(str(path))
+        assert (records["var_L"].tolist(), warnings) == ([0.5], [])
+
     def test_unnamed_extra_column_is_named_by_position(self, tmp_path):
         # A header that ends in a comma has an empty last name.
         path = write_csv(tmp_path, "theta_rad,var_L,nb,,detector_id,\n0,0.5,1,2,7,\n")
@@ -794,6 +817,79 @@ class TestWitnessReportBlocks:
                 assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
             assert len(forks) == min(cores, -(-len(body) // block_rows))
             assert_no_child_left()
+
+
+# Characters that ``str.splitlines`` breaks lines at but a CSV reader does
+# not.  ``float()`` skips the first five around a number; it rejects the
+# information separators, which go in an extra column or a blank line.
+FLOAT_SPACES = ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
+OTHER_BREAKS = FLOAT_SPACES + ["\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lines_end_only_at_universal_newlines(data):
+    # Mixed \n, \r\n and \r ends, the other separators in cells and blank
+    # lines, and at most one bad line or one byte that is not UTF-8: the
+    # reader and the command, cut into blocks of two or three lines, name the
+    # line that re.split(r"\r\n|\r|\n", text) counts, or read every row.
+    spaces = st.text(st.sampled_from(FLOAT_SPACES), max_size=2)
+
+    def padded(cell):
+        return data.draw(spaces) + cell + data.draw(spaces)
+
+    rows = data.draw(VALID_ROWS, label="rows")
+    lines = [",".join(map(padded, ["theta_rad", "var_L", "nb", "na", "note"]))]
+    for theta, var_l, nb, na in rows:
+        cells = [repr(theta), repr(var_l), repr(nb), "" if na is None else repr(na)]
+        note = data.draw(st.text(st.sampled_from(OTHER_BREAKS + ["n"]), max_size=3))
+        lines.append(",".join([*map(padded, cells), note]))
+    for _ in range(data.draw(st.integers(0, 3), label="blank lines")):
+        lines.insert(data.draw(st.integers(1, len(lines)), label="blank at"),
+                     data.draw(st.text(st.sampled_from(OTHER_BREAKS + [" "]), max_size=2)))
+    kind = data.draw(st.sampled_from(["none", "line", "byte"]), label="kind")
+    bad_byte, bad_at = b"", None
+    if kind == "line":
+        bad = data.draw(BAD_CELL.map(lambda cell: bad_line(*cell)) | MALFORMED) + ","
+        lines.insert(data.draw(st.integers(1, len(lines)), label="bad at"), bad)
+    elif kind == "byte":
+        bad_byte = data.draw(st.sampled_from([b"\xe9", b"\xff"]), label="byte")
+        bad_at = data.draw(st.integers(0, len(lines) - 1), label="byte at")
+    endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                 min_size=len(lines), max_size=len(lines)), label="ends")
+    if data.draw(st.booleans(), label="no final line end"):
+        endings[-1] = ""
+    content = b"".join(line.encode("utf-8") + (bad_byte if k == bad_at else b"")
+                       + ending.encode("ascii")
+                       for k, (line, ending) in enumerate(zip(lines, endings)))
+    split = re.split(rb"\r\n|\r|\n", content)
+    if kind == "line":
+        expected = rf"^line {split.index(bad.encode('ascii')) + 1}: "
+    elif kind == "byte":
+        at = next(k for k, line in enumerate(split) if bad_byte in line)
+        expected = rf"^line {at + 1}: byte {bad_byte[0]:#04x} is not UTF-8 "
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path, out = Path(tmp) / "moments.csv", Path(tmp) / "report.json"
+        path.write_bytes(content)
+        patch.setattr(cli, "REPORT_BLOCK_ROWS", data.draw(st.integers(2, 3), label="block"))
+        use_cores(patch, data.draw(st.integers(1, 3), label="cores"))
+        if kind != "none":
+            with pytest.raises(InputError, match=expected) as caught:
+                read_moment_records(str(path))
+            with pytest.raises(InputError) as command:
+                cmd_witness(str(path), str(out))
+            assert str(command.value) == str(caught.value)
+            assert not out.exists()
+        else:
+            records, _ = read_moment_records(str(path))
+            want = [(theta, var_l, nb, np.nan if na is None else na)
+                    for theta, var_l, nb, na in rows]
+            assert records.tobytes() == np.array(want, dtype=records.dtype).tobytes()
+            with redirect_stderr(io.StringIO()):
+                cmd_witness(str(path), str(out))
+            assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+        assert_no_child_left()
 
 
 def break_workers(monkeypatch, fault):

@@ -16,7 +16,6 @@ from squeezed_reference import squeezed_amplitudes
 
 from squeezewitness.channels import apply_gain_noise, apply_loss
 from squeezewitness.fock import (
-    DEFAULT_TRUNCATION_BUDGET,
     MAX_CUTOFF,
     ConvergenceError,
     FockState,
@@ -432,11 +431,10 @@ class TestNonGaussianLO:
         assert closed.min() == pytest.approx(minimum, abs=1e-4)
 
 
-def _walk(params_si, params_lo, expr, tol, top=MAX_CUTOFF,
-          budget=DEFAULT_TRUNCATION_BUDGET):
-    """``converged_cutoff`` on the pair built at ``top`` with the whole budget."""
-    return converged_cutoff(fock_state(params_si, params_lo, top, budget=1.0), expr, tol,
-                            budget=budget)
+def _walk(params_si, params_lo, expr, tol, top=MAX_CUTOFF):
+    """``converged_cutoff`` on the pair built at ``top``, whatever its deficit."""
+    (state,) = fock_states(params_si, params_lo, top)
+    return converged_cutoff(state, expr, tol)
 
 
 class TestConvergedCutoff:
@@ -450,7 +448,7 @@ class TestConvergedCutoff:
     def test_typical_scenario_converges_modestly(self):
         ell = difference_observable(0.0)
         params_si, params_lo = StateParams(alpha=1.0), StateParams(zeta=ZETA_3DB)
-        top = fock_state(params_si, params_lo, MAX_CUTOFF, budget=1.0)
+        (top,) = fock_states(params_si, params_lo, MAX_CUTOFF)
         cutoff, state, value = converged_cutoff(top, ell * ell, 1e-9)
         assert cutoff <= 64
         # The value it settled on is the one expect reads on the returned block.
@@ -511,16 +509,6 @@ class TestConvergedCutoff:
         assert np.shares_memory(block.data, psi)
         for number in (NUMBER_A, NUMBER_B):
             assert expect(number, block).real == pytest.approx(np.sinh(r) ** 2, abs=1e-12)
-
-    @pytest.mark.parametrize("budget", [np.nan, -0.1, 1.5])
-    def test_rejects_budget_outside_unit_interval(self, budget):
-        # A NaN budget would otherwise accept any truncated state.
-        match = f"budget must be in \\[0, 1\\], got {budget}"
-        with pytest.raises(ValueError, match=match):
-            fock_state(StateParams(alpha=5.0), StateParams(), 8, budget=budget)
-        with pytest.raises(ValueError, match=match):
-            _walk(StateParams(alpha=5.0), StateParams(), difference_observable(0.0), 1e-9,
-                  top=8, budget=budget)
 
 
 class TestChannelFolds:
@@ -636,9 +624,10 @@ class TestRecurrence:
         params_si = StateParams(zeta=0.4, nbar=nbar, phi=1.1, alpha=1.2 - 0.8j)
         params_lo = StateParams(zeta=-0.3, phi=2.0, alpha=0.5j)
         for cutoff in (2, 8, 32, 128):
-            # The whole budget, so the smallest cutoffs are built too.
-            small = fock_state(params_si, params_lo, cutoff, budget=1.0)
-            block = fock_state(params_si, params_lo, 2 * cutoff, budget=1.0).leading(cutoff)
+            # Built whatever their deficit, so the smallest cutoffs are built too.
+            (small,) = fock_states(params_si, params_lo, cutoff)
+            (large,) = fock_states(params_si, params_lo, 2 * cutoff)
+            block = large.leading(cutoff)
             assert (block.kind, block.cutoff) == (small.kind, small.cutoff)
             assert block.deficit == small.deficit
             for part, lead in zip(small.data, block.data):
@@ -726,7 +715,7 @@ class TestRecurrence:
         states = list(fock_states(si, lo, cutoff))
         assert len(states) == pairs
         for j, state in enumerate(states):
-            one = fock_state(_element(si, j), _element(lo, j), cutoff, budget=1.0)
+            (one,) = fock_states(_element(si, j), _element(lo, j), cutoff)
             assert (state.kind, state.cutoff, state.deficit) == (one.kind, one.cutoff,
                                                                  one.deficit)
             for got, want in zip(state.data, one.data, strict=True):
