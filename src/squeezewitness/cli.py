@@ -156,12 +156,6 @@ def _write_files(files) -> None:
             stage.close()
 
 
-def _encoded(build, *args, **kwargs):
-    """Yield ``build(*args, **kwargs)`` as UTF-8, built only once the writer
-    asks for it."""
-    yield build(*args, **kwargs).encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
@@ -177,13 +171,13 @@ def cmd_reproduce(figure_id: str, out: str, svg: bool = False,
         ) from None
     out_dir = Path(out)
     stem = figure.name.replace("-", "_")
-    files = [(out_dir / f"{stem}.csv", _encoded(render_csv, figure)),
-             (out_dir / f"{stem}_summary.json", _encoded(_dump_json, figure.summary))]
+    files = [(out_dir / f"{stem}.csv", render_csv(figure)),
+             (out_dir / f"{stem}_summary.json", _dump_json(figure.summary))]
     if svg:
-        files.append((out_dir / f"{stem}.svg", _encoded(
-            line_plot_svg, figure.series, title=figure.name, x_label=figure.x_label,
+        files.append((out_dir / f"{stem}.svg", line_plot_svg(
+            figure.series, title=figure.name, x_label=figure.x_label,
             y_label=figure.y_label, log_x=figure.log_x)))
-    _write_files(files)
+    _write_files([(path, [text.encode("utf-8")]) for path, text in files])
     return [path for path, _ in files]
 
 
@@ -282,9 +276,11 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> np.ndarra
             continue
         texts = cells[k:n * width:width]
         if column == "na":  # an empty na cell stays NaN
-            texts = list(map(str.strip, texts))
-            given[:n] = np.fromiter(map(bool, texts), bool, n)
-            texts = [text or "nan" for text in texts]
+            # Empty only where float() would see nothing: str.strip also drops
+            # the separators \x1c-\x1f, which float() rejects.
+            given[:n] = [bool(kept) or not {"\x1c", "\x1d", "\x1e", "\x1f"}.isdisjoint(text)
+                         for text, kept in zip(texts, map(str.strip, texts))]
+            texts = [text if cell else "nan" for text, cell in zip(texts, given[:n].tolist())]
         try:
             records[column][:n] = np.fromiter(map(float, texts), float, n)
         except ValueError:

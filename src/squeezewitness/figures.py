@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import apply_gain_noise, apply_loss
 from .gaussian import coherent, db_to_squeeze, mean_photon, squeezed_vacuum
-from .witness import TwoModeProduct, evaluate, homodyne_variance, witness_values
+from .witness import TwoModeProduct, evaluate
 
 __all__ = ["FigureData", "FIGURE_IDS", "build_figure", "db_json_value", "render_csv"]
 
@@ -111,10 +111,10 @@ def figure_noise_sweep(points: int = 61) -> FigureData:
     rows = []
     noise: dict[str, list[float]] = {}
     for kind, (nbs, theta, los) in curves.items():
-        var = homodyne_variance(TwoModeProduct(si=si, lo=los), theta)
-        noise[kind] = witness_values(var, mean_photon(los)).noise_db.tolist()
+        values = evaluate(TwoModeProduct(si=si, lo=los), theta)
+        noise[kind] = values.noise_db.tolist()
         rows.extend((kind, nb, theta, v, n)
-                    for nb, v, n in zip(nbs, var.tolist(), noise[kind]))
+                    for nb, v, n in zip(nbs, values.var_L.tolist(), noise[kind]))
 
     summary = {
         "figure": "noise-sweep",
@@ -152,10 +152,9 @@ def figure_robustness(points: int = 21) -> FigureData:
     nb = mean_photon(lo)
     etas = np.linspace(0.0, 1.0, points)
     gains = np.linspace(1.0, 2.0, points)
-    var = [homodyne_variance(TwoModeProduct(si=signal, lo=lo), theta)
-           for signal in (si, apply_loss(si, etas), apply_gain_noise(si, gains))]
-    partials = witness_values(np.hstack(var), nb).partial_no
-    ideal, lossy, noisy = float(partials[0]), partials[1:points + 1], partials[points + 1:]
+    ideal, lossy, noisy = (evaluate(TwoModeProduct(si=signal, lo=lo), theta).partial_no
+                           for signal in (si, apply_loss(si, etas), apply_gain_noise(si, gains)))
+    ideal = float(ideal)
     laws = {  # channel: (parameter, partial_no, the law's prediction)
         "loss": (etas, lossy, etas * ideal),
         "gain": (gains, noisy, gains * ideal + (gains - 1.0) * (2.0 * nb + 1.0)),

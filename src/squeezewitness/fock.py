@@ -32,7 +32,6 @@ its one-pair call, and no state is built above ``MAX_CUTOFF``.  A product
 state keeps each mode's factor as built, amplitudes or density matrix.
 :func:`converged_cutoff`, the oracle's one walk, reads each smaller cutoff as
 a leading block of the state it is handed, and returns the value it settled on.
-``coherent_amplitudes`` is an independent closed-form reference.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "evolve",
     "witness_general",
     "converged_cutoff",
-    "coherent_amplitudes",
     "pure_mode_amplitudes",
 ]
 
@@ -106,17 +104,18 @@ def _kept(k: int, cutoff: int) -> tuple[slice, slice]:
 
 
 @lru_cache(maxsize=4096)
-def _mode_letters(word: tuple[str, ...]) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """Dagger flags of a word's mode-A and mode-B letters, in written order."""
-    return tuple(tuple(IS_DAGGER[letter] for letter in word if MODE[letter] == mode)
-                 for mode in "AB")
+def _word_bands(word: tuple[str, ...], cutoff: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The :func:`_mode_band` of a word's mode-A letters and of its mode-B
+    letters, each in written order."""
+    return tuple(_mode_band(tuple(IS_DAGGER[letter] for letter in word if MODE[letter] == mode),
+                            cutoff) for mode in "AB")
 
 
 def _word_image(word: tuple[str, ...], psi: np.ndarray) -> tuple[tuple[slice, slice], np.ndarray]:
     """A word applied to the two-mode tensor ``psi`` on its two mode bands:
     the block ``psi[dst]`` it writes, and the values it writes there."""
     cutoff = len(psi)
-    (k_a, d_a), (k_b, d_b) = (_mode_band(letters, cutoff) for letters in _mode_letters(word))
+    (k_a, d_a), (k_b, d_b) = _word_bands(word, cutoff)
     (src_a, dst_a), (src_b, dst_b) = _kept(k_a, cutoff), _kept(k_b, cutoff)
     return (dst_a, dst_b), d_a[:, None] * psi[src_a, src_b] * d_b
 
@@ -134,24 +133,6 @@ def _apply(expr: OperatorExpr, psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # State construction
 # ---------------------------------------------------------------------------
-
-def _log_factorials(cutoff: int) -> np.ndarray:
-    """``log(n!)`` for ``n = 0 .. cutoff - 1``."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, cutoff)))))[:cutoff]
-
-
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes ``exp(-|alpha|^2/2) alpha^n / sqrt(n!)``."""
-    if alpha == 0:
-        v = np.zeros(cutoff, dtype=complex)
-        v[0] = 1.0
-        return v
-    n = np.arange(cutoff)
-    magnitude = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
-                       - 0.5 * _log_factorials(cutoff))
-    phase = np.exp(1j * n * np.angle(complex(alpha)))
-    return magnitude * phase
-
 
 def _husimi_coefficients(zeta: float, nbar: float, phi: float,
                          alpha: complex) -> tuple[float, complex, float, complex]:
@@ -369,8 +350,8 @@ def _expect_word(word: tuple[str, ...], state: FockState) -> complex:
     if state.kind == "pure":
         dst, image = _word_image(word, state.data)
         return complex(np.vdot(state.data[dst], image))
-    value_si, value_lo = (_mode_expect(*_mode_band(letters, state.cutoff), f)
-                          for letters, f in zip(_mode_letters(word), state.data))
+    value_si, value_lo = (_mode_expect(*band, f)
+                          for band, f in zip(_word_bands(word, state.cutoff), state.data))
     return complex(value_si * value_lo)
 
 
@@ -406,7 +387,7 @@ def evolve(psi: np.ndarray, generator: OperatorExpr, angle: float) -> np.ndarray
     """
     norm = 0.0
     for word, coeff in generator.terms:
-        (_, d_a), (_, d_b) = (_mode_band(letters, len(psi)) for letters in _mode_letters(word))
+        (_, d_a), (_, d_b) = _word_bands(word, len(psi))
         norm += abs(coeff) * d_a.max(initial=0.0) * d_b.max(initial=0.0)
     steps = max(1, int(np.ceil(abs(angle) * norm)))
     for _ in range(steps):

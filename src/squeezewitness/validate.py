@@ -24,7 +24,6 @@ from .fock import (
     MAX_CUTOFF,
     ConvergenceError,
     FockState,
-    coherent_amplitudes,
     converged_cutoff,
     evolve,
     expect,
@@ -33,8 +32,7 @@ from .fock import (
     witness_general,
     _apply,
     _block_pairs,
-    _mode_band,
-    _mode_letters,
+    _word_bands,
 )
 from .gaussian import StateParams, make_state, mean_photon
 from .opexpr import LETTERS, OperatorExpr, difference_observable, reorder
@@ -232,9 +230,11 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
 def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     """Nonnegativity of the witness on coherent signals with arbitrary LOs.
 
-    Draws a coherent SI, a Haar-random LO vector, both at
-    ``CLASSICALITY_CUTOFF``, and a random operator of degree at most two; the
-    partially ordered quadratic form must stay above ``-1e-8``.
+    Draws a coherent SI, built by the oracle's Gaussian Fock recurrence
+    (:func:`~squeezewitness.fock.pure_mode_amplitudes`) like every other
+    oracle mode, a Haar-random LO vector, both at ``CLASSICALITY_CUTOFF``,
+    and a random operator of degree at most two; the partially ordered
+    quadratic form must stay above ``-1e-8``.
     """
     name = "classicality_nonnegativity"
     rng = _generator(trials, seed)
@@ -242,7 +242,7 @@ def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     for _ in range(trials):
         radius = 2.0 * np.sqrt(rng.uniform())
         alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        psi_si = coherent_amplitudes(alpha, CLASSICALITY_CUTOFF)
+        psi_si, _ = pure_mode_amplitudes(StateParams(alpha=alpha), CLASSICALITY_CUTOFF)
         psi_lo = haar_random_vector(rng, CLASSICALITY_CUTOFF)
         state = FockState.product(psi_si, psi_lo)
         f = random_expression(rng, max_degree=2, max_terms=4)
@@ -317,15 +317,14 @@ def _offset_bands(expr: OperatorExpr, cutoff: int) -> dict[tuple[int, int], np.n
 
     A word maps ``|n_a, n_b>`` to a multiple of ``|n_a + k_a, n_b + k_b>``,
     so its matrix is ``coeff * outer(d_a, d_b)`` on its two mode bands
-    (:func:`~squeezewitness.fock._mode_band`), indexed from the first state
+    (:func:`~squeezewitness.fock._word_bands`), indexed from the first state
     each band reads.  The words of one pair ``(k_a, k_b)`` are summed in
     ``expr.terms`` order, so every element equals, bit for bit, that of the
     dense matrix summed over the terms.
     """
     bands: dict[tuple[int, int], np.ndarray] = {}
     for word, coeff in expr.terms:
-        (k_a, d_a), (k_b, d_b) = (_mode_band(letters, cutoff)
-                                  for letters in _mode_letters(word))
+        (k_a, d_a), (k_b, d_b) = _word_bands(word, cutoff)
         bands[k_a, k_b] = bands.get((k_a, k_b), 0.0) + coeff * np.multiply.outer(d_a, d_b)
     return bands
 

@@ -201,6 +201,22 @@ class TestOutputWriteFailure:
             "fluctuations.csv", "fluctuations_summary.json"]
         assert (tmp_path / "fluctuations.csv").read_bytes() == csv
 
+    def test_failed_render_keeps_every_file(self, tmp_path, monkeypatch, capsys):
+        # Every file's bytes are made before any is written: a plot that
+        # cannot be drawn leaves the previous run's files as they were.
+        argv = ["reproduce", "--figure", "fluctuations", "--svg", "--out", str(tmp_path)]
+        assert main(argv + ["--points", "11"]) == EXIT_OK
+        before = listing(tmp_path)
+
+        def failed_plot(*args, **kwargs):
+            raise ValueError("series 'full_no' holds nan at index 3")
+
+        monkeypatch.setattr(cli, "line_plot_svg", failed_plot)
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: series 'full_no' holds nan at index 3\n"
+        assert listing(tmp_path) == before
+
     @pytest.mark.parametrize("spot", SPOTS)
     @pytest.mark.parametrize("previous", [True, False])
     def test_validate_out(self, tmp_path, monkeypatch, capsys, spot, previous):
@@ -401,9 +417,15 @@ class TestWitnessCommand:
         ("theta_rad,var_L,nb", "0,nan\n", "line 2: expected 3 cells, got 2"),
         ("theta_rad,var_L,nb,na", "0,1,1,x\n",
          "line 2: could not convert string to float: 'x'"),
+        # str.strip drops the information separators, which float() rejects.
+        ("theta_rad,var_L,nb,na", "0,0.5,1,\x1c1\n",
+         "line 2: could not convert string to float: '\\x1c1'"),
+        ("theta_rad,var_L,nb,na", "0,0.5,1,\x1c\n",
+         "line 2: could not convert string to float: '\\x1c'"),
     ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule",
             "out-of-range-above-malformed", "out-of-range-above-short-row",
-            "unparsable-before-rule", "cell-count-before-rule", "unparsable-na"])
+            "unparsable-before-rule", "cell-count-before-rule", "unparsable-na",
+            "separator-before-na", "separator-alone-in-na"])
     def test_first_bad_line_is_named(self, tmp_path, capsys, header, rows, message):
         path = write_csv(tmp_path, f"{header}\n{rows}")
         code = main(["witness", "--input", path, "--out", str(tmp_path / "r.json")])
@@ -461,6 +483,12 @@ class TestWitnessCommand:
         path.write_bytes(b"theta_rad,var_L,nb\n0,0.5\x0c,1\n")
         records, warnings = read_moment_records(str(path))
         assert (records["var_L"].tolist(), warnings) == ([0.5], [])
+
+    @pytest.mark.parametrize("na", ["  ", "\x85", " \t\u2028"], ids=["spaces", "nel", "mixed"])
+    def test_na_cell_of_whitespace_is_empty(self, tmp_path, na):
+        path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n0,0.5,1,{na}\n")
+        records, _ = read_moment_records(path)
+        assert records["var_L"].tolist() == [0.5] and np.isnan(records["na"]).all()
 
     def test_unnamed_extra_column_is_named_by_position(self, tmp_path):
         # A header that ends in a comma has an empty last name.

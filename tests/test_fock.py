@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from coherent_reference import coherent_amplitudes
 from dense_reference import (
     expr_matrix,
     ladder,
@@ -20,7 +21,6 @@ from squeezewitness.fock import (
     ConvergenceError,
     FockState,
     TruncationError,
-    coherent_amplitudes,
     converged_cutoff,
     evolve,
     expect,
@@ -47,6 +47,7 @@ from squeezewitness.opexpr import (
     reorder,
 )
 from squeezewitness.validate import (
+    CLASSICALITY_CUTOFF,
     bath_fold_moments,
     random_expression,
     random_state_params,
@@ -650,6 +651,15 @@ class TestRecurrence:
                                    rtol=0, atol=1e-15)
         squeezed, _ = pure_mode_amplitudes(StateParams(zeta=0.4), 64)
         np.testing.assert_allclose(squeezed, squeezed_amplitudes(0.4, 64),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, *(radius * np.exp(1j * phase)
+                                              for radius in (0.3, 1.0, 1.7, 2.0)
+                                              for phase in (0.0, 1.1, np.pi, 4.6))])
+    def test_classicality_signal_matches_closed_form(self, alpha):
+        # The coherent SI of suite_classicality, over its |alpha| <= 2 envelope.
+        coherent, _ = pure_mode_amplitudes(StateParams(alpha=alpha), CLASSICALITY_CUTOFF)
+        np.testing.assert_allclose(coherent, coherent_amplitudes(alpha, CLASSICALITY_CUTOFF),
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("params", ENVELOPE_CORNERS)

@@ -184,7 +184,8 @@ class TestFormalNormalOrder:
     def test_coherent_substitution(self, expr, alpha, beta):
         """Full formal ordering then coherent expectation equals the
         classical polynomial with a -> alpha, b -> beta."""
-        from squeezewitness.fock import FockState, coherent_amplitudes, expect
+        from coherent_reference import coherent_amplitudes
+        from squeezewitness.fock import FockState, expect
 
         ordered = formal_normal_order(expr, {"A", "B"})
         polynomial = sum(
