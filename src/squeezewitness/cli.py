@@ -66,8 +66,7 @@ from .figures import FIGURE_IDS, build_figure, render_csv
 from .svgplot import line_plot_svg
 from .witness import CLASSICAL, DEFAULT_VERDICT_TOL, NONCLASSICAL, witness_values
 
-__all__ = ["InputError", "main", "read_moment_records",
-           "cmd_reproduce", "cmd_witness", "cmd_validate"]
+__all__ = ["InputError", "main", "cmd_reproduce", "cmd_witness", "cmd_validate"]
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -84,9 +83,6 @@ CELL_RULES = (
     ("na", operator.ge, "is not >= 0"),
 )
 WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
-# One measured row: its cells, with ``na`` NaN where that cell was left empty.
-RECORD_DTYPE = np.dtype([("theta_rad", float), ("var_L", float), ("nb", float),
-                         ("na", float)])
 # A witness report row is one f-string in ``_dump_json``'s layout (indent 2,
 # keys sorted), without or with the ``na`` columns; ``!r`` of a float is
 # ``float.__repr__``, which is how ``json`` writes floats.
@@ -195,9 +191,9 @@ def _lines(text: str) -> list[str]:
 
 
 def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
-    """Read the CSV at ``path`` and check its header; returns its lines, the
-    header's width, each schema column's index in a line (None for a missing
-    ``na``) and the warnings.
+    """Read the CSV at ``path`` and check its header, for :func:`cmd_witness`;
+    returns its lines, the header's width, each schema column's index in a
+    line (None for a missing ``na``) and the warnings.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` alone.  A UTF-8 byte-order mark
     is accepted; a byte that is not UTF-8 is an error naming its line.  A
@@ -234,25 +230,11 @@ def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
     return lines, len(header), at, warnings
 
 
-def read_moment_records(path: str) -> tuple[np.ndarray, list[str]]:
-    """Parse and check a measured-moments CSV; returns the rows and warnings.
-
-    The rows form a structured array of :data:`RECORD_DTYPE`, one element
-    per data row, so ``records["var_L"]`` is a column.  They are parsed a
-    column at a time, and every cell is checked by :data:`CELL_RULES` in the
-    same pass.  The error is the first bad line of the file, malformed or
-    out of range, with its 1-based number.  Within that line a wrong cell
-    count is named first, then the first cell in schema order that
-    ``float`` rejects, then the first that breaks its rule (not finite,
-    then out of range), then an overflowing ``full_no``.  The header is
-    checked first, as :func:`cmd_witness` checks it.
-    """
-    lines, width, at, warnings = _read_header(path)
-    return _read_rows(lines[1:], width, at, 2), warnings
-
-
-def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> np.ndarray:
-    """The records of ``lines``, parsed and checked a column at a time.
+def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple[np.ndarray, ...]:
+    """The schema columns of ``lines``, parsed and checked a column at a time,
+    as one ``(4, n)`` float array in :data:`WITNESS_COLUMNS` order, with 0 for
+    an empty or missing ``na`` cell, and the mask of the rows whose ``na`` cell
+    is given.
 
     ``at`` holds each schema column's index in a line, None for a missing
     ``na``; blank lines are skipped.  The checks run in the order of the
@@ -269,50 +251,51 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> np.ndarra
         error = f"expected {width} cells, got {rows[n].count(',') + 1}"
         del rows[n:]
     cells = ",".join(rows).split(",")
-    records = np.full(n, np.nan, dtype=RECORD_DTYPE)
+    columns = np.zeros((len(WITNESS_COLUMNS), n))
     given = np.zeros(n, dtype=bool)  # where an na cell is not empty
-    for column, k in zip(WITNESS_COLUMNS, at):
+    for column, k, values in zip(WITNESS_COLUMNS, at, columns):
         if k is None:
             continue
         texts = cells[k:n * width:width]
-        if column == "na":  # an empty na cell stays NaN
+        where = slice(n)  # the rows whose cells are parsed
+        if column == "na":  # an empty na cell stays 0
             # Empty only where float() would see nothing: str.strip also drops
             # the separators \x1c-\x1f, which float() rejects.
             given[:n] = [bool(kept) or not {"\x1c", "\x1d", "\x1e", "\x1f"}.isdisjoint(text)
                          for text, kept in zip(texts, map(str.strip, texts))]
-            texts = [text if cell else "nan" for text, cell in zip(texts, given[:n].tolist())]
+            where = np.flatnonzero(given)
+            texts = [texts[r] for r in where.tolist()]
         try:
-            records[column][:n] = np.fromiter(map(float, texts), float, n)
+            values[where] = np.fromiter(map(float, texts), float, len(texts))
         except ValueError:
-            for r, text in enumerate(texts):
+            for r, text in zip(np.arange(n)[where].tolist(), texts):
                 try:
-                    records[column][r] = float(text)
+                    values[r] = float(text)
                 except ValueError as exc:
                     n, error = r, str(exc)
                     break
-    for column, in_range, rule in CELL_RULES:
-        values = records[column][:n]
+    for (column, in_range, rule), values in zip(CELL_RULES, columns):
+        values = values[:n]  # each error narrows the later rules
         broken = ~np.isfinite(values)
         if in_range is not None:
             broken |= ~in_range(values, 0.0)
-        if column == "na":
-            broken &= given[:n]
         if broken.any():
             n = int(broken.argmax())
             value = float(values[n])
             rule = rule if math.isfinite(value) else "is not finite"
             error = f"{column} = {value!r} {rule}"
-    # Finite cells in range leave var_L - nb finite; full_no is NaN where na
-    # is empty and infinite where it overflows.
+    # Finite cells in range leave var_L - nb finite; full_no is infinite
+    # where a given na makes it overflow.
+    _, var_L, nb, na = columns[:, :n]
     with np.errstate(over="ignore"):
-        full_no = records["var_L"][:n] - records["nb"][:n] - records["na"][:n]
+        full_no = var_L - nb - na
     if (overflow := np.isinf(full_no)).any():
         n = int(overflow.argmax())
         error = f"full_no = var_L - nb - na = {float(full_no[n])!r} is not finite"
     if error is not None:
         line_no = [no for no, line in enumerate(lines, start=first) if line.strip()][n]
         raise InputError(f"line {line_no}: {error}")
-    return records
+    return columns, given
 
 
 def _report_block(columns) -> bytes:
@@ -340,25 +323,22 @@ def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: i
     :func:`_report_block`.  Returns the rows' bytes, their count and how
     many are nonclassical, or the message of the block's first bad line."""
     try:
-        records = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at, start + 1)
-        theta, var_L, nb, na = (records[name] for name in WITNESS_COLUMNS)
-        has_na = ~np.isnan(na)  # the reader leaves every given na finite
-        # An empty na cell becomes 0 so that only given cells meet the kernel.
-        values = witness_values(var_L, nb, np.where(has_na, na, 0.0), tol)
+        columns, given = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at, start + 1)
+        theta, var_L, nb, na = columns
+        values = witness_values(var_L, nb, na, tol)
         # The kernel keeps partial_no and full_no finite and the reader's rules
         # leave no other non-finite value; this check keeps the report strict
         # JSON even so, as allow_nan=False does in _dump_json.
         noise_db = values.noise_db
-        for column, cells in (("theta_rad", theta), ("var_L", var_L), ("nb", nb),
-                              ("noise_db", noise_db[noise_db != -np.inf]),
-                              ("na", na[has_na])):
+        for column, cells in (*zip(WITNESS_COLUMNS, columns),
+                              ("noise_db", noise_db[noise_db != -np.inf])):
             if not np.isfinite(cells).all():
                 raise ValueError(f"{column} holds a value that JSON cannot represent")
     except (InputError, ValueError) as exc:
         return str(exc)
     columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
-               has_na, na, values.full_no, values.standard_negativity)
-    return _report_block(columns), len(records), int(values.nonclassical.sum())
+               given, na, values.full_no, values.standard_negativity)
+    return _report_block(columns), len(given), int(values.nonclassical.sum())
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:

@@ -33,7 +33,6 @@ from squeezewitness.cli import (
     cmd_reproduce,
     cmd_witness,
     main,
-    read_moment_records,
 )
 from squeezewitness.figures import build_figure, render_csv
 from squeezewitness.witness import witness_values
@@ -336,25 +335,26 @@ class TestWitnessCommand:
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,abc,0.2\n")
         with pytest.raises(InputError, match="line 2"):
-            read_moment_records(path)
+            cmd_witness(path, str(tmp_path / "r.json"))
 
     def test_wrong_cell_count_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.1\n")
         with pytest.raises(InputError, match="line 2"):
-            read_moment_records(path)
+            cmd_witness(path, str(tmp_path / "r.json"))
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L\n0.0,0.1\n")
         with pytest.raises(InputError, match="nb"):
-            read_moment_records(path)
+            cmd_witness(path, str(tmp_path / "r.json"))
 
     def test_extra_columns_warned_and_ignored(self, tmp_path, capsys):
         path = write_csv(
             tmp_path,
             "theta_rad,var_L,nb,detector_id\n0.0,0.2,0.1,7\n")
-        records, warnings = read_moment_records(path)
-        assert len(records) == 1
-        assert records["var_L"][0] == 0.2
+        lines, width, at, warnings = cli._read_header(path)
+        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        assert columns.tolist() == [[0.0], [0.2], [0.1], [0.0]]
+        assert given.tolist() == [False]
         assert any("detector_id" in w for w in warnings)
         code = main(["witness", "--input", path,
                      "--out", str(tmp_path / "r.json")])
@@ -375,18 +375,25 @@ class TestWitnessCommand:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n\n")
-        records, _ = read_moment_records(path)
-        assert len(records) == 1
+        lines, width, at, _ = cli._read_header(path)
+        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        assert columns.shape == (len(WITNESS_COLUMNS), 1) and given.tolist() == [False]
 
     def test_columns_parsed_exactly(self, tmp_path):
-        path = write_csv(tmp_path, "na,nb,var_L,theta_rad\n0.4,0.3,0.2,0.1\n\n,3,2,1\n")
-        records, warnings = read_moment_records(path)
+        # A given na of 0 is reported with full_no; an empty na, read as 0,
+        # is reported with neither.
+        path = write_csv(tmp_path, "na,nb,var_L,theta_rad\n0,0.3,0.2,0.1\n\n,3,2,1\n")
+        lines, width, at, warnings = cli._read_header(path)
+        columns, given = cli._read_rows(lines[1:], width, at, 2)
         assert warnings == []
-        assert records["theta_rad"].tolist() == [0.1, 1.0]
-        assert records["var_L"].tolist() == [0.2, 2.0]
-        assert records["nb"].tolist() == [0.3, 3.0]
-        assert np.isnan(records["na"]).tolist() == [False, True]
-        assert records["na"][0] == 0.4
+        assert columns.flags.c_contiguous
+        assert columns.tolist() == [[0.1, 1.0], [0.2, 2.0], [0.3, 3.0], [0.0, 0.0]]
+        assert given.tolist() == [True, False]
+        out = tmp_path / "report.json"
+        cmd_witness(path, str(out))
+        given_row, empty_row = read_report(out)["rows"]
+        assert given_row["na"] == 0.0 and "full_no" in given_row
+        assert "na" not in empty_row and "full_no" not in empty_row
 
     @pytest.mark.parametrize("row, column", [
         ("0.0,-1.0,0.1,", "var_L"),
@@ -481,20 +488,23 @@ class TestWitnessCommand:
     def test_form_feed_in_a_cell_is_space_around_its_number(self, tmp_path):
         path = tmp_path / "moments.csv"
         path.write_bytes(b"theta_rad,var_L,nb\n0,0.5\x0c,1\n")
-        records, warnings = read_moment_records(str(path))
-        assert (records["var_L"].tolist(), warnings) == ([0.5], [])
+        lines, width, at, warnings = cli._read_header(str(path))
+        columns, _ = cli._read_rows(lines[1:], width, at, 2)
+        assert (columns[1].tolist(), warnings) == ([0.5], [])
 
     @pytest.mark.parametrize("na", ["  ", "\x85", " \t\u2028"], ids=["spaces", "nel", "mixed"])
     def test_na_cell_of_whitespace_is_empty(self, tmp_path, na):
         path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n0,0.5,1,{na}\n")
-        records, _ = read_moment_records(path)
-        assert records["var_L"].tolist() == [0.5] and np.isnan(records["na"]).all()
+        lines, width, at, _ = cli._read_header(path)
+        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        assert columns[:, 0].tolist() == [0.0, 0.5, 1.0, 0.0] and given.tolist() == [False]
 
     def test_unnamed_extra_column_is_named_by_position(self, tmp_path):
         # A header that ends in a comma has an empty last name.
         path = write_csv(tmp_path, "theta_rad,var_L,nb,,detector_id,\n0,0.5,1,2,7,\n")
-        records, warnings = read_moment_records(path)
-        assert records["var_L"].tolist() == [0.5]
+        lines, width, at, warnings = cli._read_header(path)
+        columns, _ = cli._read_rows(lines[1:], width, at, 2)
+        assert columns[1].tolist() == [0.5]
         assert warnings == ["ignoring extra columns: unnamed column 4, detector_id, "
                             "unnamed column 6"]
 
@@ -682,8 +692,9 @@ class TestWitnessInputBoundaries:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_reader_parses_each_line_or_names_the_bad_one(self, data):
-        # The reader reads every cell as float() does, or names the one bad
-        # line; an overflowing full_no is bad only where na is given.
+        # The reader reads every cell as float() does, and an empty na as 0
+        # and not given, or names the one bad line; an overflowing full_no is
+        # bad only where na is given.
         names = ["theta_rad", "var_L", "nb"]
         names += [name for name in ("na", "run_id") if data.draw(st.booleans())]
         header = data.draw(st.permutations(names), label="header")
@@ -714,18 +725,21 @@ class TestWitnessInputBoundaries:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "moments.csv"
             path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+            file_lines, width, at, _ = cli._read_header(str(path))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if bad_line_no is not None:
                     with pytest.raises(InputError, match=rf"^line {bad_line_no}: "):
-                        read_moment_records(str(path))
+                        cli._read_rows(file_lines[1:], width, at, 2)
                     return
-                records, _ = read_moment_records(str(path))
+                columns, given = cli._read_rows(file_lines[1:], width, at, 2)
         rows = [text.split(",") for text in lines if text.strip()]
-        expected = [tuple(float(cells[header.index(column)].strip() or "nan")
-                          if column in header else np.nan for column in WITNESS_COLUMNS)
-                    for cells in rows]
-        assert records.tobytes() == np.array(expected, dtype=records.dtype).tobytes()
+        texts = [[cells[header.index(column)] if column in header else ""
+                  for column in WITNESS_COLUMNS] for cells in rows]
+        expected = np.array([[float(text) if text.strip() else 0.0 for text in row]
+                             for row in texts]).reshape(-1, len(WITNESS_COLUMNS)).T
+        assert columns.tobytes() == expected.tobytes()
+        assert given.tolist() == [bool(row[-1].strip()) for row in texts]
 
 
 def _reject_constant(name):
@@ -803,6 +817,30 @@ class TestWitnessReportBlocks:
         assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
 
     @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_an_empty_na_column_is_no_column(self, data):
+        # Every na cell empty: nothing, spaces, a NEL or a U+2028.  The report
+        # is the bytes of the same rows with no na column, cut into blocks of
+        # two or three lines on one to three cores.
+        rows = [row[:3] for row in data.draw(VALID_ROWS, label="rows")]
+        empty = st.sampled_from(["", "  ", "\x85", "\u2028"])
+        cells = [",".join(map(repr, row)) for row in rows]
+        with_na = [f"{row},{data.draw(empty, label='na')}" for row in cells]
+        reports = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "REPORT_BLOCK_ROWS", data.draw(st.integers(2, 3), label="block"))
+            use_cores(patch, data.draw(st.integers(1, 3), label="cores"))
+            for name, header, body in [("na", "theta_rad,var_L,nb,na", with_na),
+                                       ("plain", "theta_rad,var_L,nb", cells)]:
+                path, out = Path(tmp) / f"{name}.csv", Path(tmp) / f"{name}.json"
+                path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+                cmd_witness(str(path), str(out))
+                reports.append(out.read_bytes())
+            assert_no_child_left()
+        assert reports[0] == reports[1]
+        assert reports[1] == reference_report([(*row, None) for row in rows], 1e-9).encode()
+
+    @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_any_cut_into_blocks_gives_the_reader_and_the_reference(self, data):
         # Blocks of two or three lines, cut through blank lines and rows, and
@@ -826,8 +864,9 @@ class TestWitnessReportBlocks:
             path.write_text("\n".join(["theta_rad,var_L,nb,na", *body]) + "\n",
                             encoding="utf-8")
             out = Path(tmp) / "report.json"
+            file_lines, width, at, _ = cli._read_header(str(path))
             try:
-                read_moment_records(str(path))
+                cli._read_rows(file_lines[1:], width, at, 2)
             except InputError as exc:
                 expected = str(exc)
             else:
@@ -904,16 +943,19 @@ def test_lines_end_only_at_universal_newlines(data):
         use_cores(patch, data.draw(st.integers(1, 3), label="cores"))
         if kind != "none":
             with pytest.raises(InputError, match=expected) as caught:
-                read_moment_records(str(path))
+                file_lines, width, at, _ = cli._read_header(str(path))
+                cli._read_rows(file_lines[1:], width, at, 2)
             with pytest.raises(InputError) as command:
                 cmd_witness(str(path), str(out))
             assert str(command.value) == str(caught.value)
             assert not out.exists()
         else:
-            records, _ = read_moment_records(str(path))
-            want = [(theta, var_l, nb, np.nan if na is None else na)
+            file_lines, width, at, _ = cli._read_header(str(path))
+            columns, given = cli._read_rows(file_lines[1:], width, at, 2)
+            want = [(theta, var_l, nb, 0.0 if na is None else na)
                     for theta, var_l, nb, na in rows]
-            assert records.tobytes() == np.array(want, dtype=records.dtype).tobytes()
+            assert columns.tobytes() == np.array(want).reshape(-1, 4).T.tobytes()
+            assert given.tolist() == [na is not None for *_, na in rows]
             with redirect_stderr(io.StringIO()):
                 cmd_witness(str(path), str(out))
             assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
