@@ -11,16 +11,17 @@ Commands
     Evaluate measured moment records.  The CSV schema is
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
     blocked-signal (vacuum) calibration of the difference variance.
-    ``T`` is checked first; then this process reads the file and checks its
-    header, and a repeated schema column is an error before any row is
-    read.  Each block of lines is one task of the package's one fork pool,
-    which parses and checks it a column at a time, evaluates it and formats
-    its report rows; the blocks are written in order, the same bytes for
-    any core count.  The first bad line of the file, malformed or out of
-    range, is an error naming that line; within it, a wrong cell count
-    comes first, then a cell that is not a number, then a cell out of
-    range, then an overflowing ``full_no``.  ``cmd_witness`` returns only
-    the report's ``tol`` and ``summary``.
+    ``T`` is checked first, then that ``--out`` is not the input file; then
+    this process reads the file and checks its header, and a repeated
+    schema column is an error before any row is read.  Each block of lines
+    is one task of the package's one fork pool, which parses and checks it
+    a column at a time, evaluates it and formats its report rows; the
+    blocks are written in order, the same bytes for any core count.  The
+    first bad line of the file, malformed or out of range, is an error
+    naming that line; within it, a wrong cell count comes first, then a
+    cell that is not a number, then a cell out of range, then an
+    overflowing ``full_no``.  ``cmd_witness`` returns only the report's
+    ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
@@ -344,10 +345,11 @@ def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: i
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:
     """Evaluate measured moment records and write the JSON report.
 
-    ``tol`` is checked first, then the file is read and its header checked
-    in this process.  Every block of :data:`REPORT_BLOCK_ROWS` lines is then
-    one task of :func:`~squeezewitness._pool.fork_map`, whose workers, one
-    per available core, parse, check, evaluate and format it.  The blocks
+    ``tol`` is checked first, then that ``out`` is not the input file, then
+    the file is read and its header checked in this process.  Every block
+    of :data:`REPORT_BLOCK_ROWS` lines is then one task of
+    :func:`~squeezewitness._pool.fork_map`, whose workers, one per
+    available core, parse, check, evaluate and format it.  The blocks
     are written in order, so the bytes are the same for any core count,
     and the first block with a bad line raises :class:`InputError` naming
     that line.  A bad line, a failed write, or a worker that cannot be
@@ -358,6 +360,8 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
     from ._pool import WorkerError, fork_map
 
     witness_values((), (), tol=tol)  # the kernel's check of tol, on no rows
+    if os.path.isfile(input_path) and os.path.exists(out) and os.path.samefile(input_path, out):
+        raise InputError(f"--out {out} is the input {input_path}: the report would replace it")
     lines, width, at, warnings = _read_header(input_path)
     starts = range(1, len(lines), REPORT_BLOCK_ROWS)
     summary = {"n_rows": 0, "nonclassical_SI": 0, "classical_consistent": 0}

@@ -2,15 +2,19 @@
 
 Expressions are sums of complex-weighted words over the alphabet
 ``a, ad, b, bd`` (annihilation/creation on modes A and B).  Two distinct
-rewriting passes are provided and must not be confused:
+rewriting passes are provided and must not be confused.  Both bring every
+word into the canonical shape ``ad^m a^n bd^p b^q`` by one rule per mode,
+which multiplies that mode's letters left to right; for mode A::
 
-* :func:`reorder` rewrites every word into the canonical shape
-  ``ad^m a^n bd^p b^q`` while *preserving the operator*, i.e. it inserts
-  the commutator corrections ``[a, ad] = [b, bd] = 1``.
-* :func:`formal_normal_order` moves creation operators of the selected
-  modes to the left *formally*, dropping the commutator corrections for
-  those modes.  This is a prescription, not an operator identity; it is
-  what turns a measured variance into a witness.
+    ad^m a^n * a  = ad^m a^(n+1)
+    ad^m a^n * ad = ad^(m+1) a^n + n ad^m a^(n-1)
+
+* :func:`reorder` keeps the last term on both modes, so it *preserves the
+  operator*: that term is the commutator ``[a, ad] = [b, bd] = 1``.
+* :func:`formal_normal_order` drops that term on the selected modes, moving
+  their creation operators to the left *formally*.  This is a prescription,
+  not an operator identity; it is what turns a measured variance into a
+  witness.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ LETTERS = ("a", "ad", "b", "bd")
 MODE = {"a": "A", "ad": "A", "b": "B", "bd": "B"}
 IS_DAGGER = {"a": False, "ad": True, "b": False, "bd": True}
 CONJUGATE = {"a": "ad", "ad": "a", "b": "bd", "bd": "b"}
-# Target letter order of a canonical word: ad^m a^n bd^p b^q.
-PRIORITY = {"ad": 0, "a": 1, "bd": 2, "b": 3}
 
 MAX_DEGREE = 8
 
@@ -166,42 +168,44 @@ def difference_observable(theta: float) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _reorder_word(word: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """Rewrite one word into canonical order, keeping the operator identical."""
-    for i in range(len(word) - 1):
-        x, y = word[i], word[i + 1]
-        if PRIORITY[x] > PRIORITY[y]:
-            swapped = word[:i] + (y, x) + word[i + 2:]
-            out = dict(_reorder_word(swapped))
-            if MODE[x] == MODE[y]:
-                # Same mode and out of order means (lowering, raising):
-                # x y = y x + 1.
-                for w, c in _reorder_word(word[:i] + word[i + 2:]):
-                    out[w] = out.get(w, 0) + c
-            return tuple(sorted(out.items()))
-    return ((word, 1),)
+def _word_counts(word: tuple[str, ...],
+                 formal: frozenset) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """One word as ``(canonical word, multiplicity)`` pairs, by the per-mode
+    rule above; a mode in ``formal`` drops its ``n ad^m a^(n-1)`` term."""
+    counts = {"A": {(0, 0): 1}, "B": {(0, 0): 1}}  # per mode, {(m, n): multiplicity}
+    for letter in word:
+        mode = MODE[letter]
+        before = counts[mode]
+        if not IS_DAGGER[letter]:
+            counts[mode] = {(m, n + 1): c for (m, n), c in before.items()}
+            continue
+        counts[mode] = after = {(m + 1, n): c for (m, n), c in before.items()}
+        if mode not in formal:
+            for (m, n), c in before.items():
+                if n:
+                    after[m, n - 1] = after.get((m, n - 1), 0) + n * c
+    # The modes commute, so a word's multiplicity is the product of its modes'.
+    return tuple((("ad",) * ma + ("a",) * na + ("bd",) * mb + ("b",) * nb, ca * cb)
+                 for (ma, na), ca in counts["A"].items()
+                 for (mb, nb), cb in counts["B"].items())
+
+
+def _normal_order(expr: OperatorExpr, formal: frozenset) -> OperatorExpr:
+    out: dict[tuple[str, ...], complex] = {}
+    for word, coeff in expr.terms:
+        for new_word, mult in _word_counts(word, formal):
+            out[new_word] = out.get(new_word, 0j) + coeff * mult
+    return OperatorExpr(out)
 
 
 def reorder(expr: OperatorExpr) -> OperatorExpr:
     """Bring every word into ``ad^m a^n bd^p b^q`` form, operator-preserving.
 
     Applies ``[a, ad] = 1`` and ``[b, bd] = 1`` plus cross-mode
-    commutativity, so the result equals the input as an operator.
+    commutativity, so the result equals the input as an operator:
+    ``ad^m a^n ad`` gains the term ``n ad^m a^(n-1)``.
     """
-    out: dict[tuple[str, ...], complex] = {}
-    for word, coeff in expr.terms:
-        for new_word, mult in _reorder_word(word):
-            out[new_word] = out.get(new_word, 0j) + coeff * mult
-    return OperatorExpr(out)
-
-
-def _mode_counts(sub: tuple[str, ...]) -> dict[tuple[int, int], int]:
-    """Operator-preserving single-mode reorder, as dagger/lowering counts."""
-    out: dict[tuple[int, int], int] = {}
-    for word, mult in _reorder_word(sub):
-        daggers = sum(1 for letter in word if IS_DAGGER[letter])
-        out[(daggers, len(word) - daggers)] = mult
-    return out
+    return _normal_order(expr, frozenset())
 
 
 def formal_normal_order(expr: OperatorExpr, modes: Iterable[str]) -> OperatorExpr:
@@ -209,7 +213,8 @@ def formal_normal_order(expr: OperatorExpr, modes: Iterable[str]) -> OperatorExp
 
     Within each word, creation operators of every mode in ``modes`` are
     moved to the left of that mode's annihilation operators *without*
-    commutator corrections; the remaining mode is reordered
+    commutator corrections: ``ad^m a^n ad`` is ``ad^(m+1) a^n``, without
+    :func:`reorder`'s ``n ad^m a^(n-1)``.  The remaining mode is reordered
     operator-preservingly.  The pass is linear and idempotent.
     """
     mode_set = frozenset(modes)
@@ -217,22 +222,7 @@ def formal_normal_order(expr: OperatorExpr, modes: Iterable[str]) -> OperatorExp
         raise ValueError("at least one mode must be selected")
     if not mode_set <= {"A", "B"}:
         raise ValueError(f"modes must be a subset of {{'A', 'B'}}, got {set(modes)}")
-
-    out: dict[tuple[str, ...], complex] = {}
-    for word, coeff in expr.terms:
-        per_mode: list[dict[tuple[int, int], int]] = []
-        for mode in ("A", "B"):
-            sub = tuple(letter for letter in word if MODE[letter] == mode)
-            if mode in mode_set:
-                daggers = sum(1 for letter in sub if IS_DAGGER[letter])
-                per_mode.append({(daggers, len(sub) - daggers): 1})
-            else:
-                per_mode.append(_mode_counts(sub))
-        for (ma, na), ca in per_mode[0].items():
-            for (mb, nb), cb in per_mode[1].items():
-                new_word = ("ad",) * ma + ("a",) * na + ("bd",) * mb + ("b",) * nb
-                out[new_word] = out.get(new_word, 0j) + coeff * ca * cb
-    return OperatorExpr(out)
+    return _normal_order(expr, mode_set)
 
 
 def adjoint_product(expr: OperatorExpr) -> OperatorExpr:

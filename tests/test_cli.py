@@ -561,6 +561,30 @@ class TestWitnessCommand:
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "hard-link"])
+    def test_out_that_is_the_input_exits_2_and_keeps_it(self, tmp_path, monkeypatch, capsys,
+                                                         spelling):
+        text = "theta_rad,var_L,nb\n0.0,0.2,0.1\n"
+        path = write_csv(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        out = {"same": path, "relative": "./moments.csv",
+               "symlink": "link.json", "hard-link": "hard.json"}[spelling]
+        if spelling == "symlink":
+            Path(out).symlink_to(path)
+        if spelling == "hard-link":
+            os.link(path, out)
+        before = listing(tmp_path)
+        assert main(["witness", "--input", path, "--out", out]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: --out {out} is the input {path}: the report would replace it\n"
+        assert listing(tmp_path) == before
+        assert Path(path).read_text(encoding="utf-8") == text
+
+    def test_a_device_out_is_not_the_input(self, tmp_path, capfd):
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n")
+        assert main(["witness", "--input", path, "--out", "/dev/stdout"]) == EXIT_OK
+        assert '"n_rows": 1' in capfd.readouterr().out
+
     @pytest.mark.parametrize("csv", [None, "theta_rad,var_L,nb\n0.0,nan,0.1\n"],
                              ids=["missing-file", "bad-line"])
     def test_tol_is_checked_before_the_file_is_read(self, tmp_path, capsys, csv):

@@ -2,9 +2,12 @@ import cmath
 
 import numpy as np
 import pytest
+import reorder_reference
+from dense_reference import expr_matrix, reorder_deviation
 from hypothesis import given, settings, strategies as st
 
 from squeezewitness.opexpr import (
+    MAX_DEGREE,
     ExpressionError,
     OperatorExpr,
     adjoint_product,
@@ -19,15 +22,15 @@ AD = OperatorExpr.word(("ad",))
 B = OperatorExpr.word(("b",))
 
 
-def word_strategy(max_len=4):
-    return st.lists(st.sampled_from(["a", "ad", "b", "bd"]),
+def word_strategy(max_len=4, min_len=0):
+    return st.lists(st.sampled_from(["a", "ad", "b", "bd"]), min_size=min_len,
                      max_size=max_len).map(tuple)
 
 
-def expr_strategy(max_len=4, max_terms=4):
+def expr_strategy(max_len=4, max_terms=4, min_terms=0):
     coeffs = st.complex_numbers(max_magnitude=3.0, allow_infinity=False,
                                 allow_nan=False)
-    return st.dictionaries(word_strategy(max_len), coeffs,
+    return st.dictionaries(word_strategy(max_len), coeffs, min_size=min_terms,
                            max_size=max_terms).map(OperatorExpr)
 
 
@@ -125,6 +128,30 @@ class TestReorder:
         for word, _ in reorder(expr).terms:
             ranks = [priority[letter] for letter in word]
             assert ranks == sorted(ranks)
+
+    @given(st.lists(word_strategy(MAX_DEGREE), max_size=3),
+           word_strategy(MAX_DEGREE, min_len=5),
+           st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
+                                       allow_infinity=False), min_size=4, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_operator_identity_up_to_the_degree_cap(self, words, long_word, coeffs):
+        # Degrees 5-8, beyond the rewriter suite's 4: a degree-4 f in
+        # witness_general gives f^dag f of degree 8.  On the block where both
+        # modes stay the degree below the cutoff, truncation is exact.
+        expr = OperatorExpr(dict(zip([long_word] + words, coeffs)))
+        assert 5 <= expr.degree <= MAX_DEGREE
+        scale = np.abs(expr_matrix(expr, 14)).max()
+        assert reorder_deviation(expr, cutoff=14, max_degree=expr.degree) <= 1e-12 * scale
+
+    @given(expr_strategy(max_len=MAX_DEGREE, min_terms=1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_whole_word_sort(self, expr):
+        # The per-mode rule against the recursive adjacent-swap sort it
+        # replaced: the same words and the same coefficients, bit for bit.
+        assert reorder(expr).terms == reorder_reference.reorder(expr).terms
+        for modes in ({"A"}, {"B"}, {"A", "B"}):
+            assert formal_normal_order(expr, modes).terms == \
+                reorder_reference.formal_normal_order(expr, modes).terms
 
 
 class TestFormalNormalOrder:
