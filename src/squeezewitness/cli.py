@@ -24,10 +24,10 @@ Commands
     ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
-    a ceiling ``C`` from 4 to the oracle's cap of 512; exit status 1 if
-    any fails.  ``validate.run_all_suites`` checks ``N``, ``S`` and ``C``,
-    for a library call too.  The suites run in the same fork pool, and the
-    report is the same bytes for any core count.
+    a ceiling ``C``, a power of two from 4 to the oracle's cap of 512;
+    exit status 1 if any fails.  ``validate.run_all_suites`` checks ``N``,
+    ``S`` and ``C``, for a library call too.  The suites run in the same
+    fork pool, and the report is the same bytes for any core count.
 
 Where ``os.fork`` exists, the pool runs every task in a forked worker, on
 one core too, so a task that raises, or a worker that dies or cannot be
@@ -453,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "most 100 for channel laws and reorder; 0 passes vacuously (default 200)")
     val.add_argument("--seed", type=int, default=42, help="seed of every suite (default 42)")
     val.add_argument("--cutoff-max", type=int, default=256, help="ceiling of the oracle's cutoff "
-                     "doubling, from 4 up to the oracle's cap of 512 (default 256)")
+                     "doubling, a power of two from 4 up to the oracle's cap of 512 (default 256)")
     val.add_argument("--out", default="", help="JSON report path (default stdout)")
     return parser
 

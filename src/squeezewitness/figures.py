@@ -18,6 +18,7 @@ Three scenarios are provided:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -190,10 +191,15 @@ FIGURE_IDS = tuple(_BUILDERS)
 
 def build_figure(figure_id: str, points: int | None = None) -> FigureData:
     """Build one of the :data:`FIGURE_IDS` figures; unknown ids raise
-    ``KeyError`` and fewer than 2 ``points`` raise ``ValueError``."""
+    ``KeyError``, and ``points`` that are not an integer, or fewer than 2,
+    raise ``ValueError``."""
     build = _BUILDERS[figure_id]
     if points is None:
         return build()
-    if points < 2:
+    try:
+        count = operator.index(points)
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
+    if count < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    return build(points=points)
+    return build(points=count)

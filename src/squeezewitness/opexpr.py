@@ -74,8 +74,8 @@ class OperatorExpr:
         return cls({(): value})
 
     @classmethod
-    def word(cls, letters: Iterable[str], coeff: complex = 1.0) -> "OperatorExpr":
-        return cls({tuple(letters): coeff})
+    def word(cls, letters: Iterable[str]) -> "OperatorExpr":
+        return cls({tuple(letters): 1.0})
 
     @property
     def terms(self) -> tuple[tuple[tuple[str, ...], complex], ...]:

@@ -4,8 +4,8 @@ Each suite draws reproducible random scenarios from a seeded generator and
 reports the worst deviation it saw; a NaN is the worst, and fails the suite.
 A negative trial count or seed raises ``ValueError`` before anything is drawn.
 The suites are used both by the command-line ``validate`` command and by the
-acceptance tests, so their tolerances and cutoffs, bar ``cutoff_max``, are
-fixed here and nowhere else.
+acceptance tests, so their tolerances and cutoffs are fixed here and nowhere
+else, bar ``cutoff_max``: a power of two from 4 to ``MAX_CUTOFF``.
 """
 
 from __future__ import annotations
@@ -110,11 +110,10 @@ def haar_random_vector(rng: np.random.Generator, cutoff: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_expression(rng: np.random.Generator, max_degree: int = 4,
-                      max_terms: int = 4) -> OperatorExpr:
-    """Random operator polynomial with words up to ``max_degree`` letters."""
+def random_expression(rng: np.random.Generator, max_degree: int) -> OperatorExpr:
+    """Random operator polynomial of 1-4 terms, words up to ``max_degree`` letters."""
     terms: dict[tuple[str, ...], complex] = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, 5))):
         length = int(rng.integers(0, max_degree + 1))
         word = tuple(LETTERS[int(k)] for k in rng.integers(0, len(LETTERS), size=length))
         terms[word] = terms.get(word, 0j) + complex(rng.normal(), rng.normal())
@@ -184,15 +183,15 @@ def _gaussian_fock_chunks(trials: int, seed: int,
                           cutoff_max: int) -> list[Callable[[], tuple[float, str]]]:
     """:func:`suite_gaussian_fock`'s trials as calls of
     :func:`_gaussian_fock_chunk`, one block of :func:`fock_states` each, at
-    the top of the doubling schedule; the draws and closed forms are made
-    here, before any call, once the arguments are checked."""
+    ``cutoff_max``; the draws and closed forms are made here, before any
+    call, once the arguments are checked."""
     rng = _generator(trials, seed)
-    if not 4 <= cutoff_max <= MAX_CUTOFF:  # a doubling from 2 to 4, and no state above the cap
-        bound = ">= 4" if cutoff_max < 4 else f"<= {MAX_CUTOFF}, the oracle's cap"
-        raise ValueError(f"cutoff_max must be {bound}, got {cutoff_max}")
+    if cutoff_max not in {2 ** k for k in range(2, MAX_CUTOFF.bit_length())}:
+        raise ValueError(f"cutoff_max must be a power of two from 4 to {MAX_CUTOFF}, "
+                         f"the oracle's cap, got {cutoff_max}")
     params_si, params_lo, theta = _draw_pairs(rng, trials, (0.0, 2.0 * np.pi))
     closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
-    top = 2 ** (int(cutoff_max).bit_length() - 1)  # the schedule's last doubling
+    top = int(cutoff_max)
     pairs = _block_pairs(top)
     return [functools.partial(_gaussian_fock_chunk, params_si, params_lo, theta, closed, top,
                               slice(start, min(start + pairs, trials)))
@@ -220,8 +219,8 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     evaluation of the difference observable at a converged cutoff.  The
     draws are one :class:`StateParams` of arrays per side: the closed forms
     take them in one call, and :func:`fock_states` builds each pair once, a
-    block at a time, at the top of the doubling schedule up to ``cutoff_max``,
-    which must lie in ``[4, MAX_CUTOFF]``.
+    block at a time, at ``cutoff_max``, the top of the doubling schedule,
+    which must be a power of two from 4 to ``MAX_CUTOFF``.
     """
     chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
     return _gaussian_fock_result(trials, (chunk() for chunk in chunks))
@@ -245,7 +244,7 @@ def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
         psi_si, _ = pure_mode_amplitudes(StateParams(alpha=alpha), CLASSICALITY_CUTOFF)
         psi_lo = haar_random_vector(rng, CLASSICALITY_CUTOFF)
         state = FockState.product(psi_si, psi_lo)
-        f = random_expression(rng, max_degree=2, max_terms=4)
+        f = random_expression(rng, max_degree=2)
         value = witness_general(f, state)
         # A witness that is not finite fails: at +inf, -value would pass.
         deviation = _worse(deviation, -value if math.isfinite(value) else math.nan)
@@ -344,7 +343,7 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42) -> SuiteResult:
     rng = _generator(trials, seed)
     worst = 0.0
     for _ in range(trials):
-        expr = random_expression(rng, max_degree=REORDER_MAX_DEGREE, max_terms=4)
+        expr = random_expression(rng, max_degree=REORDER_MAX_DEGREE)
         direct = _offset_bands(expr, REORDER_CUTOFF)
         ordered = _offset_bands(reorder(expr), REORDER_CUTOFF)
         for ks in direct.keys() | ordered.keys():
@@ -366,7 +365,8 @@ def run_all_suites(trials: int = 200, seed: int = 42,
     item order, so they are the same for any core count.  A suite that
     raises, or a worker that dies, raises
     :class:`~squeezewitness._pool.WorkerError` here on any core count.  A
-    bad argument raises ``ValueError`` before any draw or fork.
+    bad argument, such as a ``cutoff_max`` that is not a power of two from 4
+    to ``MAX_CUTOFF``, raises ``ValueError`` before any draw or fork.
     """
     chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)  # checks every argument
     if trials == 0:

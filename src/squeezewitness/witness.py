@@ -146,10 +146,9 @@ def witness_values(var_L, nb, na=None,
     return WitnessValues(var_L, partial, noise_db, partial < -tol, full, full < -tol)
 
 
-def evaluate(state: TwoModeProduct, theta,
-             tol: float = DEFAULT_VERDICT_TOL) -> WitnessValues:
+def evaluate(state: TwoModeProduct, theta) -> WitnessValues:
     """The kernel's values for a pair at LO phase ``theta``, elementwise in
-    ``theta`` and in the pair's modes; a dark LO (``<b^dag b> <= 0``) raises
-    :class:`ColumnError` naming ``nb``."""
+    ``theta`` and in the pair's modes, with verdicts at ``DEFAULT_VERDICT_TOL``;
+    a dark LO (``<b^dag b> <= 0``) raises :class:`ColumnError` naming ``nb``."""
     return witness_values(homodyne_variance(state, theta), mean_photon(state.lo),
-                          mean_photon(state.si), tol)
+                          mean_photon(state.si))

@@ -38,6 +38,7 @@ from squeezewitness.figures import build_figure, render_csv
 from squeezewitness.witness import witness_values
 
 DATA = Path(__file__).resolve().parent / "data"
+CEILING_RULE = "cutoff_max must be a power of two from 4 to 512, the oracle's cap, got "
 
 
 class TestFigures:
@@ -1191,14 +1192,18 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--cutoff-max", "3", "cutoff_max must be >= 4, got 3"),
+        ("--cutoff-max", "3", f"{CEILING_RULE}3"),
         ("--trials", "-1", "trials must be >= 0, got -1"),
         # The oracle builds no state above MAX_CUTOFF, so a larger ceiling
         # would be reported but never used.
-        ("--cutoff-max", "513", "cutoff_max must be <= 512, the oracle's cap, got 513"),
-        ("--cutoff-max", "100000",
-         "cutoff_max must be <= 512, the oracle's cap, got 100000"),
-    ], ids=["seed", "cutoff-max", "trials", "cutoff-max-cap", "cutoff-max-far-above-cap"])
+        ("--cutoff-max", "513", f"{CEILING_RULE}513"),
+        ("--cutoff-max", "100000", f"{CEILING_RULE}100000"),
+        # Any other ceiling would run as the power of two below it.
+        ("--cutoff-max", "5", f"{CEILING_RULE}5"),
+        ("--cutoff-max", "200", f"{CEILING_RULE}200"),
+        ("--cutoff-max", "511", f"{CEILING_RULE}511"),
+    ], ids=["seed", "cutoff-max", "trials", "cutoff-max-cap", "cutoff-max-far-above-cap",
+            "cutoff-max-5", "cutoff-max-200", "cutoff-max-511"])
     def test_bad_argument_exits_2_naming_it(self, capsys, flag, value, message):
         assert main(["validate", flag, value]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
@@ -1207,7 +1212,7 @@ class TestValidateCommand:
 
     def test_zero_trials_warns_only_once_the_arguments_pass(self, capsys):
         assert main(["validate", "--trials", "0", "--cutoff-max", "3"]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: cutoff_max must be >= 4, got 3\n"
+        assert capsys.readouterr().err == f"error: {CEILING_RULE}3\n"
 
     def test_help_names_each_option_with_its_default(self, capsys):
         from squeezewitness.fock import MAX_CUTOFF

@@ -1,5 +1,8 @@
 """The column-at-a-time figure renderers against the per-cell reference."""
 
+import re
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 from figure_reference import figure_svg
@@ -17,6 +20,7 @@ WIDE = st.floats(-1e300, 1e300)
 SPECIAL = st.sampled_from([0.0, -0.0, DB_FLOOR, np.nextafter(DB_FLOOR, -np.inf), -1e3])
 Y = WIDE | SPECIAL | st.just(-np.inf)
 POSITIVE = st.floats(5e-324, 1e300)
+SVG_NS = "http://www.w3.org/2000/svg"
 TEXT = st.text("abcxyz -_", min_size=1, max_size=8)
 
 
@@ -109,3 +113,27 @@ def test_minus_infinity_clamps_to_the_floor():
         return line_plot_svg([("s", [0.0, 1.0, 2.0], [0.0, y, 1.0])], "t", "x", "y")
 
     assert svg(-np.inf) == svg(DB_FLOOR) == svg(-1e3)
+
+
+def test_markup_characters_in_text_are_escaped():
+    title, x_label, y_label, first, second = "a<b & c", "x > 0 & y", "y<0", "s<1>", "t & u"
+    svg = line_plot_svg([(first, [0.0, 1.0], [0.0, 1.0]), (second, [0.0, 1.0], [1.0, 0.0])],
+                        title, x_label, y_label)
+    texts = [node.text for node in ElementTree.fromstring(svg).iter(f"{{{SVG_NS}}}text")]
+    # The title comes first, then the tick labels, the axis labels and the legend.
+    assert texts[0] == title
+    assert texts[-4:] == [x_label, y_label, first, second]
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+@pytest.mark.parametrize("points", [2.5, 11.0, "11"])
+def test_points_that_are_not_an_integer_are_refused(figure_id, points):
+    with pytest.raises(ValueError, match=re.escape(f"points must be an integer, got {points!r}")):
+        build_figure(figure_id, points=points)
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_numpy_integer_points_build_the_same_figure(figure_id):
+    figure = build_figure(figure_id, points=np.int64(11))
+    assert figure == build_figure(figure_id, points=11)
+    assert type(figure.summary["points"]) is int

@@ -20,6 +20,8 @@ from squeezewitness.validate import (
     suite_reorder_matrix,
 )
 
+CEILING_RULE = "cutoff_max must be a power of two from 4 to 512, the oracle's cap, got "
+
 
 def test_gaussian_fock_suite_passes_on_a_slow_settling_seed():
     # Trial 9 of seed 110 is a thermal pair whose expectation value settles
@@ -80,8 +82,27 @@ def test_failing_gaussian_fock_suite_names_the_trial():
 
 def test_gaussian_fock_suite_rejects_a_ceiling_below_4():
     # The doubling schedule would hold cutoff 2 alone, with nothing to agree with.
-    with pytest.raises(ValueError, match="cutoff_max must be >= 4, got 3"):
+    with pytest.raises(ValueError, match=f"^{CEILING_RULE}3$"):
         suite_gaussian_fock(trials=1, cutoff_max=3)
+
+
+@pytest.mark.parametrize("cutoff_max", [4, 8, 16])
+def test_gaussian_fock_suite_builds_its_states_at_the_ceiling(monkeypatch, cutoff_max):
+    cutoffs = []
+    fock_states = validate.fock_states
+
+    def recorded(si, lo, cutoff):
+        cutoffs.append(cutoff)
+        return fock_states(si, lo, cutoff)
+
+    monkeypatch.setattr(validate, "fock_states", recorded)
+    suite_gaussian_fock(trials=1, cutoff_max=cutoff_max)
+    assert cutoffs == [cutoff_max] and type(cutoffs[0]) is int
+
+
+@pytest.mark.parametrize("cutoff_max", [4, 8, 16, 32, 64, 128, 256, 512, 128.0])
+def test_every_power_of_two_ceiling_is_accepted(cutoff_max):
+    assert all(result.passed for result in run_all_suites(0, 42, cutoff_max))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="counts the forks of the suites")
@@ -105,12 +126,18 @@ def test_negative_trials_or_seed_is_rejected_before_any_fork(monkeypatch, suite,
                          ids=lambda suite: suite.__name__)
 @pytest.mark.parametrize("trials", [0, 2])
 @pytest.mark.parametrize("cutoff_max, message", [
-    (3, "cutoff_max must be >= 4, got 3"),
+    (3, f"{CEILING_RULE}3"),
     # The oracle builds no state above MAX_CUTOFF, so a larger ceiling would
     # be reported but never used.
-    (513, "cutoff_max must be <= 512, the oracle's cap, got 513"),
-    (10 ** 6, "cutoff_max must be <= 512, the oracle's cap, got 1000000"),
-], ids=["below-4", "cap", "far-above-cap"])
+    (513, f"{CEILING_RULE}513"),
+    (10 ** 6, f"{CEILING_RULE}1000000"),
+    # The cutoff doubles from 2, so any other ceiling would run as the power
+    # of two below it and be reported as itself.
+    (5, f"{CEILING_RULE}5"),
+    (200, f"{CEILING_RULE}200"),
+    (511, f"{CEILING_RULE}511"),
+], ids=["below-4", "cap", "far-above-cap", "not-a-power-5", "not-a-power-200",
+        "not-a-power-511"])
 def test_ceiling_outside_the_oracle_range_is_rejected_before_any_fork(
         monkeypatch, suite, trials, cutoff_max, message):
     forks = use_cores(monkeypatch, 2)
@@ -125,7 +152,7 @@ def test_reorder_suite_gives_the_dense_deviation(seed):
     # block must give the same worst deviation, bit for bit.
     rng = np.random.default_rng(seed)
     degree = validate.REORDER_MAX_DEGREE
-    dense = max(reorder_deviation(random_expression(rng, max_degree=degree, max_terms=4),
+    dense = max(reorder_deviation(random_expression(rng, max_degree=degree),
                                   cutoff=validate.REORDER_CUTOFF, max_degree=degree)
                 for _ in range(100))
     result = suite_reorder_matrix(100, seed)

@@ -357,10 +357,6 @@ class TestClassifyAndReports:
         assert values.partial_no == -0.25
         assert not values.nonclassical
 
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            evaluate(fig2_pair(), 0.0, tol=-1.0)
-
     def test_report_ordering_identities_are_exact(self):
         report = evaluate(fig2_pair(), 0.7)
         assert report.var_L - mean_photon(fig2_pair().lo) == report.partial_no
