@@ -413,7 +413,9 @@ def cmd_validate(trials: int, seed: int, cutoff_max: int,
     if trials == 0:
         print("warning: zero trials requested; suites pass vacuously", file=sys.stderr)
     report = {
-        "config": {"trials": trials, "seed": seed, "cutoff_max": cutoff_max},
+        # The suites accepted each argument as an integer; the report holds it as one.
+        "config": {"trials": operator.index(trials), "seed": operator.index(seed),
+                   "cutoff_max": int(cutoff_max)},
         "suites": [result.to_json_dict() for result in results],
         "all_passed": all(result.passed for result in results),
     }

@@ -2,7 +2,8 @@
 
 Each suite draws reproducible random scenarios from a seeded generator and
 reports the worst deviation it saw; a NaN is the worst, and fails the suite.
-A negative trial count or seed raises ``ValueError`` before anything is drawn.
+A trial count or seed that is not an integer, or is negative, raises
+``ValueError`` before anything is drawn.
 The suites are used both by the command-line ``validate`` command and by the
 acceptance tests, so their tolerances and cutoffs are fixed here and nowhere
 else, bar ``cutoff_max``: a power of two from 4 to ``MAX_CUTOFF``.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -30,7 +32,6 @@ from .fock import (
     fock_states,
     pure_mode_amplitudes,
     witness_general,
-    _apply,
     _block_pairs,
     _word_bands,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "random_state_params",
     "haar_random_vector",
     "random_expression",
-    "bath_fold_moments",
     "suite_gaussian_fock",
     "suite_classicality",
     "suite_channel_laws",
@@ -120,13 +120,19 @@ def random_expression(rng: np.random.Generator, max_degree: int) -> OperatorExpr
     return OperatorExpr(terms)
 
 
-def _generator(trials: int, seed: int) -> np.random.Generator:
-    """A suite's generator, made from ``seed`` once it and ``trials`` are checked."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+def _generator(trials: int, seed: int) -> tuple[int, np.random.Generator]:
+    """``trials`` as a plain ``int`` and a suite's generator, made from
+    ``seed`` once both are checked to be integers that are not negative."""
+    checked = []
+    for label, value in (("trials", trials), ("seed", seed)):
+        try:
+            checked.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{label} must be an integer, got {value!r}") from None
+        if checked[-1] < 0:
+            raise ValueError(f"{label} must be >= 0, got {checked[-1]}")
+    trials, seed = checked
+    return trials, np.random.default_rng(seed)
 
 
 def _draw_pairs(rng: np.random.Generator, trials: int,
@@ -180,12 +186,12 @@ def _gaussian_fock_chunk(params_si: StateParams, params_lo: StateParams, theta: 
 
 
 def _gaussian_fock_chunks(trials: int, seed: int,
-                          cutoff_max: int) -> list[Callable[[], tuple[float, str]]]:
-    """:func:`suite_gaussian_fock`'s trials as calls of
-    :func:`_gaussian_fock_chunk`, one block of :func:`fock_states` each, at
-    ``cutoff_max``; the draws and closed forms are made here, before any
-    call, once the arguments are checked."""
-    rng = _generator(trials, seed)
+                          cutoff_max: int) -> tuple[int, list[Callable[[], tuple[float, str]]]]:
+    """``trials`` as a plain ``int``, and :func:`suite_gaussian_fock`'s trials
+    as calls of :func:`_gaussian_fock_chunk`, one block of
+    :func:`fock_states` each, at ``cutoff_max``; the draws and closed forms
+    are made here, before any call, once the arguments are checked."""
+    trials, rng = _generator(trials, seed)
     if cutoff_max not in {2 ** k for k in range(2, MAX_CUTOFF.bit_length())}:
         raise ValueError(f"cutoff_max must be a power of two from 4 to {MAX_CUTOFF}, "
                          f"the oracle's cap, got {cutoff_max}")
@@ -193,9 +199,9 @@ def _gaussian_fock_chunks(trials: int, seed: int,
     closed = evaluate(TwoModeProduct(si=make_state(params_si), lo=make_state(params_lo)), theta)
     top = int(cutoff_max)
     pairs = _block_pairs(top)
-    return [functools.partial(_gaussian_fock_chunk, params_si, params_lo, theta, closed, top,
-                              slice(start, min(start + pairs, trials)))
-            for start in range(0, trials, pairs)]
+    return trials, [functools.partial(_gaussian_fock_chunk, params_si, params_lo, theta, closed,
+                                      top, slice(start, min(start + pairs, trials)))
+                    for start in range(0, trials, pairs)]
 
 
 def _gaussian_fock_result(trials: int, chunks: Iterable[tuple[float, str]]) -> SuiteResult:
@@ -222,7 +228,7 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
     block at a time, at ``cutoff_max``, the top of the doubling schedule,
     which must be a power of two from 4 to ``MAX_CUTOFF``.
     """
-    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
+    trials, chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)
     return _gaussian_fock_result(trials, (chunk() for chunk in chunks))
 
 
@@ -236,7 +242,7 @@ def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     quadratic form must stay above ``-1e-8``.
     """
     name = "classicality_nonnegativity"
-    rng = _generator(trials, seed)
+    trials, rng = _generator(trials, seed)
     deviation = 0.0
     for _ in range(trials):
         radius = 2.0 * np.sqrt(rng.uniform())
@@ -251,46 +257,22 @@ def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
-def bath_fold_moments(params: StateParams, kind: str, strength: float,
-                      cutoff: int) -> tuple[complex, complex, float]:
-    """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after a bath-unitary fold.
-
-    Couples the pure signal ``params`` to a vacuum ancilla ``b`` by
-    :func:`~squeezewitness.fock.evolve` under ``a^dag b - a b^dag``, a beam
-    splitter of transmissivity ``strength`` (``kind == "loss"``), or ``a^dag
-    b^dag - a b``, a two-mode squeezer of gain ``strength`` (``kind == "gain"``).
-    """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    if kind == "loss":
-        if not 0.0 <= strength <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {strength}")
-        angle, generator = np.arccos(np.sqrt(strength)), {("ad", "b"): 1, ("a", "bd"): -1}
-    elif kind == "gain":
-        if not 1.0 <= strength < np.inf:
-            raise ValueError(f"g must be finite and >= 1, got {strength}")
-        angle, generator = np.arccosh(np.sqrt(strength)), {("ad", "bd"): 1, ("a", "b"): -1}
-    else:
-        raise ValueError(f"kind must be 'loss' or 'gain', got {kind!r}")
-    psi = np.zeros((cutoff, cutoff), dtype=complex)
-    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
-    psi = evolve(psi, OperatorExpr(generator), angle)
-    a = OperatorExpr.word(("a",))
-    lowered = _apply(a, psi)
-    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, _apply(a, lowered))),
-            float(np.vdot(lowered, lowered).real))
-
-
 def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     """Scaling laws of the witness under loss and excess noise.
 
     Checks ``partial(loss) = eta * partial`` and ``partial(gain) = g *
     partial + (g - 1)(2 <b^dag b> + 1)`` on random scenarios, plus one
-    explicit bath-unitary fold against the channels' moment maps.
+    explicit bath-unitary fold against the channels' moment maps: a pure
+    signal and a vacuum ancilla ``b`` are evolved by
+    :func:`~squeezewitness.fock.evolve` under ``a^dag b - a b^dag``, a beam
+    splitter of transmissivity ``eta``, or ``a^dag b^dag - a b``, a two-mode
+    squeezer of gain ``g``, and the signal's ``<a>``, ``<a^2>`` and ``<a^dag
+    a>`` are read by :func:`~squeezewitness.fock.expect`.
     """
     name = "channel_laws"
+    trials, rng = _generator(trials, seed)
     params_si, params_lo, theta, eta, gain = _draw_pairs(
-        _generator(trials, seed), trials, (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
+        rng, trials, (0.0, 2.0 * np.pi), (0.0, 1.0), (1.0, 3.0))
     si, lo = make_state(params_si), make_state(params_lo)
     partial = evaluate(TwoModeProduct(si=si, lo=lo), theta).partial_no
     nb = mean_photon(lo)
@@ -300,12 +282,17 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
             np.abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
     worst = float(np.max(np.concatenate(laws), initial=0.0))
     params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
+    start = np.zeros((BATH_FOLD_CUTOFF, BATH_FOLD_CUTOFF), dtype=complex)
+    start[:, 0], _ = pure_mode_amplitudes(params, BATH_FOLD_CUTOFF)
+    moments = [OperatorExpr.word(word) for word in (("a",), ("a", "a"), ("ad", "a"))]
     fold = 0.0
-    for kind, strength, channel in (("loss", 0.6, apply_loss), ("gain", 1.4, apply_gain_noise)):
+    for channel, strength, angle, generator in (
+            (apply_loss, 0.6, np.arccos, {("ad", "b"): 1, ("a", "bd"): -1}),
+            (apply_gain_noise, 1.4, np.arccosh, {("ad", "bd"): 1, ("a", "b"): -1})):
         mode = channel(make_state(params), strength)
-        folded = bath_fold_moments(params, kind, strength, BATH_FOLD_CUTOFF)
-        for got, want in zip(folded, (mode.alpha, mode.a_sq, mode.n_a)):
-            fold = _worse(fold, abs(got - want))
+        state = FockState.pure(evolve(start, OperatorExpr(generator), angle(np.sqrt(strength))))
+        for word, want in zip(moments, (mode.alpha, mode.a_sq, mode.n_a)):
+            fold = _worse(fold, abs(expect(word, state) - want))
     passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL
     return SuiteResult(name, trials, _worse(worst, fold), bool(passed),
                        detail=f"bath-fold deviation {fold:.3e}")
@@ -340,7 +327,7 @@ def suite_reorder_matrix(trials: int = 100, seed: int = 42) -> SuiteResult:
     """
     name = "reorder_matrix_equality"
     interior = REORDER_CUTOFF - REORDER_MAX_DEGREE
-    rng = _generator(trials, seed)
+    trials, rng = _generator(trials, seed)
     worst = 0.0
     for _ in range(trials):
         expr = random_expression(rng, max_degree=REORDER_MAX_DEGREE)
@@ -368,7 +355,7 @@ def run_all_suites(trials: int = 200, seed: int = 42,
     bad argument, such as a ``cutoff_max`` that is not a power of two from 4
     to ``MAX_CUTOFF``, raises ``ValueError`` before any draw or fork.
     """
-    chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)  # checks every argument
+    trials, chunks = _gaussian_fock_chunks(trials, seed, cutoff_max)  # checks every argument
     if trials == 0:
         return [
             SuiteResult(name, 0, 0.0, True, detail="vacuous pass: zero trials")

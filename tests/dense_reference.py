@@ -44,14 +44,14 @@ def reorder_deviation(expr, cutoff, max_degree):
     return float(diff[np.ix_(keep, keep)].max())
 
 
-def ladder_fold_moments(params, kind, strength, cutoff):
-    """Signal moments ``(<a>, <a^2>, <a^dag a>)`` after the bath fold, by the
+def ladder_fold(params, kind, strength, cutoff):
+    """The bath fold's evolved tensor ``psi[n_signal, n_ancilla]``, by the
     same Taylor series on dense ladder matmuls.
 
-    ``psi[n_signal, n_ancilla]`` evolves under ``G = angle (a^dag R - a
-    R^dag)`` with ``R`` the ancilla's ``a`` (loss) or ``a^dag`` (gain).  The
-    signal's ladder acts from the left, the ancilla's from the right
-    transposed; the real ladder's transpose is its adjoint.
+    ``psi`` evolves under ``G = angle (a^dag R - a R^dag)`` with ``R`` the
+    ancilla's ``a`` (loss) or ``a^dag`` (gain).  The signal's ladder acts
+    from the left, the ancilla's from the right transposed; the real
+    ladder's transpose is its adjoint.
     """
     a = ladder(cutoff)
     if kind == "loss":
@@ -69,6 +69,4 @@ def ladder_fold_moments(params, kind, strength, cutoff):
             k += 1
             term = angle / (steps * k) * (a.T @ term @ right - a @ term @ right.T)
             psi = psi + term
-    lowered = a @ psi
-    return (complex(np.vdot(psi, lowered)), complex(np.vdot(psi, a @ lowered)),
-            float(np.vdot(lowered, lowered).real))
+    return psi

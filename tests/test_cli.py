@@ -31,6 +31,7 @@ from squeezewitness.cli import (
     WITNESS_COLUMNS,
     InputError,
     cmd_reproduce,
+    cmd_validate,
     cmd_witness,
     main,
 )
@@ -1209,6 +1210,20 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("trials, seed, cutoff_max", [
+        (0, 42, 128.0), (np.int64(1), 42, 128), (np.int64(2), np.int64(42), 128.0),
+    ], ids=["float-ceiling", "numpy-trials", "numpy-and-float"])
+    def test_library_call_reports_plain_integers(self, tmp_path, capsys, trials, seed,
+                                                 cutoff_max):
+        # The same bytes as the command line's plain ints.
+        report, code = cmd_validate(trials, seed, cutoff_max, out=str(tmp_path / "lib.json"))
+        assert code == EXIT_OK
+        assert report["config"] == {"trials": trials, "seed": seed, "cutoff_max": 128}
+        assert all(type(value) is int for value in report["config"].values())
+        assert main(["validate", "--trials", str(trials), "--seed", str(seed),
+                     "--cutoff-max", "128", "--out", str(tmp_path / "cli.json")]) == EXIT_OK
+        assert (tmp_path / "lib.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
 
     def test_zero_trials_warns_only_once_the_arguments_pass(self, capsys):
         assert main(["validate", "--trials", "0", "--cutoff-max", "3"]) == EXIT_INPUT_ERROR

@@ -7,7 +7,7 @@ from coherent_reference import coherent_amplitudes
 from dense_reference import (
     expr_matrix,
     ladder,
-    ladder_fold_moments,
+    ladder_fold,
     mode_matrix,
     reorder_deviation,
 )
@@ -48,7 +48,6 @@ from squeezewitness.opexpr import (
 )
 from squeezewitness.validate import (
     CLASSICALITY_CUTOFF,
-    bath_fold_moments,
     random_expression,
     random_state_params,
 )
@@ -512,13 +511,37 @@ class TestConvergedCutoff:
             assert expect(number, block).real == pytest.approx(np.sinh(r) ** 2, abs=1e-12)
 
 
+# The bath unitary of each channel on a vacuum ancilla ``b``: the angle as a
+# function of the square root of its strength, and the anti-Hermitian generator.
+BATH_GENERATORS = {
+    "loss": (np.arccos, OperatorExpr({("ad", "b"): 1, ("a", "bd"): -1})),
+    "gain": (np.arccosh, OperatorExpr({("ad", "bd"): 1, ("a", "b"): -1})),
+}
+
+
+def _bath_fold(params, kind, strength, cutoff):
+    """The pure signal ``params`` and a vacuum ancilla, evolved by the bath
+    unitary of ``kind``, as the channel-law suite folds them."""
+    angle, generator = BATH_GENERATORS[kind]
+    psi = np.zeros((cutoff, cutoff), dtype=complex)
+    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
+    return evolve(psi, generator, angle(np.sqrt(strength)))
+
+
+def _bath_fold_moments(params, kind, strength, cutoff):
+    """The signal's ``(<a>, <a^2>, <a^dag a>)`` after :func:`_bath_fold`, by ``expect``."""
+    state = FockState.pure(_bath_fold(params, kind, strength, cutoff))
+    return tuple(expect(OperatorExpr.word(word), state)
+                 for word in (("a",), ("a", "a"), ("ad", "a")))
+
+
 class TestChannelFolds:
     """Independent bath-coupling oracles for the Gaussian channels."""
 
     @pytest.mark.parametrize("eta", [0.3, 0.6, 0.9])
     def test_beam_splitter_fold_reproduces_loss(self, eta):
         params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
-        mean, a_sq, n = bath_fold_moments(params, "loss", eta, cutoff=36)
+        mean, a_sq, n = _bath_fold_moments(params, "loss", eta, cutoff=36)
 
         moments = apply_loss(make_state(params), eta)
         assert mean == pytest.approx(moments.alpha, abs=1e-8)
@@ -528,15 +551,11 @@ class TestChannelFolds:
     def test_two_mode_squeezer_fold_reproduces_gain(self):
         g = 1.5
         params = StateParams(zeta=0.25, alpha=0.4 - 0.3j)
-        mean, _, n = bath_fold_moments(params, "gain", g, cutoff=40)
+        mean, _, n = _bath_fold_moments(params, "gain", g, cutoff=40)
 
         moments = apply_gain_noise(make_state(params), g)
         assert mean == pytest.approx(moments.alpha, abs=1e-8)
         assert n == pytest.approx(moments.n_a, abs=1e-8)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            bath_fold_moments(StateParams(), "dephasing", 0.5, cutoff=4)
 
     @staticmethod
     def _dense_fold_moments(params, kind, strength, cutoff):
@@ -559,7 +578,7 @@ class TestChannelFolds:
                                                 ("gain", 1.4), ("gain", 2.5)])
     def test_matches_dense_exponential(self, kind, strength):
         params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
-        got = bath_fold_moments(params, kind, strength, cutoff=8)
+        got = _bath_fold_moments(params, kind, strength, cutoff=8)
         want = self._dense_fold_moments(params, kind, strength, cutoff=8)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-12
@@ -571,18 +590,15 @@ class TestChannelFolds:
         a = ladder(16)
         want = (np.vdot(vec, a @ vec), np.vdot(vec, a @ a @ vec),
                 np.vdot(a @ vec, a @ vec).real)
-        for g, w in zip(bath_fold_moments(params, kind, 1.0, cutoff=16), want):
+        for g, w in zip(_bath_fold_moments(params, kind, 1.0, cutoff=16), want):
             assert abs(g - w) < 1e-14
 
     @pytest.mark.parametrize("kind, strength", [("loss", 0.05), ("gain", 3.0)])
     def test_preserves_norm(self, kind, strength):
         psi = _random_tensor(24, 3)
         psi /= np.linalg.norm(psi)
-        if kind == "loss":
-            angle, generator = np.arccos(np.sqrt(strength)), {("ad", "b"): 1, ("a", "bd"): -1}
-        else:
-            angle, generator = np.arccosh(np.sqrt(strength)), {("ad", "bd"): 1, ("a", "b"): -1}
-        psi = evolve(psi, OperatorExpr(generator), angle)
+        angle, generator = BATH_GENERATORS[kind]
+        psi = evolve(psi, generator, angle(np.sqrt(strength)))
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-13
 
     @pytest.mark.parametrize("kind, strength, cutoff", [
@@ -590,20 +606,9 @@ class TestChannelFolds:
     ])
     def test_matches_dense_ladder_fold_bit_for_bit(self, kind, strength, cutoff):
         params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
-        got = bath_fold_moments(params, kind, strength, cutoff)
-        assert repr(got) == repr(ladder_fold_moments(params, kind, strength, cutoff))
-
-    def test_rejects_cutoff_one(self):
-        with pytest.raises(ValueError, match=r"^cutoff must be >= 2, got 1$"):
-            bath_fold_moments(StateParams(), "loss", 0.5, cutoff=1)
-
-    @pytest.mark.parametrize("kind, strength", [
-        ("loss", -0.1), ("loss", 1.1), ("loss", np.nan),
-        ("gain", 0.5), ("gain", np.nan), ("gain", np.inf),
-    ])
-    def test_rejects_out_of_range_strength(self, kind, strength):
-        with pytest.raises(ValueError, match="must"):
-            bath_fold_moments(StateParams(), kind, strength, cutoff=4)
+        got = _bath_fold(params, kind, strength, cutoff)
+        assert np.array_equal(got.view(float),
+                              ladder_fold(params, kind, strength, cutoff).view(float))
 
 
 # Corners of the ``random_state_params`` envelope: |alpha| <= 2,

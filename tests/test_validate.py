@@ -109,16 +109,31 @@ def test_every_power_of_two_ceiling_is_accepted(cutoff_max):
 @pytest.mark.parametrize("suite", [suite_gaussian_fock, suite_classicality, suite_channel_laws,
                                    suite_reorder_matrix, run_all_suites],
                          ids=lambda suite: suite.__name__)
-@pytest.mark.parametrize("argument, message", [("trials", "trials must be >= 0, got -5"),
-                                               ("seed", "seed must be >= 0, got -5")],
-                         ids=["trials", "seed"])
+@pytest.mark.parametrize("argument, value, message", [
+    ("trials", -5, "trials must be >= 0, got -5"),
+    ("seed", -5, "seed must be >= 0, got -5"),
+    # range() and SeedSequence would raise a TypeError, after the other
+    # argument's checks or draws.
+    ("trials", 2.5, r"trials must be an integer, got 2\.5"),
+    ("seed", 2.5, r"seed must be an integer, got 2\.5"),
+], ids=["trials", "seed", "trials-not-an-integer", "seed-not-an-integer"])
 def test_negative_trials_or_seed_is_rejected_before_any_fork(monkeypatch, suite, argument,
-                                                             message):
+                                                             value, message):
     # A negative trial count would pass vacuously, and report itself.
     forks = use_cores(monkeypatch, 2)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        suite(**{argument: -5})
+        suite(**{argument: value})
     assert forks == []
+
+
+@pytest.mark.parametrize("trials, seed", [(True, 42), (np.int64(1), np.int64(42))],
+                         ids=["bool", "numpy"])
+def test_integer_like_arguments_report_plain_integers(trials, seed):
+    # True once ran as one trial but reported "trials": true, and a numpy
+    # integer's report could not be written as JSON.
+    results = run_all_suites(trials, seed, 128)
+    assert suite_report(results) == suite_report(run_all_suites(1, 42, 128))
+    assert all(type(result.trials) is int for result in results)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="counts the forks of the suites")
@@ -189,8 +204,18 @@ def test_channel_suite_fails_on_nan(monkeypatch, spot):
     if spot == "laws":
         monkeypatch.setattr(validate, "mean_photon", lambda mode: math.nan)
     else:
-        monkeypatch.setattr(validate, "bath_fold_moments", lambda *args: (math.nan,) * 3)
+        monkeypatch.setattr(validate, "expect", lambda expr, state: complex(math.nan))
     assert_fails_on_nan(suite_channel_laws(5, 42))
+
+
+def test_channel_suite_fails_when_the_fold_does_not_evolve(monkeypatch):
+    # With no evolution the signal keeps its input moments, which neither
+    # channel map gives: the fold checks the maps against the bath unitaries.
+    monkeypatch.setattr(validate, "evolve", lambda psi, generator, angle: psi)
+    result = suite_channel_laws(5, 42)
+    assert not result.passed
+    fold = float(result.detail.removeprefix("bath-fold deviation "))
+    assert fold > validate.CHANNEL_FOLD_TOL
 
 
 def test_reorder_suite_fails_on_nan(monkeypatch):
