@@ -36,6 +36,7 @@ a leading block of the state it is handed, and returns the value it settled on.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,7 +57,6 @@ __all__ = [
     "evolve",
     "witness_general",
     "converged_cutoff",
-    "pure_mode_amplitudes",
 ]
 
 TRUNCATION_BUDGET = 1e-8
@@ -214,20 +214,12 @@ def _mode_factors(modes: list[tuple], cutoff: int) -> list[np.ndarray]:
     return [next(densities) if mode[1] > 0 else _amplitudes(mode, cutoff) for mode in modes]
 
 
-def _mass(part: np.ndarray) -> float:
-    """What truncation kept: the squared norm of amplitudes, or a density's trace."""
-    return float((np.vdot(part, part) if part.ndim == 1 else np.trace(part)).real)
-
-
-def pure_mode_amplitudes(params: StateParams, cutoff: int) -> tuple[np.ndarray, float]:
-    """Pure (nbar = 0) single-mode amplitudes and their truncation deficit.
-
-    The global phase is fixed by a real, positive vacuum amplitude.
-    """
-    if params.nbar > 0:
-        raise ValueError(f"a pure mode needs nbar = 0, got {params.nbar}")
-    v = _amplitudes((params.zeta, params.nbar, params.phi, params.alpha), cutoff)
-    return v, max(0.0, 1.0 - _mass(v))
+def _lost(part: np.ndarray) -> float:
+    """What truncation dropped of amplitudes, by their squared norm, or of a
+    density, by its trace: 0 for a mass of 1 or more, and NaN for a NaN mass,
+    where ``max(0.0, 1.0 - kept)`` would give 0."""
+    kept = float((np.vdot(part, part) if part.ndim == 1 else np.trace(part)).real)
+    return 0.0 if kept >= 1.0 else 1.0 - kept
 
 
 @dataclass(frozen=True)
@@ -253,8 +245,7 @@ class FockState:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.ndim != 2 or amplitudes.shape[0] != amplitudes.shape[1]:
             raise ValueError("pure amplitudes must form a square two-mode tensor")
-        return cls("pure", amplitudes.shape[0], amplitudes,
-                   max(0.0, 1.0 - _mass(amplitudes.ravel())))
+        return cls("pure", amplitudes.shape[0], amplitudes, _lost(amplitudes.ravel()))
 
     @classmethod
     def product(cls, si: np.ndarray, lo: np.ndarray) -> "FockState":
@@ -262,7 +253,7 @@ class FockState:
         cutoff = len(factors[0])
         if any(f.ndim not in (1, 2) or f.shape != (cutoff,) * f.ndim for f in factors):
             raise ValueError("factors must be vectors or square matrices of equal cutoff")
-        lost_si, lost_lo = (max(0.0, 1.0 - _mass(f)) for f in factors)
+        lost_si, lost_lo = map(_lost, factors)
         return cls("product", cutoff, factors, 1.0 - (1.0 - lost_si) * (1.0 - lost_lo))
 
     def leading(self, cutoff: int) -> "FockState":
@@ -284,19 +275,26 @@ def fock_states(si: StateParams, lo: StateParams, cutoff: int) -> Iterator[FockS
     """The product states SI x LO at one per-mode cutoff, one per element of the
     fields of ``si`` and ``lo`` broadcast together, built a block of pairs at a time.
 
-    The thermal modes of a block are built together by one run of the 2-D
-    recurrence.  A block holds as many pairs as ``BLOCK_BYTES`` of density
-    factors allow, counting two per pair, and at least one.  It is built
-    when its first state is requested and freed once the caller drops its
-    states.  Each state carries its truncation deficit, unchecked;
-    :func:`fock_state` checks one against ``TRUNCATION_BUDGET``.
+    This is the oracle's one state builder, and every mode the oracle holds
+    comes from here: a pure mode as amplitudes whose global phase is fixed
+    by a real, positive vacuum amplitude.  The thermal modes of a block are
+    built together by one run of the 2-D recurrence.  A block holds as many
+    pairs as ``BLOCK_BYTES`` of density factors allow, counting two per
+    pair, and at least one.  It is built when its first state is requested
+    and freed once the caller drops its states.  Each state carries its
+    truncation deficit, unchecked; :func:`fock_state` checks one against
+    ``TRUNCATION_BUDGET``.
 
     Raises
     ------
     ValueError
-        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or the fields do not
-        broadcast together, when the first state is requested.
+        If ``cutoff`` is not an integer in ``[2, MAX_CUTOFF]`` or the fields
+        do not broadcast together, when the first state is requested.
     """
+    try:
+        cutoff = operator.index(cutoff)
+    except TypeError:
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}") from None
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must be in [2, {MAX_CUTOFF}], got {cutoff}")
     # Each mode's (zeta, nbar, phi, alpha) as Python scalars, interleaved SI, LO, SI, ...
@@ -318,13 +316,13 @@ def fock_state(params_si: StateParams, params_lo: StateParams, cutoff: int) -> F
     Raises
     ------
     ValueError
-        If ``cutoff`` is outside ``[2, MAX_CUTOFF]`` or the params hold other
-        than one pair.
+        If ``cutoff`` is not an integer in ``[2, MAX_CUTOFF]`` or the params
+        hold other than one pair.
     TruncationError
-        If the truncation deficit exceeds ``TRUNCATION_BUDGET``.
+        If the truncation deficit exceeds ``TRUNCATION_BUDGET`` or is NaN.
     """
     (state,) = fock_states(params_si, params_lo, cutoff)
-    if state.deficit > TRUNCATION_BUDGET:
+    if not state.deficit <= TRUNCATION_BUDGET:
         raise TruncationError(f"truncation deficit {state.deficit:.3e} exceeds budget "
                               f"{TRUNCATION_BUDGET:.3e} at cutoff {cutoff}")
     return state
@@ -423,9 +421,10 @@ def converged_cutoff(state: FockState, expr: OperatorExpr,
     expectation value of ``expr`` agrees with the next doubling's to within
     ``tol``, the block at that next doubling, which was checked against
     ``TRUNCATION_BUDGET``, and the value on it, equal to :func:`expect` bit
-    for bit.  Blocks over the budget are skipped, and ``expr`` is reordered
-    once.  Nothing is built here: a block of a product state from
-    :func:`fock_state` is, bit for bit, the state it builds at that cutoff.
+    for bit.  Blocks over the budget, or with a NaN deficit, are skipped,
+    and ``expr`` is reordered once.  Nothing is built here: a block of a
+    product state from :func:`fock_state` is, bit for bit, the state it
+    builds at that cutoff.
 
     Raises
     ------
@@ -446,7 +445,7 @@ def converged_cutoff(state: FockState, expr: OperatorExpr,
     previous: tuple[int, complex] | None = None
     for cutoff in schedule:
         block = state.leading(cutoff)
-        if block.deficit > TRUNCATION_BUDGET:
+        if not block.deficit <= TRUNCATION_BUDGET:
             previous = None
             continue
         value = _expect_reordered(ordered, block)

@@ -30,7 +30,6 @@ from .fock import (
     evolve,
     expect,
     fock_states,
-    pure_mode_amplitudes,
     witness_general,
     _block_pairs,
     _word_bands,
@@ -235,23 +234,25 @@ def suite_gaussian_fock(trials: int = 200, seed: int = 42,
 def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     """Nonnegativity of the witness on coherent signals with arbitrary LOs.
 
-    Draws a coherent SI, built by the oracle's Gaussian Fock recurrence
-    (:func:`~squeezewitness.fock.pure_mode_amplitudes`) like every other
-    oracle mode, a Haar-random LO vector, both at ``CLASSICALITY_CUTOFF``,
-    and a random operator of degree at most two; the partially ordered
-    quadratic form must stay above ``-1e-8``.
+    Draws a coherent SI, a Haar-random LO vector, both at
+    ``CLASSICALITY_CUTOFF``, and a random operator of degree at most two;
+    the partially ordered quadratic form must stay above ``-1e-8``.  Every
+    SI is built, like every other oracle mode, by one
+    :func:`~squeezewitness.fock.fock_states` call over all the drawn
+    amplitudes.
     """
     name = "classicality_nonnegativity"
     trials, rng = _generator(trials, seed)
-    deviation = 0.0
-    for _ in range(trials):
+    alphas, draws = np.empty(trials, dtype=complex), []
+    for k in range(trials):  # the reports depend on this draw order
         radius = 2.0 * np.sqrt(rng.uniform())
-        alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        psi_si, _ = pure_mode_amplitudes(StateParams(alpha=alpha), CLASSICALITY_CUTOFF)
-        psi_lo = haar_random_vector(rng, CLASSICALITY_CUTOFF)
-        state = FockState.product(psi_si, psi_lo)
-        f = random_expression(rng, max_degree=2)
-        value = witness_general(f, state)
+        alphas[k] = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        draws.append((haar_random_vector(rng, CLASSICALITY_CUTOFF),
+                      random_expression(rng, max_degree=2)))
+    signals = fock_states(StateParams(alpha=alphas), StateParams(), CLASSICALITY_CUTOFF)
+    deviation = 0.0
+    for signal, (psi_lo, f) in zip(signals, draws):
+        value = witness_general(f, FockState.product(signal.data[0], psi_lo))
         # A witness that is not finite fails: at +inf, -value would pass.
         deviation = _worse(deviation, -value if math.isfinite(value) else math.nan)
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
@@ -282,8 +283,9 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
             np.abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
     worst = float(np.max(np.concatenate(laws), initial=0.0))
     params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
+    (signal,) = fock_states(params, StateParams(), BATH_FOLD_CUTOFF)
     start = np.zeros((BATH_FOLD_CUTOFF, BATH_FOLD_CUTOFF), dtype=complex)
-    start[:, 0], _ = pure_mode_amplitudes(params, BATH_FOLD_CUTOFF)
+    start[:, 0] = signal.data[0]
     moments = [OperatorExpr.word(word) for word in (("a",), ("a", "a"), ("ad", "a"))]
     fold = 0.0
     for channel, strength, angle, generator in (

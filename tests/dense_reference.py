@@ -4,7 +4,8 @@ that the oracle's one-diagonal bands must agree with."""
 
 import numpy as np
 
-from squeezewitness.fock import pure_mode_amplitudes
+from squeezewitness.fock import fock_states
+from squeezewitness.gaussian import StateParams
 from squeezewitness.opexpr import IS_DAGGER, MODE, reorder
 
 
@@ -58,8 +59,9 @@ def ladder_fold(params, kind, strength, cutoff):
         angle, right = np.arccos(np.sqrt(strength)), a.T
     else:
         angle, right = np.arccosh(np.sqrt(strength)), a
+    (signal,) = fock_states(params, StateParams(), cutoff)
     psi = np.zeros((cutoff, cutoff), dtype=complex)
-    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
+    psi[:, 0] = signal.data[0]
     # ||a|| = sqrt(cutoff - 1) bounds ||G|| by this count.
     steps = max(1, int(np.ceil(2.0 * angle * (cutoff - 1))))
     for _ in range(steps):

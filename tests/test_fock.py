@@ -26,8 +26,8 @@ from squeezewitness.fock import (
     expect,
     fock_state,
     fock_states,
-    pure_mode_amplitudes,
     witness_general,
+    _amplitudes,
     _apply,
     _density_matrices,
     _mode_band,
@@ -74,6 +74,12 @@ def _stacked(params, thermal):
 def _element(params, k):
     """Element ``k`` of a ``StateParams`` of arrays, a scalar field as it is."""
     return StateParams(*(f[k] if np.ndim(f) else f for f in _fields(params)))
+
+
+def _pure_mode(params, cutoff):
+    """A pure mode's amplitudes as ``fock_states`` builds them, whatever their deficit."""
+    (state,) = fock_states(params, StateParams(), cutoff)
+    return state.data[0]
 
 
 def _random_tensor(cutoff, seed):
@@ -124,8 +130,8 @@ class TestEvolve:
         # S(xi) = exp((conj(xi) a^2 - xi a^dag^2) / 2), then D(beta).
         squeeze = OperatorExpr({("a", "a"): np.conj(xi) / 2, ("ad", "ad"): -xi / 2})
         psi = evolve(evolve(_vacuum_tensor(96), squeeze, 1.0), _displacement(beta), 1.0)
-        want, _ = pure_mode_amplitudes(
-            StateParams(zeta=abs(xi), phi=np.angle(xi) / 2, alpha=beta), 96)
+        want = fock_state(StateParams(zeta=abs(xi), phi=np.angle(xi) / 2, alpha=beta),
+                          StateParams(), 96).data[0]
         got = psi[:40, 0]
         phase = np.vdot(want[:40], got)
         assert np.abs(got * (abs(phase) / phase) - want[:40]).max() <= 2e-15
@@ -166,6 +172,12 @@ class TestStateConstruction:
         with pytest.raises(TruncationError):
             fock_state(StateParams(alpha=2.0), StateParams(), 8)
 
+    def test_nan_mass_is_a_nan_deficit(self):
+        # Not 0.0, as max(0.0, nan) would read it: nothing was shown to be kept.
+        assert np.isnan(FockState.pure(np.full((4, 4), np.nan)).deficit)
+        assert np.isnan(FockState.product(np.full(4, np.nan), np.ones(4) / 2).deficit)
+        assert np.isnan(FockState.product(np.ones(4) / 2, np.full((4, 4), np.nan)).deficit)
+
     def test_thermal_weights(self):
         nbar = 0.6
         state = fock_state(StateParams(nbar=nbar), StateParams(), 30)
@@ -182,8 +194,9 @@ class TestStateConstruction:
 
     def test_displaced_squeezed_matches_gaussian_moments(self):
         params = StateParams(zeta=0.45, phi=0.8, alpha=0.9 - 0.6j)
-        vec, deficit = pure_mode_amplitudes(params, 64)
-        assert deficit < 1e-10
+        state = fock_state(params, StateParams(), 64)
+        assert state.deficit < 1e-10
+        vec = state.data[0]
         a = ladder(64)
         moments = make_state(params)
         assert np.vdot(vec, a @ vec) == pytest.approx(moments.alpha, abs=1e-9)
@@ -415,7 +428,7 @@ class TestNonGaussianLO:
         cutoff = 48
         coh = coherent_amplitudes(beta, cutoff)
         vec_lo = ladder(cutoff).conj().T @ coh - np.conj(beta) * coh
-        vec_si, _ = pure_mode_amplitudes(StateParams(zeta=ZETA_3DB), cutoff)
+        vec_si = fock_state(StateParams(zeta=ZETA_3DB), StateParams(), cutoff).data[0]
         state = FockState.product(vec_si, vec_lo)
         thetas = np.linspace(0.0, np.pi, 25)
         oracle = []
@@ -479,6 +492,12 @@ class TestConvergedCutoff:
             _walk(StateParams(), StateParams(), difference_observable(0.0), 1e-9,
                   top=max_cutoff)
 
+    def test_nan_blocks_are_never_certified(self):
+        # The zero operator settles on every block, but no block of a NaN
+        # tensor is within the budget.
+        with pytest.raises(ConvergenceError):
+            converged_cutoff(FockState.pure(np.full((8, 8), np.nan)), OperatorExpr(), 1e-9)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             _walk(StateParams(), StateParams(), difference_observable(0.0), 0.0, top=8)
@@ -524,7 +543,7 @@ def _bath_fold(params, kind, strength, cutoff):
     unitary of ``kind``, as the channel-law suite folds them."""
     angle, generator = BATH_GENERATORS[kind]
     psi = np.zeros((cutoff, cutoff), dtype=complex)
-    psi[:, 0], _ = pure_mode_amplitudes(params, cutoff)
+    psi[:, 0] = _pure_mode(params, cutoff)
     return evolve(psi, generator, angle(np.sqrt(strength)))
 
 
@@ -567,7 +586,7 @@ class TestChannelFolds:
         else:
             gen = np.arccosh(np.sqrt(strength)) * (signal.T @ ancilla.T - signal @ ancilla)
         w, v = np.linalg.eigh(1j * gen)
-        vec, _ = pure_mode_amplitudes(params, cutoff)
+        vec = _pure_mode(params, cutoff)
         start = np.kron(vec, np.eye(cutoff)[0])
         evolved = v @ (np.exp(-1j * w) * (v.conj().T @ start))
         lowered = signal @ evolved
@@ -586,7 +605,7 @@ class TestChannelFolds:
     @pytest.mark.parametrize("kind", ["loss", "gain"])
     def test_unit_strength_returns_input_moments(self, kind):
         params = StateParams(zeta=0.3, phi=0.4, alpha=0.6 + 0.5j)
-        vec, _ = pure_mode_amplitudes(params, 16)
+        vec = _pure_mode(params, 16)
         a = ladder(16)
         want = (np.vdot(vec, a @ vec), np.vdot(vec, a @ a @ vec),
                 np.vdot(a @ vec, a @ vec).real)
@@ -622,6 +641,12 @@ ENVELOPE_CORNERS = [
 ]
 
 
+# The coherent SI of suite_classicality, over its |alpha| <= 2 envelope.
+CLASSICALITY_ALPHAS = [0.0, *(radius * np.exp(1j * phase)
+                              for radius in (0.3, 1.0, 1.7, 2.0)
+                              for phase in (0.0, 1.1, np.pi, 4.6))]
+
+
 class TestRecurrence:
     """The exact Gaussian Fock recurrence that builds every oracle state."""
 
@@ -646,25 +671,30 @@ class TestRecurrence:
         StateParams(alpha=1.5 + 0.5j),
     ])
     def test_pure_density_is_outer_product(self, params):
-        psi, _ = pure_mode_amplitudes(params, 128)
+        psi = fock_state(params, StateParams(), 128).data[0]
         (rho,) = _density_matrices([_fields(params)], 128)
         np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
 
     def test_matches_closed_form_references(self):
-        coherent, _ = pure_mode_amplitudes(StateParams(alpha=1.3 - 0.4j), 64)
+        coherent = fock_state(StateParams(alpha=1.3 - 0.4j), StateParams(), 64).data[0]
         np.testing.assert_allclose(coherent, coherent_amplitudes(1.3 - 0.4j, 64),
                                    rtol=0, atol=1e-15)
-        squeezed, _ = pure_mode_amplitudes(StateParams(zeta=0.4), 64)
+        squeezed = fock_state(StateParams(zeta=0.4), StateParams(), 64).data[0]
         np.testing.assert_allclose(squeezed, squeezed_amplitudes(0.4, 64),
                                    rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("alpha", [0.0, *(radius * np.exp(1j * phase)
-                                              for radius in (0.3, 1.0, 1.7, 2.0)
-                                              for phase in (0.0, 1.1, np.pi, 4.6))])
-    def test_classicality_signal_matches_closed_form(self, alpha):
-        # The coherent SI of suite_classicality, over its |alpha| <= 2 envelope.
-        coherent, _ = pure_mode_amplitudes(StateParams(alpha=alpha), CLASSICALITY_CUTOFF)
-        np.testing.assert_allclose(coherent, coherent_amplitudes(alpha, CLASSICALITY_CUTOFF),
+    @pytest.fixture(scope="class")
+    def classicality_signals(self):
+        """Each of ``CLASSICALITY_ALPHAS``' coherent SIs, by one ``fock_states``
+        call over them all, as suite_classicality builds its SIs."""
+        states = fock_states(StateParams(alpha=np.array(CLASSICALITY_ALPHAS)), StateParams(),
+                             CLASSICALITY_CUTOFF)
+        return {alpha: state.data[0] for alpha, state in zip(CLASSICALITY_ALPHAS, states)}
+
+    @pytest.mark.parametrize("alpha", CLASSICALITY_ALPHAS)
+    def test_classicality_signal_matches_closed_form(self, alpha, classicality_signals):
+        np.testing.assert_allclose(classicality_signals[alpha],
+                                   coherent_amplitudes(alpha, CLASSICALITY_CUTOFF),
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("params", ENVELOPE_CORNERS)
@@ -690,7 +720,7 @@ class TestRecurrence:
                 if params.nbar > 0:
                     want = density_matrix(params, cutoff)
                 else:
-                    want, _ = pure_mode_amplitudes(params, cutoff)
+                    want = _amplitudes(_fields(params), cutoff)
                 assert factor.shape == want.shape
                 assert np.array_equal(factor.view(np.uint64), want.view(np.uint64))
 
@@ -715,6 +745,21 @@ class TestRecurrence:
     def test_rejects_cutoff_outside_range(self, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
             next(fock_states(StateParams(), StateParams(), cutoff))
+
+    @pytest.mark.parametrize("cutoff", [8.0, "8"])
+    def test_rejects_cutoff_that_is_not_an_integer(self, cutoff):
+        # Before the recurrence, which would fail on it with a TypeError.
+        with pytest.raises(ValueError, match=f"^cutoff must be an integer, got {cutoff!r}$"):
+            fock_state(StateParams(), StateParams(), cutoff)
+
+    def test_numpy_integer_cutoff_builds_the_plain_int_state(self):
+        params = StateParams(zeta=0.3, nbar=0.2, alpha=0.5j)
+        (got,) = fock_states(params, StateParams(alpha=0.4), np.int64(8))
+        (want,) = fock_states(params, StateParams(alpha=0.4), 8)
+        assert type(got.cutoff) is int and got.cutoff == 8
+        assert got.deficit == want.deficit
+        for g, w in zip(got.data, want.data, strict=True):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
     @pytest.mark.parametrize("cutoff, pairs, scalar_lo", [
         (128, 9, False), (256, 3, False), (128, 9, True),

@@ -8,6 +8,7 @@ from dense_reference import reorder_deviation
 from forking import assert_no_child_left, use_cores
 
 from squeezewitness import validate
+from squeezewitness.gaussian import StateParams
 from squeezewitness.opexpr import OperatorExpr, formal_normal_order
 from squeezewitness.validate import (
     _draw_pairs,
@@ -197,6 +198,24 @@ def test_gaussian_fock_suite_fails_on_a_nan_oracle(monkeypatch):
 def test_classicality_suite_fails_on_a_witness_that_is_not_finite(monkeypatch, value):
     monkeypatch.setattr(validate, "witness_general", lambda f, state: value)
     assert_fails_on_nan(suite_classicality(3, 42))
+
+
+def test_classicality_suite_builds_every_signal_in_one_call(monkeypatch):
+    want = suite_classicality(7, 3)
+    calls = []
+    fock_states = validate.fock_states
+
+    def recorder(si, lo, cutoff):
+        calls.append((si, lo, cutoff))
+        return fock_states(si, lo, cutoff)
+
+    monkeypatch.setattr(validate, "fock_states", recorder)
+    assert suite_classicality(7, 3) == want
+    ((si, lo, cutoff),) = calls
+    assert cutoff == validate.CLASSICALITY_CUTOFF
+    assert np.shape(si.alpha) == (7,) and np.all(np.abs(si.alpha) <= 2.0)
+    assert (si.zeta, si.nbar, si.phi) == (0.0, 0.0, 0.0)
+    assert lo == StateParams()
 
 
 @pytest.mark.parametrize("spot", ["laws", "fold"])
