@@ -145,15 +145,23 @@ def _husimi_coefficients(zeta: float, nbar: float, phi: float,
     continuation of the Husimi function, a Gaussian whose covariance is
     ``M = V + I/2`` with ``V = R_phi^T diag(e^(-2 zeta)/2 + nbar,
     e^(2 zeta)/2 + nbar) R_phi``.
+
+    Fields so far out of range that ``M`` or ``|alpha|^2`` overflows give
+    ``T = 0``, a state that keeps nothing, and no warning: :func:`fock_state`
+    refuses it with :class:`TruncationError`.
     """
-    m_x = np.exp(-2.0 * zeta) / 2.0 + nbar + 0.5
-    m_p = np.exp(2.0 * zeta) / 2.0 + nbar + 0.5
-    a11 = complex(0.5 * (1.0 / m_p - 1.0 / m_x) * np.exp(2j * phi))
-    keep = float(0.5 * (1.0 / m_x + 1.0 / m_p))  # 1 - a12
-    alpha = complex(alpha)
-    b1 = keep * alpha - a11 * alpha.conjugate()
-    log_t = -keep * abs(alpha) ** 2 + (a11 * alpha.conjugate() ** 2).real
-    return float(np.exp(log_t) / np.sqrt(m_x * m_p)), a11, 1.0 - keep, b1
+    with np.errstate(over="ignore"):
+        m_x = np.exp(-2.0 * zeta) / 2.0 + nbar + 0.5
+        m_p = np.exp(2.0 * zeta) / 2.0 + nbar + 0.5
+        a11 = complex(0.5 * (1.0 / m_p - 1.0 / m_x) * np.exp(2j * phi))
+        keep = float(0.5 * (1.0 / m_x + 1.0 / m_p))  # 1 - a12
+        alpha = complex(alpha)
+        b1 = keep * alpha - a11 * alpha.conjugate()
+        try:
+            log_t = -keep * abs(alpha) ** 2 + (a11 * alpha.conjugate() ** 2).real
+        except OverflowError:  # |alpha|^2 past the float range; as |a11| <= keep, T -> 0
+            log_t = -np.inf
+        return float(np.exp(log_t) / np.sqrt(m_x * m_p)), a11, 1.0 - keep, b1
 
 
 def _hermite_sequence(first: complex, a: complex, b: complex, cutoff: int) -> np.ndarray:

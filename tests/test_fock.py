@@ -172,6 +172,17 @@ class TestStateConstruction:
         with pytest.raises(TruncationError):
             fock_state(StateParams(alpha=2.0), StateParams(), 8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [
+        StateParams(zeta=400.0), StateParams(zeta=-400.0), StateParams(nbar=1e300),
+        StateParams(alpha=1e200), StateParams(nbar=0.5, alpha=1e200j),
+    ], ids=["zeta", "negative-zeta", "nbar", "alpha", "thermal-alpha"])
+    def test_out_of_envelope_field_is_a_truncation_error(self, params):
+        # The recurrence's coefficients overflow: an overflow warning, or
+        # Python's OverflowError for |alpha|^2, once escaped here.
+        with pytest.raises(TruncationError, match="truncation deficit 1.000e\\+00"):
+            fock_state(params, StateParams(), 16)
+
     def test_nan_mass_is_a_nan_deficit(self):
         # Not 0.0, as max(0.0, nan) would read it: nothing was shown to be kept.
         assert np.isnan(FockState.pure(np.full((4, 4), np.nan)).deficit)

@@ -152,8 +152,12 @@ def test_integer_like_arguments_report_plain_integers(trials, seed):
     (5, f"{CEILING_RULE}5"),
     (200, f"{CEILING_RULE}200"),
     (511, f"{CEILING_RULE}511"),
+    # Equal to 128, but not a real number: int() would raise a TypeError, and
+    # numpy's complex a ComplexWarning.
+    (128 + 0j, rf"{CEILING_RULE}\(128\+0j\)"),
+    (np.complex128(128), rf"{CEILING_RULE}\(128\+0j\)"),
 ], ids=["below-4", "cap", "far-above-cap", "not-a-power-5", "not-a-power-200",
-        "not-a-power-511"])
+        "not-a-power-511", "complex", "numpy-complex"])
 def test_ceiling_outside_the_oracle_range_is_rejected_before_any_fork(
         monkeypatch, suite, trials, cutoff_max, message):
     forks = use_cores(monkeypatch, 2)
@@ -254,6 +258,9 @@ def suite_report(results) -> str:
     (37, 42, 128), (37, 42, 256),
     # Trial 9 fails to settle within 128, in the second block.
     (10, 110, 128),
+    # No draw at all: the three other suites still fill the cores, and the
+    # channel-law suite still runs its bath fold.
+    (0, 42, 128),
 ])
 def test_suites_give_the_same_report_on_any_core_count(monkeypatch, trials, seed, cutoff_max):
     # Each suite run on its own in this process is the reference.
