@@ -461,18 +461,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        code = EXIT_OK
         if args.command == "reproduce":
             for path in cmd_reproduce(args.figure, args.out, args.svg, args.points):
                 print(path)
-            return EXIT_OK
-        if args.command == "witness":
+        elif args.command == "witness":
             cmd_witness(args.input, args.out, args.tol)
             print(args.out)
-            return EXIT_OK
-        _, code = cmd_validate(args.trials, args.seed, args.cutoff_max, args.out)
+        else:
+            _, code = cmd_validate(args.trials, args.seed, args.cutoff_max, args.out)
+        sys.stdout.flush()
         return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:  # every file's error is an InputError: this one is stdout's
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        # Shutdown flushes stdout again; the bytes it still holds go to
+        # os.devnull, not to a second failure that exits 120.
+        with contextlib.suppress(AttributeError, OSError):  # a stream with no descriptor
+            descriptor = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, descriptor)
+            os.close(devnull)
         return EXIT_INPUT_ERROR
 
 

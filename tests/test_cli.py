@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,30 @@ class TestOutputWriteFailure:
         assert main(argv + [str(out / "v.json")]) == EXIT_INPUT_ERROR
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert listing(out) == before
+
+    @pytest.mark.parametrize("command", ["validate", "reproduce", "witness"])
+    def test_a_failed_standard_output_exits_2(self, tmp_path, capsys, command):
+        # validate writes its report to stdout; reproduce and witness print
+        # each path they wrote.
+        argv = {
+            "validate": ["validate", "--trials", "0"],
+            "reproduce": ["reproduce", "--figure", "fluctuations", "--points", "3",
+                          "--out", str(tmp_path)],
+            "witness": ["witness", "--input", write_csv(tmp_path, "theta_rad,var_L,nb\n0,1,1\n"),
+                        "--out", str(tmp_path / "out.json")],
+        }[command]
+
+        class FullStream:  # no descriptor, and no close that flushes again
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with redirect_stdout(FullStream()):
+            assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
 
     def test_a_link_is_written_through(self, tmp_path):
         # A link such as /dev/stdout is the user's: it is written through,
