@@ -17,11 +17,16 @@ Commands
     is one task of the package's one fork pool, which parses and checks it
     a column at a time, evaluates it and formats its report rows; the
     blocks are written in order, the same bytes for any core count.  The
-    first bad line of the file, malformed or out of range, is an error
-    naming that line; within it, a wrong cell count comes first, then a
-    cell that is not a number, then a cell out of range, then an
-    overflowing ``full_no``.  ``cmd_witness`` returns only the report's
-    ``tol`` and ``summary``.
+    report echoes ``theta_rad``, ``var_L``, ``nb`` and ``na`` per column and
+    per 8192-line block, so its bytes stay the same for any core count:
+    where every given cell of a column in a block is a plain decimal,
+    ``-?(0|[1-9][0-9]*)\\.[0-9]+``, its cells are written as they are, and
+    otherwise as ``repr`` of their floats.  Either way each echoed cell
+    reads back as the float its cell parsed to.  The first bad line of the
+    file, malformed or out of range, is an error naming that line; within
+    it, a wrong cell count comes first, then a cell that is not a number,
+    then a cell out of range, then an overflowing ``full_no``.
+    ``cmd_witness`` returns only the report's ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
     a ceiling ``C``, a power of two from 4 to the oracle's cap of 512;
@@ -42,8 +47,10 @@ after every file's bytes are made.  Line ends are ``\n`` on every
 platform.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, a failed
-write, or a failed task or worker process.  All outputs are deterministic
-for a fixed configuration and seed.
+write, or a failed task or worker process.  A warning or error that
+standard error cannot take is dropped: it changes neither the exit code
+nor any file.  All outputs are deterministic for a fixed configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import json
 import math
 import operator
 import os
+import re
 import shutil
 import stat
 import sys
@@ -89,6 +97,10 @@ WITNESS_COLUMNS = tuple(column for column, _, _ in CELL_RULES)
 # ``float.__repr__``, which is how ``json`` writes floats.
 _JSON_BOOL = ("false", "true")
 _JSON_VERDICT = (json.dumps(CLASSICAL), json.dumps(NONCLASSICAL))
+# Plain decimals, each followed by a comma.  A plain decimal is a JSON number
+# that ``json`` reads with ``float``, so a column of them written as they are
+# holds the values that the reader parsed.
+_PLAIN_DECIMALS = re.compile(r"(?:-?(?:0|[1-9][0-9]*)\.[0-9]+,)*")
 # Input lines per block, blank lines included.  The blocks are dealt
 # round-robin to the forked workers, which parse, check, evaluate and format
 # them; a worker holds one formatted block, about 2.8 MB with na, while it
@@ -99,6 +111,13 @@ REPORT_BLOCK_ROWS = 8192
 class InputError(Exception):
     """Bad user input (malformed CSV, unknown figure, unwritable path), or a
     task that failed in a worker process; the command exits 2."""
+
+
+def _diagnose(message: str) -> None:
+    """Print ``message`` on stderr; a stream that cannot take it is ignored,
+    so that what was written and the exit code stay those of the run."""
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
 
 
 def _dump_json(payload: dict) -> str:
@@ -231,11 +250,12 @@ def _read_header(path: str) -> tuple[list[str], int, tuple, list[str]]:
     return lines, len(header), at, warnings
 
 
-def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple[np.ndarray, ...]:
+def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple:
     """The schema columns of ``lines``, parsed and checked a column at a time,
     as one ``(4, n)`` float array in :data:`WITNESS_COLUMNS` order, with 0 for
-    an empty or missing ``na`` cell, and the mask of the rows whose ``na`` cell
-    is given.
+    an empty or missing ``na`` cell; the mask of the rows whose ``na`` cell
+    is given; and each column's echo, its list of ``n`` cell texts where
+    every given cell is a plain decimal, else None.
 
     ``at`` holds each schema column's index in a line, None for a missing
     ``na``; blank lines are skipped.  The checks run in the order of the
@@ -254,10 +274,11 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple[np.
     cells = ",".join(rows).split(",")
     columns = np.zeros((len(WITNESS_COLUMNS), n))
     given = np.zeros(n, dtype=bool)  # where an na cell is not empty
-    for column, k, values in zip(WITNESS_COLUMNS, at, columns):
+    echoes = [None] * len(WITNESS_COLUMNS)
+    for j, (column, k, values) in enumerate(zip(WITNESS_COLUMNS, at, columns)):
         if k is None:
             continue
-        texts = cells[k:n * width:width]
+        echo = texts = cells[k:n * width:width]
         where = slice(n)  # the rows whose cells are parsed
         if column == "na":  # an empty na cell stays 0
             # Empty only where float() would see nothing: str.strip also drops
@@ -275,6 +296,9 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple[np.
                 except ValueError as exc:
                     n, error = r, str(exc)
                     break
+        else:  # one match over the column, not one per cell
+            if _PLAIN_DECIMALS.fullmatch(",".join([*texts, ""])):
+                echoes[j] = echo
     for (column, in_range, rule), values in zip(CELL_RULES, columns):
         values = values[:n]  # each error narrows the later rules
         broken = ~np.isfinite(values)
@@ -296,24 +320,27 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple[np.
     if error is not None:
         line_no = [no for no, line in enumerate(lines, start=first) if line.strip()][n]
         raise InputError(f"line {line_no}: {error}")
-    return columns, given
+    return columns, given, echoes
 
 
 def _report_block(columns) -> bytes:
     """The rows of ``columns`` in ``_dump_json``'s layout, joined by the
-    commas between them, as ASCII."""
-    cells = zip(*(column.tolist() for column in columns))
+    commas between them, as ASCII.  Each column is an array or a list.
+    ``theta_rad``, ``var_L``, ``nb``, ``noise_db`` and ``na`` may hold
+    ``str`` cells, written as they are; a float is written as its ``repr``,
+    which is also its ``!s``."""
+    cells = zip(*(column if isinstance(column, list) else column.tolist()
+                  for column in columns))
     rows = [
-        f'\n    {{\n      "full_no": {f!r},\n      "na": {a!r},\n      "nb": {b!r},'
-        f'\n      "noise_db": {noise_db},\n      "partial_no": {p!r},'
-        f'\n      "standard_negativity": {_JSON_BOOL[negative]},\n      "theta_rad": {t!r},'
-        f'\n      "var_L": {v!r},\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
+        f'\n    {{\n      "full_no": {f!r},\n      "na": {a!s},\n      "nb": {b!s},'
+        f'\n      "noise_db": {n!s},\n      "partial_no": {p!r},'
+        f'\n      "standard_negativity": {_JSON_BOOL[negative]},\n      "theta_rad": {t!s},'
+        f'\n      "var_L": {v!s},\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
         if given else
-        f'\n    {{\n      "nb": {b!r},\n      "noise_db": {noise_db},\n      "partial_no": {p!r},'
-        f'\n      "theta_rad": {t!r},\n      "var_L": {v!r},'
+        f'\n    {{\n      "nb": {b!s},\n      "noise_db": {n!s},\n      "partial_no": {p!r},'
+        f'\n      "theta_rad": {t!s},\n      "var_L": {v!s},'
         f'\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
-        for t, v, b, p, n, nonclassical, given, a, f, negative in cells
-        for noise_db in ('"-inf"' if n == -math.inf else repr(n),)]
+        for t, v, b, p, n, nonclassical, given, a, f, negative in cells]
     return ",".join(rows).encode("ascii")
 
 
@@ -321,11 +348,13 @@ def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: i
     """Lines ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``lines`` (0-based,
     the header is line 0) as report rows: parsed and checked by
     :func:`_read_rows`, evaluated by the kernel and formatted by
-    :func:`_report_block`.  Returns the rows' bytes, their count and how
-    many are nonclassical, or the message of the block's first bad line."""
+    :func:`_report_block`, which echoes each column that the reader
+    echoes.  Returns the rows' bytes, their count and how many are
+    nonclassical, or the message of the block's first bad line."""
     try:
-        columns, given = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at, start + 1)
-        theta, var_L, nb, na = columns
+        columns, given, echoes = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at,
+                                            start + 1)
+        var_L, nb, na = columns[1:]
         values = witness_values(var_L, nb, na, tol)
         # The kernel keeps partial_no and full_no finite and the reader's rules
         # leave no other non-finite value; this check keeps the report strict
@@ -337,7 +366,12 @@ def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: i
                 raise ValueError(f"{column} holds a value that JSON cannot represent")
     except (InputError, ValueError) as exc:
         return str(exc)
-    columns = (theta, var_L, nb, values.partial_no, noise_db, values.nonclassical,
+    theta, var_L, nb, na = (column if echo is None else echo
+                            for column, echo in zip(columns, echoes))
+    noise = noise_db.tolist()
+    for r in np.flatnonzero(noise_db == -np.inf).tolist():
+        noise[r] = '"-inf"'  # perfect cancellation, as _dump_json writes it
+    columns = (theta, var_L, nb, values.partial_no, noise, values.nonclassical,
                given, na, values.full_no, values.standard_negativity)
     return _report_block(columns), len(given), int(values.nonclassical.sum())
 
@@ -381,7 +415,7 @@ def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> 
                 summary["nonclassical_SI"] += n_nonclassical
         summary["classical_consistent"] = summary["n_rows"] - summary["nonclassical_SI"]
         for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+            _diagnose(f"warning: {warning}")
         # The tail's keys follow the rows, after its own "{\n".
         yield ((b"\n  ],\n" if summary["n_rows"] else b"],\n")
                + _dump_json(tail)[2:].encode("ascii"))
@@ -473,10 +507,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_INPUT_ERROR
     except OSError as exc:  # every file's error is an InputError: this one is stdout's
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        _diagnose(f"error: cannot write standard output: {exc}")
         # Shutdown flushes stdout again; the bytes it still holds go to
         # os.devnull, not to a second failure that exits 120.
         with contextlib.suppress(AttributeError, OSError):  # a stream with no descriptor

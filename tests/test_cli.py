@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -259,6 +260,42 @@ class TestOutputWriteFailure:
         assert capsys.readouterr().err == (
             f"error: cannot write standard output: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
 
+    @pytest.mark.parametrize("case, code", [
+        ("missing-input", EXIT_INPUT_ERROR), ("unwritable-out", EXIT_INPUT_ERROR),
+        ("extra-column", EXIT_OK), ("full-stdout", EXIT_INPUT_ERROR)])
+    def test_a_failed_standard_error_changes_no_outcome(self, tmp_path, case, code):
+        # The same exit code and files as a run whose stderr takes every
+        # error and warning.
+        class FullStream:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        csv = write_csv(tmp_path, "theta_rad,var_L,nb,run_id\n0,0.5,1,7\n")
+        outcomes = []
+        for name, stderr in [("working", io.StringIO()), ("full", FullStream())]:
+            out = tmp_path / name
+            out.mkdir()
+            argv = {
+                "missing-input": ["witness", "--input", str(tmp_path / "nope.csv"),
+                                  "--out", str(out / "r.json")],
+                # A directory cannot be written as the report.
+                "unwritable-out": ["validate", "--trials", "2", "--cutoff-max", "8",
+                                   "--out", str(out)],
+                "extra-column": ["witness", "--input", csv, "--out", str(out / "r.json")],
+                "full-stdout": ["validate", "--trials", "0"],
+            }[case]
+            stdout = FullStream() if case == "full-stdout" else io.StringIO()
+            with redirect_stderr(stderr), redirect_stdout(stdout):
+                outcomes.append((main(argv), listing(out)))
+            if name == "working":
+                assert stderr.getvalue().startswith("warning" if code == EXIT_OK else "error")
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+        assert bool(outcomes[0][1]) == (case == "extra-column")
+
     def test_a_link_is_written_through(self, tmp_path):
         # A link such as /dev/stdout is the user's: it is written through,
         # not replaced.
@@ -379,7 +416,7 @@ class TestWitnessCommand:
             tmp_path,
             "theta_rad,var_L,nb,detector_id\n0.0,0.2,0.1,7\n")
         lines, width, at, warnings = cli._read_header(path)
-        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        columns, given, _ = cli._read_rows(lines[1:], width, at, 2)
         assert columns.tolist() == [[0.0], [0.2], [0.1], [0.0]]
         assert given.tolist() == [False]
         assert any("detector_id" in w for w in warnings)
@@ -403,7 +440,7 @@ class TestWitnessCommand:
     def test_blank_lines_skipped(self, tmp_path):
         path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.0,0.2,0.1\n\n")
         lines, width, at, _ = cli._read_header(path)
-        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        columns, given, _ = cli._read_rows(lines[1:], width, at, 2)
         assert columns.shape == (len(WITNESS_COLUMNS), 1) and given.tolist() == [False]
 
     def test_columns_parsed_exactly(self, tmp_path):
@@ -411,7 +448,7 @@ class TestWitnessCommand:
         # is reported with neither.
         path = write_csv(tmp_path, "na,nb,var_L,theta_rad\n0,0.3,0.2,0.1\n\n,3,2,1\n")
         lines, width, at, warnings = cli._read_header(path)
-        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        columns, given, _ = cli._read_rows(lines[1:], width, at, 2)
         assert warnings == []
         assert columns.flags.c_contiguous
         assert columns.tolist() == [[0.1, 1.0], [0.2, 2.0], [0.3, 3.0], [0.0, 0.0]]
@@ -516,21 +553,21 @@ class TestWitnessCommand:
         path = tmp_path / "moments.csv"
         path.write_bytes(b"theta_rad,var_L,nb\n0,0.5\x0c,1\n")
         lines, width, at, warnings = cli._read_header(str(path))
-        columns, _ = cli._read_rows(lines[1:], width, at, 2)
+        columns, _, _ = cli._read_rows(lines[1:], width, at, 2)
         assert (columns[1].tolist(), warnings) == ([0.5], [])
 
     @pytest.mark.parametrize("na", ["  ", "\x85", " \t\u2028"], ids=["spaces", "nel", "mixed"])
     def test_na_cell_of_whitespace_is_empty(self, tmp_path, na):
         path = write_csv(tmp_path, f"theta_rad,var_L,nb,na\n0,0.5,1,{na}\n")
         lines, width, at, _ = cli._read_header(path)
-        columns, given = cli._read_rows(lines[1:], width, at, 2)
+        columns, given, _ = cli._read_rows(lines[1:], width, at, 2)
         assert columns[:, 0].tolist() == [0.0, 0.5, 1.0, 0.0] and given.tolist() == [False]
 
     def test_unnamed_extra_column_is_named_by_position(self, tmp_path):
         # A header that ends in a comma has an empty last name.
         path = write_csv(tmp_path, "theta_rad,var_L,nb,,detector_id,\n0,0.5,1,2,7,\n")
         lines, width, at, warnings = cli._read_header(path)
-        columns, _ = cli._read_rows(lines[1:], width, at, 2)
+        columns, _, _ = cli._read_rows(lines[1:], width, at, 2)
         assert columns[1].tolist() == [0.5]
         assert warnings == ["ignoring extra columns: unnamed column 4, detector_id, "
                             "unnamed column 6"]
@@ -653,6 +690,28 @@ def reader_cell(column):
     return number | number.map(" {} ".format)
 
 
+# The report's echo rule for a cell, as written in the cli docstring.
+PLAIN_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)\.[0-9]+")
+# Per column, numbers whose every spelling below is in range: nb >= 1 stays
+# > 0 when rounded to an integer or to k decimals.
+SPELLED_NUMBERS = {"theta_rad": finite, "var_L": nonnegative, "nb": st.floats(1.0, 1e6),
+                   "na": nonnegative}
+
+
+def spelled_cell(column, plain_only):
+    """A cell of ``column`` that float() reads: ``repr`` or ``%.{k}f`` with
+    trailing zeros, and unless ``plain_only`` also ``%.18e``, an integer,
+    ``+x``, ``.5``, a leading zero, an unsigned exponent or a cell with
+    spaces around it; an empty na cell either way."""
+    number = SPELLED_NUMBERS[column]
+    cell = number.map(repr) | st.tuples(number, st.integers(1, 20)).map(
+        lambda pair: f"{pair[0]:.{pair[1]}f}")
+    if not plain_only:
+        cell = (cell | number.map("{:.18e}".format) | number.map(lambda x: str(int(x)))
+                | number.map(lambda x: f"+{abs(x)!r}") | st.integers(1, 99).map(".{}".format)
+                | number.map(lambda x: f"0{abs(x)!r}") | st.integers(1, 99).map("{}.5e1".format)
+                | cell.map(" {} ".format))
+    return cell | st.just("") if column == "na" else cell
 
 
 BAD_CELL = st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
@@ -783,7 +842,7 @@ class TestWitnessInputBoundaries:
                     with pytest.raises(InputError, match=rf"^line {bad_line_no}: "):
                         cli._read_rows(file_lines[1:], width, at, 2)
                     return
-                columns, given = cli._read_rows(file_lines[1:], width, at, 2)
+                columns, given, _ = cli._read_rows(file_lines[1:], width, at, 2)
         rows = [text.split(",") for text in lines if text.strip()]
         texts = [[cells[header.index(column)] if column in header else ""
                   for column in WITNESS_COLUMNS] for cells in rows]
@@ -791,6 +850,67 @@ class TestWitnessInputBoundaries:
                              for row in texts]).reshape(-1, len(WITNESS_COLUMNS)).T
         assert columns.tobytes() == expected.tobytes()
         assert given.tolist() == [bool(row[-1].strip()) for row in texts]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reader_echoes_each_column_of_plain_decimals(self, data):
+        # Cells spelled many ways, mixed within and across blocks of one to
+        # four lines: a block's column is echoed exactly where every given
+        # cell is a plain decimal, as the cells written, each of which strict
+        # JSON reads as the float the reader parsed, bit for bit.
+        names = ["theta_rad", "var_L", "nb"] + ["na"] * data.draw(st.booleans(), label="na")
+        header = data.draw(st.permutations(names + ["run_id"]), label="header")
+        plain_only = {column: data.draw(st.booleans(), label=f"{column} plain only")
+                      for column in names}
+        cells = [st.just("r") if column == "run_id" else spelled_cell(column, plain_only[column])
+                 for column in header]
+        lines = data.draw(st.lists(st.tuples(*cells).map(",".join) | st.just(""), max_size=12),
+                          label="lines")
+        block = data.draw(st.integers(1, 4), label="lines per block")
+        width = len(header)
+        at = tuple(header.index(column) if column in header else None
+                   for column in WITNESS_COLUMNS)
+        for start in range(0, len(lines), block):
+            chunk = lines[start:start + block]
+            columns, given, echoes = cli._read_rows(chunk, width, at, start + 2)
+            rows = [line.split(",") for line in chunk if line.strip()]
+            for column, k, values, echo in zip(WITNESS_COLUMNS, at, columns, echoes):
+                if k is None:
+                    assert echo is None
+                    continue
+                texts = [row[k] for row in rows]
+                shown = given.tolist() if column == "na" else [True] * len(rows)
+                written = [(text, value) for text, value, show in zip(texts, values, shown)
+                           if show]
+                assert (echo is not None) == all(PLAIN_DECIMAL.fullmatch(text)
+                                                 for text, _ in written)
+                if echo is None:
+                    continue
+                assert echo == texts
+                for text, value in written:
+                    read = json.loads(text, parse_constant=_reject_constant)
+                    assert type(read) is float
+                    assert np.float64(read).tobytes() == np.float64(float(text)).tobytes()
+                    assert np.float64(read).tobytes() == value.tobytes()
+
+    def test_a_column_of_plain_decimals_is_echoed_as_written(self, tmp_path):
+        # The texts themselves, not their floats' repr: 0.50 stays 0.50 and
+        # -0.000 keeps its sign; an empty na cell is never written.
+        path = write_csv(tmp_path, "theta_rad,var_L,nb,na\n"
+                                   "0.1,0.50,2.0,\n-0.000,25.835170,1.25,0.000\n")
+        lines, width, at, _ = cli._read_header(path)
+        columns, given, echoes = cli._read_rows(lines[1:], width, at, 2)
+        assert echoes == [["0.1", "-0.000"], ["0.50", "25.835170"], ["2.0", "1.25"],
+                          ["", "0.000"]]
+        assert columns.tolist() == [[0.1, -0.0], [0.5, 25.83517], [2.0, 1.25], [0.0, 0.0]]
+        out = tmp_path / "report.json"
+        cmd_witness(path, str(out))
+        text = out.read_text(encoding="utf-8")
+        assert re.findall(r'"(?:theta_rad|var_L|na)": ([^,\n]+)', text) == [
+            "0.1", "0.50", "0.000", "-0.000", "25.835170"]
+        rows = read_report(out)["rows"]
+        assert [row["var_L"] for row in rows] == [0.5, 25.83517]
+        assert math.copysign(1.0, rows[1]["theta_rad"]) == -1.0
 
 
 def _reject_constant(name):
@@ -866,6 +986,24 @@ class TestWitnessReportBlocks:
         out = tmp_path / "report.json"
         cmd_witness(path, str(out))
         assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_each_column_of_each_block_is_echoed_or_written_as_repr(self, tmp_path,
+                                                                     monkeypatch, cores):
+        # Blocks of two lines: var_L is echoed in the first block and written
+        # as repr in the second, whose 2 is no plain decimal; the other
+        # columns are echoed in both.
+        path = write_csv(tmp_path, "theta_rad,var_L,nb\n0.1,0.50,1.0\n0.2,1.250,1.0\n"
+                                   "0.3,0.50,1.0\n0.4,2,1.0\n")
+        monkeypatch.setattr(cli, "REPORT_BLOCK_ROWS", 2)
+        use_cores(monkeypatch, cores)
+        out = tmp_path / "report.json"
+        cmd_witness(path, str(out))
+        text = out.read_text(encoding="utf-8")
+        assert re.findall(r'"var_L": ([^,\n]+)', text) == ["0.50", "1.250", "0.5", "2.0"]
+        assert re.findall(r'"theta_rad": ([^,\n]+)', text) == ["0.1", "0.2", "0.3", "0.4"]
+        assert [row["var_L"] for row in read_report(out)["rows"]] == [0.5, 1.25, 0.5, 2.0]
+        assert_no_child_left()
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -1002,7 +1140,7 @@ def test_lines_end_only_at_universal_newlines(data):
             assert not out.exists()
         else:
             file_lines, width, at, _ = cli._read_header(str(path))
-            columns, given = cli._read_rows(file_lines[1:], width, at, 2)
+            columns, given, _ = cli._read_rows(file_lines[1:], width, at, 2)
             want = [(theta, var_l, nb, 0.0 if na is None else na)
                     for theta, var_l, nb, na in rows]
             assert columns.tobytes() == np.array(want).reshape(-1, 4).T.tobytes()
@@ -1180,6 +1318,25 @@ class TestWitnessReportLayout:
         out = tmp_path / "report.json"
         cmd_witness(str(DATA / "witness_golden.csv"), str(out))
         assert out.read_bytes() == (DATA / "witness_golden.json").read_bytes()
+
+    def test_a_savetxt_csv_is_written_as_repr(self, tmp_path):
+        # numpy.savetxt's default %.18e spells no cell as a plain decimal, so
+        # each column of each block is written as repr, as json.dumps writes
+        # it.  The golden report's 0,1e10,1e-300 row keeps 0.0,
+        # 10000000000.0 and 1e-300.
+        rows = [(theta, var_l, nb, 1.5 if na is None else na)
+                for theta, var_l, nb, na in mixed_rows(REPORT_BLOCK_ROWS + 17)]
+        path, out = tmp_path / "savetxt.csv", tmp_path / "report.json"
+        np.savetxt(path, np.array(rows), delimiter=",", header="theta_rad,var_L,nb,na",
+                   comments="")
+        assert path.read_text(encoding="ascii").splitlines()[1].count("e") == 4
+        cmd_witness(str(path), str(out))
+        assert out.read_bytes() == reference_report(rows, 1e-9).encode("utf-8")
+        cmd_witness(str(DATA / "witness_golden.csv"), str(out))
+        golden = (DATA / "witness_golden.json").read_bytes()
+        assert out.read_bytes() == golden
+        assert (b'"nb": 1e-300,\n      "noise_db": 3100.0,\n      "partial_no": 10000000000.0,'
+                b'\n      "theta_rad": 0.0,\n      "var_L": 10000000000.0,') in golden
 
     @given(VALID_ROWS | WIDE_ROWS, st.floats(0.0, 10.0))
     @settings(max_examples=150, deadline=None)

@@ -132,6 +132,27 @@ def test_a_closed_pipe_as_standard_output_exits_2_and_keeps_the_files(tmp_path, 
         "fluctuations.csv", "fluctuations_summary.json"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail stderr")
+@pytest.mark.parametrize("case", ["missing-input", "full-out", "extra-column"])
+def test_a_full_standard_error_keeps_the_exit_code_and_the_report(tmp_path, case):
+    # As `2> /dev/full`: every warning and error is lost, and nothing else.
+    csv = write(tmp_path / "moments.csv", b"theta_rad,var_L,nb,run_id\n0,0.5,1,7\n")
+    argv, code = {
+        "missing-input": (("witness", "--input", tmp_path / "nope.csv", "--out",
+                           tmp_path / "nope.json"), EXIT_INPUT_ERROR),
+        "full-out": (("validate", "--trials", "2", "--cutoff-max", "8", "--out", "/dev/full"),
+                     EXIT_INPUT_ERROR),
+        "extra-column": (("witness", "--input", csv, "--out", tmp_path / "full.json"), EXIT_OK),
+    }[case]
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "squeezewitness.cli", *map(str, argv)],
+                                env=ENV, stdout=subprocess.DEVNULL, stderr=full)
+    assert result.returncode == code
+    if case == "extra-column":
+        assert "extra columns" in run("witness", "--input", csv, "--out", tmp_path / "r.json")
+        assert cmp(tmp_path / "r.json", tmp_path / "full.json")
+
+
 # ---------------------------------------------------------------------------
 # witness
 # ---------------------------------------------------------------------------
