@@ -12,20 +12,21 @@ Commands
     ``theta_rad,var_L,nb[,na]`` with a header row; ``nb`` is the
     blocked-signal (vacuum) calibration of the difference variance.
     ``T`` is checked first, then that ``--out`` is not the input file; then
-    this process reads the file and checks its header, and a repeated
-    schema column is an error before any row is read.  Each block of lines
-    is one task of the package's one fork pool, which parses and checks it
-    a column at a time, evaluates it and formats its report rows; the
+    this process reads the file and checks its header, and a repeated schema
+    column is an error before any row is read.  Each block of lines is one
+    task of the package's one fork pool: one function that reads and checks
+    it a column at a time, evaluates it and writes its report rows; the
     blocks are written in order, the same bytes for any core count.  The
     report echoes ``theta_rad``, ``var_L``, ``nb`` and ``na`` per column and
     per 8192-line block, so its bytes stay the same for any core count:
     where every given cell of a column in a block is a plain decimal,
     ``-?(0|[1-9][0-9]*)\\.[0-9]+``, its cells are written as they are, and
-    otherwise as ``repr`` of their floats.  Either way each echoed cell
-    reads back as the float its cell parsed to.  The first bad line of the
-    file, malformed or out of range, is an error naming that line; within
-    it, a wrong cell count comes first, then a cell that is not a number,
-    then a cell out of range, then an overflowing ``full_no``.
+    otherwise as ``repr`` of their floats.  Either way each echoed cell reads
+    back as the float its cell parsed to.  The first bad line of the file,
+    malformed or out of range, is an error naming that line; within it, a
+    wrong cell count comes first, then a cell that is not a number
+    (``float`` rejects it, or it holds a digit-group ``_``), then a cell out
+    of range, then an overflowing ``full_no``.
     ``cmd_witness`` returns only the report's ``tol`` and ``summary``.
 ``validate [--trials N] [--seed S] [--cutoff-max C] [--out <json>]``
     Run the randomized property suites, the oracle's cutoff doubling up to
@@ -258,12 +259,13 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple:
     every given cell is a plain decimal, else None.
 
     ``at`` holds each schema column's index in a line, None for a missing
-    ``na``; blank lines are skipped.  The checks run in the order of the
-    errors within a line (cell count, ``float``, the rules, ``full_no``) and
-    each error narrows the later checks to the rows above it, so the last
-    one found is on the first bad line.  It raises :class:`InputError` with
-    that line's 1-based number in the file, where ``lines[0]`` is line
-    ``first``.
+    ``na``; blank lines are skipped.  A cell that holds ``_`` is not a
+    number, though ``float`` reads ``1_5`` as 15.  The checks run in the
+    order of the errors within a line (cell count, ``float``, the rules,
+    ``full_no``) and each error narrows the later checks to the rows above
+    it, so the last one found is on the first bad line.  It raises
+    :class:`InputError` with that line's 1-based number in the file, where
+    ``lines[0]`` is line ``first``.
     """
     rows = list(filter(str.strip, lines))
     n, error = len(rows), None  # error: the message for row n
@@ -287,17 +289,22 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple:
                          for text, kept in zip(texts, map(str.strip, texts))]
             where = np.flatnonzero(given)
             texts = [texts[r] for r in where.tolist()]
+        joined = ",".join([*texts, ""])  # one scan and one match over the column
         try:
+            if "_" in joined:
+                raise ValueError
             values[where] = np.fromiter(map(float, texts), float, len(texts))
         except ValueError:
             for r, text in zip(np.arange(n)[where].tolist(), texts):
                 try:
+                    if "_" in text:  # float() reads 1_5 as 15; no measured value is spelled so
+                        raise ValueError(f"could not convert string to float: {text!r}")
                     values[r] = float(text)
                 except ValueError as exc:
                     n, error = r, str(exc)
                     break
-        else:  # one match over the column, not one per cell
-            if _PLAIN_DECIMALS.fullmatch(",".join([*texts, ""])):
+        else:
+            if _PLAIN_DECIMALS.fullmatch(joined):
                 echoes[j] = echo
     for (column, in_range, rule), values in zip(CELL_RULES, columns):
         values = values[:n]  # each error narrows the later rules
@@ -323,57 +330,40 @@ def _read_rows(lines: list[str], width: int, at: tuple, first: int) -> tuple:
     return columns, given, echoes
 
 
-def _report_block(columns) -> bytes:
-    """The rows of ``columns`` in ``_dump_json``'s layout, joined by the
-    commas between them, as ASCII.  Each column is an array or a list.
-    ``theta_rad``, ``var_L``, ``nb``, ``noise_db`` and ``na`` may hold
-    ``str`` cells, written as they are; a float is written as its ``repr``,
-    which is also its ``!s``."""
-    cells = zip(*(column if isinstance(column, list) else column.tolist()
-                  for column in columns))
+def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: int):
+    """Lines ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``lines`` (0-based,
+    the header is line 0) as report rows: parsed and checked by
+    :func:`_read_rows`, evaluated by the kernel and written in
+    ``_dump_json``'s layout, joined by the commas between them, as ASCII.
+    Each column that the reader echoes is written as its cells, and every
+    other value as its float's ``repr``.  Returns the rows' bytes, their
+    count and how many are nonclassical, or the message of the block's
+    first bad line."""
+    try:
+        columns, given, echoes = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at,
+                                            start + 1)
+    except InputError as exc:
+        return str(exc)
+    values = witness_values(*columns[1:], tol)
+    theta, var_L, nb, na = (column.tolist() if echo is None else echo
+                            for column, echo in zip(columns, echoes))
+    noise = values.noise_db.tolist()
+    for r in np.flatnonzero(values.noise_db == -np.inf).tolist():
+        noise[r] = '"-inf"'  # perfect cancellation, as _dump_json writes it
+    # A str cell is written as it is; a float's !s is its repr.
     rows = [
         f'\n    {{\n      "full_no": {f!r},\n      "na": {a!s},\n      "nb": {b!s},'
         f'\n      "noise_db": {n!s},\n      "partial_no": {p!r},'
         f'\n      "standard_negativity": {_JSON_BOOL[negative]},\n      "theta_rad": {t!s},'
         f'\n      "var_L": {v!s},\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
-        if given else
+        if given_na else
         f'\n    {{\n      "nb": {b!s},\n      "noise_db": {n!s},\n      "partial_no": {p!r},'
         f'\n      "theta_rad": {t!s},\n      "var_L": {v!s},'
         f'\n      "verdict": {_JSON_VERDICT[nonclassical]}\n    }}'
-        for t, v, b, p, n, nonclassical, given, a, f, negative in cells]
-    return ",".join(rows).encode("ascii")
-
-
-def _witness_block(lines: list[str], width: int, at: tuple, tol: float, start: int):
-    """Lines ``start`` to ``start + REPORT_BLOCK_ROWS`` of ``lines`` (0-based,
-    the header is line 0) as report rows: parsed and checked by
-    :func:`_read_rows`, evaluated by the kernel and formatted by
-    :func:`_report_block`, which echoes each column that the reader
-    echoes.  Returns the rows' bytes, their count and how many are
-    nonclassical, or the message of the block's first bad line."""
-    try:
-        columns, given, echoes = _read_rows(lines[start:start + REPORT_BLOCK_ROWS], width, at,
-                                            start + 1)
-        var_L, nb, na = columns[1:]
-        values = witness_values(var_L, nb, na, tol)
-        # The kernel keeps partial_no and full_no finite and the reader's rules
-        # leave no other non-finite value; this check keeps the report strict
-        # JSON even so, as allow_nan=False does in _dump_json.
-        noise_db = values.noise_db
-        for column, cells in (*zip(WITNESS_COLUMNS, columns),
-                              ("noise_db", noise_db[noise_db != -np.inf])):
-            if not np.isfinite(cells).all():
-                raise ValueError(f"{column} holds a value that JSON cannot represent")
-    except (InputError, ValueError) as exc:
-        return str(exc)
-    theta, var_L, nb, na = (column if echo is None else echo
-                            for column, echo in zip(columns, echoes))
-    noise = noise_db.tolist()
-    for r in np.flatnonzero(noise_db == -np.inf).tolist():
-        noise[r] = '"-inf"'  # perfect cancellation, as _dump_json writes it
-    columns = (theta, var_L, nb, values.partial_no, noise, values.nonclassical,
-               given, na, values.full_no, values.standard_negativity)
-    return _report_block(columns), len(given), int(values.nonclassical.sum())
+        for t, v, b, p, n, nonclassical, given_na, a, f, negative in zip(
+            theta, var_L, nb, values.partial_no.tolist(), noise, values.nonclassical.tolist(),
+            given.tolist(), na, values.full_no.tolist(), values.standard_negativity.tolist())]
+    return ",".join(rows).encode("ascii"), len(rows), int(values.nonclassical.sum())
 
 
 def cmd_witness(input_path: str, out: str, tol: float = DEFAULT_VERDICT_TOL) -> dict:

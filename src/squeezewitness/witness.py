@@ -114,6 +114,13 @@ def witness_values(var_L, nb, na=None,
     first non-finite ``var_L``, ``nb`` or ``na`` or ``nb <= 0``, then at the
     first ``partial_no`` or ``full_no`` that overflows to infinity, and
     ``ValueError`` for a non-finite or negative ``tol``.
+
+    A negative ``var_L`` is accepted on purpose: at the matched-squeezing
+    null the closed forms round below zero (a squeezed-vacuum signal and LO
+    of one ``zeta`` in [0.01, 2] at ``theta = pi/2`` give values down to
+    -1.7e-13), and its ``noise_db`` is ``-inf``.  ``var_L >= 0`` is the
+    ``witness`` command's rule for measured cells, not this kernel's; the
+    two rule sets differ by design.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")

@@ -38,7 +38,7 @@ from squeezewitness.cli import (
 )
 from squeezewitness.figures import build_figure, render_csv
 from squeezewitness.validate import suite_channel_laws
-from squeezewitness.witness import witness_values
+from squeezewitness.witness import ZERO_VARIANCE_TOL, witness_values
 
 DATA = Path(__file__).resolve().parent / "data"
 CEILING_RULE = "cutoff_max must be a power of two from 4 to 512, the oracle's cap, got "
@@ -493,10 +493,19 @@ class TestWitnessCommand:
          "line 2: could not convert string to float: '\\x1c1'"),
         ("theta_rad,var_L,nb,na", "0,0.5,1,\x1c\n",
          "line 2: could not convert string to float: '\\x1c'"),
+        # float() reads 1_5 as 15.  A schema cell that holds _ is not a
+        # number, in the same place in the order; an extra column may hold one.
+        ("theta_rad,var_L,nb,na", "0.1,1_5,1.0,0.5\n",
+         "line 2: could not convert string to float: '1_5'"),
+        ("theta_rad,var_L,nb,run_1", "0,1,1,1_0\n0,nan, 1_5 ,1_0\n",
+         "line 3: could not convert string to float: ' 1_5 '"),
+        ("theta_rad,var_L,nb", "0,1,1\n0,1,x\n0,1_5,1\n",
+         "line 3: could not convert string to float: 'x'"),
     ], ids=["kernel-rule-above-cli-rule", "cli-rule-below-kernel-rule",
             "out-of-range-above-malformed", "out-of-range-above-short-row",
             "unparsable-before-rule", "cell-count-before-rule", "unparsable-na",
-            "separator-before-na", "separator-alone-in-na"])
+            "separator-before-na", "separator-alone-in-na", "underscore",
+            "underscore-before-rule", "unparsable-above-underscore"])
     def test_first_bad_line_is_named(self, tmp_path, capsys, header, rows, message):
         path = write_csv(tmp_path, f"{header}\n{rows}")
         code = main(["witness", "--input", path, "--out", str(tmp_path / "r.json")])
@@ -523,13 +532,16 @@ class TestWitnessCommand:
          "line 4: byte 0xe9 is not UTF-8 (unexpected end of data)"),
         (b"theta_rad,var_L,\xffnb\n0,0.5,1\n",
          "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
-    ], ids=["row", "marked-crlf-end", "header"])
+        # A file with no line, after any mark, has no line to name.
+        (b"", "{path}: empty file"),
+        (b"\xef\xbb\xbf", "{path}: empty file"),
+    ], ids=["row", "marked-crlf-end", "header", "empty", "mark-only"])
     def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, data, message):
         path = tmp_path / "moments.csv"
         path.write_bytes(data)
         out = tmp_path / "report.json"
         assert main(["witness", "--input", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("data, message", [
@@ -662,8 +674,26 @@ class TestWitnessCommand:
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 nonnegative = st.floats(0.0, 1e6)
 positive = st.floats(1e-6, 1e6)
-VALID_ROWS = st.lists(
-    st.tuples(finite, nonnegative, positive, st.none() | nonnegative), max_size=6)
+VALID_ROW = st.tuples(finite, nonnegative, positive, st.none() | nonnegative)
+VALID_ROWS = st.lists(VALID_ROW, max_size=6)
+
+
+@st.composite
+def edge_row(draw):
+    """A valid row at the edges of the reader's range: any finite theta_rad,
+    var_L of 0, ZERO_VARIANCE_TOL or 1.7e308, nb from 5e-324 to 1.7e308,
+    and na empty or close below where full_no = var_L - nb - na overflows."""
+    theta = draw(st.floats(allow_nan=False, allow_infinity=False))
+    var_l = draw(st.sampled_from([0.0, ZERO_VARIANCE_TOL, 1.7e308]) | nonnegative)
+    nb = draw(st.floats(5e-324, 1.7e308))
+    edge = min(sys.float_info.max, sys.float_info.max + (var_l - nb))
+    while not math.isfinite(var_l - nb - edge):
+        edge = math.nextafter(edge, 0.0)
+    return theta, var_l, nb, draw(st.none() | st.floats(edge * (1 - 1e-9), edge))
+
+
+# Rows that mix VALID_ROWS' rows with rows at the edges of the reader's range.
+EDGE_ROWS = st.lists(VALID_ROW | edge_row(), max_size=6)
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 # Per column, cells that are finite but out of range.
 OUT_OF_RANGE = {
@@ -674,15 +704,18 @@ OUT_OF_RANGE = {
 }
 
 
-# Cells for the reader, per column: in range, with the spaces and the
-# underscore that float() accepts, empty for na, and 1.7e308 but for na, so
-# that full_no = var_L - nb - na stays finite.
+# Cells for the reader, per column: in range, with the spaces that float()
+# accepts, empty for na, and 1.7e308 but for na, so that full_no = var_L -
+# nb - na stays finite.  The digit-group underscore that float() accepts is
+# no number in a schema cell, but the extra run_id column may hold it.
 READER_NUMBERS = {"theta_rad": finite, "var_L": nonnegative, "nb": positive,
                   "na": nonnegative, "run_id": finite}
 
 
 def reader_cell(column):
-    number = READER_NUMBERS[column].map(repr) | st.just("1_0")
+    number = READER_NUMBERS[column].map(repr)
+    if column == "run_id":
+        number = number | st.just("1_0")
     if column == "na":
         number = number | st.just("")
     else:
@@ -716,10 +749,10 @@ def spelled_cell(column, plain_only):
 
 BAD_CELL = st.sampled_from(["theta_rad", "var_L", "nb", "na"]).flatmap(
     lambda column: st.tuples(st.just(column), NON_FINITE | OUT_OF_RANGE[column]))
-# Lines that cannot be parsed: a non-number, an empty required cell, too few
-# or too many cells.
+# Lines that cannot be parsed: a non-number, an empty required cell, a
+# digit-group underscore, too few or too many cells.
 MALFORMED = st.sampled_from(["x,1.5,1.0,0.25", "0.5,,1.0,0.25", "0.5,1.5,1.0,1e",
-                             "0.5,1.5", "0.5,1.5,1.0,0.25,7"])
+                             "0.5,1_5,1.0,0.25", "0.5,1.5", "0.5,1.5,1.0,0.25,7"])
 
 
 def bad_line(column, cell) -> str:
@@ -782,9 +815,11 @@ class TestWitnessInputBoundaries:
             assert stderr.getvalue().startswith(f"error: line {first}: ")
             assert not out.exists()
 
-    @given(VALID_ROWS, st.floats(0.0, 10.0))
+    @given(EDGE_ROWS, st.floats(0.0, 10.0))
     @settings(max_examples=120, deadline=None)
     def test_valid_rows_give_strict_json_and_counts(self, rows, tol):
+        # Every accepted row, up to the edges of the reader's range, gives
+        # finite values but for noise_db = "-inf", which strict JSON reads.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "moments.csv"
             path.write_text(moments_csv(rows), encoding="utf-8")
@@ -817,8 +852,9 @@ class TestWitnessInputBoundaries:
         # full_no, or a cell too few or too many.
         bad_at = st.sampled_from([k for k, column in enumerate(header)
                                   if column in WITNESS_COLUMNS])
+        malformed = st.sampled_from(["x", "1e", "1_0"])
         bad_cell = bad_at.flatmap(lambda k: st.tuples(
-            *cells[:k], OUT_OF_RANGE[header[k]] | NON_FINITE | st.sampled_from(["x", "1e"]),
+            *cells[:k], OUT_OF_RANGE[header[k]] | NON_FINITE | malformed,
             *cells[k + 1:])).map(",".join)
         overflow = {"var_L": "0", "nb": "1.7e308", "na": "1.7e308"}
         overflow_line = line.map(lambda text: ",".join(
@@ -1153,14 +1189,14 @@ def test_lines_end_only_at_universal_newlines(data):
 
 def break_workers(monkeypatch, fault):
     """Make every worker raise, or exit with status 0, at its first block;
-    the fork inherits the patched formatter."""
+    the fork inherits the patched reader, which only the workers call."""
 
-    def faulty_block(columns):
+    def faulty_read(lines, width, at, first):
         if fault == "raise":
             raise MemoryError
         os._exit(0)
 
-    monkeypatch.setattr("squeezewitness.cli._report_block", faulty_block)
+    monkeypatch.setattr("squeezewitness.cli._read_rows", faulty_read)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the report forks its workers")
@@ -1269,14 +1305,14 @@ class TestWitnessReportFailure:
         bad = [("var_L", "nan")] if fault == "bad-line" else []
         path = write_csv(tmp_path, moments_csv(rows, *bad))
         if fault == "worker":
-            report_block = cli._report_block
+            read_rows = cli._read_rows
 
-            def dying_at_the_last_block(columns):
-                if len(columns[0]) < REPORT_BLOCK_ROWS:
+            def dying_at_the_last_block(lines, width, at, first):
+                if len(lines) < REPORT_BLOCK_ROWS:
                     os._exit(0)
-                return report_block(columns)
+                return read_rows(lines, width, at, first)
 
-            monkeypatch.setattr(cli, "_report_block", dying_at_the_last_block)
+            monkeypatch.setattr(cli, "_read_rows", dying_at_the_last_block)
         target = tmp_path / "target.json"
         if previous:
             target.write_bytes(b"previous report\n")

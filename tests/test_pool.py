@@ -2,10 +2,14 @@ import contextlib
 import io
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from forking import assert_no_child_left, fail_fork, fail_pipe, open_descriptors, use_cores
 
+import squeezewitness
 from squeezewitness._pool import WorkerError, _receive, fork_map
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
@@ -160,3 +164,31 @@ def test_a_failing_parent_task_leaves_no_worker(monkeypatch):
 
     with pytest.raises(ValueError, match="bad item"):
         list(fork_map(task, range(5)))
+
+
+# The pool beside a live thread, such as BLAS's, in an interpreter where
+# every warning is an error.  Python 3.12 and later give a
+# DeprecationWarning at each such fork, but clear the error it raises, so
+# this script fails on any other warning, not on that one.
+FORK_BESIDE_A_THREAD = """
+import threading
+from squeezewitness._pool import fork_map
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+try:
+    assert list(fork_map(lambda item: item * item, range(5))) == [0, 1, 4, 9, 16]
+finally:
+    stop.set()
+    thread.join()
+"""
+
+
+def test_the_pool_beside_a_live_thread_runs_with_every_warning_an_error():
+    # A fresh interpreter that imports only the pool.
+    src = str(Path(squeezewitness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-W", "error", "-c", FORK_BESIDE_A_THREAD],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
