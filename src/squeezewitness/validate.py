@@ -61,6 +61,16 @@ BATH_FOLD_CUTOFF = 36
 REORDER_CUTOFF = 10
 REORDER_MAX_DEGREE = 4
 
+# The bath unitary of each channel on a vacuum ancilla ``b``: the angle as a
+# function of the square root of its strength, and the anti-Hermitian
+# generator, a beam splitter of transmissivity ``eta`` or a two-mode
+# squeezer of gain ``g``.  Keyed by name: a table keyed by the channel
+# functions would miss wherever those names are rebound, as by a tracer.
+_BATH_UNITARIES = {
+    "loss": (np.arccos, OperatorExpr({("ad", "b"): 1, ("a", "bd"): -1})),
+    "gain": (np.arccosh, OperatorExpr({("ad", "bd"): 1, ("a", "b"): -1})),
+}
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -74,13 +84,8 @@ class SuiteResult:
 
     def to_json_dict(self) -> dict:
         deviation = self.max_deviation
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_deviation": deviation if np.isfinite(deviation) else str(float(deviation)),
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return {**vars(self),
+                "max_deviation": deviation if np.isfinite(deviation) else str(float(deviation))}
 
 
 def _worse(worst: float, deviation: float) -> float:
@@ -261,17 +266,26 @@ def suite_classicality(trials: int = 200, seed: int = 42) -> SuiteResult:
     return SuiteResult(name, trials, deviation, bool(deviation <= CLASSICALITY_BOUND))
 
 
+def _bath_fold(params: StateParams, kind: str, strength: float, cutoff: int) -> FockState:
+    """The pure signal ``params`` at ``cutoff`` beside a vacuum ancilla
+    ``b``, evolved by :func:`~squeezewitness.fock.evolve` under the bath
+    unitary ``kind`` of ``strength``.  It checks no argument: the channels
+    own the ranges of ``eta`` and ``g``."""
+    angle, generator = _BATH_UNITARIES[kind]
+    (signal,) = fock_states(params, StateParams(), cutoff)
+    psi = np.zeros((cutoff, cutoff), dtype=complex)
+    psi[:, 0] = signal.data[0]
+    return FockState.pure(evolve(psi, generator, angle(np.sqrt(strength))))
+
+
 def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
     """Scaling laws of the witness under loss and excess noise.
 
     Checks ``partial(loss) = eta * partial`` and ``partial(gain) = g *
     partial + (g - 1)(2 <b^dag b> + 1)`` on random scenarios, plus one
-    explicit bath-unitary fold against the channels' moment maps: a pure
-    signal and a vacuum ancilla ``b`` are evolved by
-    :func:`~squeezewitness.fock.evolve` under ``a^dag b - a b^dag``, a beam
-    splitter of transmissivity ``eta``, or ``a^dag b^dag - a b``, a two-mode
-    squeezer of gain ``g``, and the signal's ``<a>``, ``<a^2>`` and ``<a^dag
-    a>`` are read by :func:`~squeezewitness.fock.expect`.
+    explicit bath-unitary fold per channel against its moment map: the
+    signal's ``<a>``, ``<a^2>`` and ``<a^dag a>`` after :func:`_bath_fold`
+    are read by :func:`~squeezewitness.fock.expect`.
     """
     name = "channel_laws"
     trials, rng = _generator(trials, seed)
@@ -286,16 +300,11 @@ def suite_channel_laws(trials: int = 100, seed: int = 42) -> SuiteResult:
             np.abs(noisy - gain * partial - (gain - 1.0) * (2.0 * nb + 1.0)))
     worst = float(np.max(np.concatenate(laws), initial=0.0))
     params = StateParams(zeta=0.35, nbar=0.0, phi=0.6, alpha=0.7 + 0.4j)
-    (signal,) = fock_states(params, StateParams(), BATH_FOLD_CUTOFF)
-    start = np.zeros((BATH_FOLD_CUTOFF, BATH_FOLD_CUTOFF), dtype=complex)
-    start[:, 0] = signal.data[0]
     moments = [OperatorExpr.word(word) for word in (("a",), ("a", "a"), ("ad", "a"))]
     fold = 0.0
-    for channel, strength, angle, generator in (
-            (apply_loss, 0.6, np.arccos, {("ad", "b"): 1, ("a", "bd"): -1}),
-            (apply_gain_noise, 1.4, np.arccosh, {("ad", "bd"): 1, ("a", "b"): -1})):
+    for kind, channel, strength in (("loss", apply_loss, 0.6), ("gain", apply_gain_noise, 1.4)):
         mode = channel(make_state(params), strength)
-        state = FockState.pure(evolve(start, OperatorExpr(generator), angle(np.sqrt(strength))))
+        state = _bath_fold(params, kind, strength, BATH_FOLD_CUTOFF)
         for word, want in zip(moments, (mode.alpha, mode.a_sq, mode.n_a)):
             fold = _worse(fold, abs(expect(word, state) - want))
     passed = worst <= CHANNEL_LAW_TOL and fold <= CHANNEL_FOLD_TOL

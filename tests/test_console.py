@@ -6,6 +6,8 @@ not depend on the core count or on how many threads BLAS runs."""
 
 import filecmp
 import functools
+import importlib.util
+import json
 import os
 import re
 import shutil
@@ -333,3 +335,33 @@ def test_a_ceiling_off_the_rule_writes_no_report(tmp_path, ceiling, rule):
                  code=EXIT_INPUT_ERROR)
     assert rule in stderr
     assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's traced child
+# ---------------------------------------------------------------------------
+
+def test_every_command_runs_under_the_benchmark_tracer(tmp_path):
+    # bench/child.py rebinds each public function of the package to a traced
+    # wrapper after import, so a name captured at import, or a table keyed
+    # by a public function, fails under the tracer alone.
+    moments = write(tmp_path / "moments.csv", b"theta_rad,run_id,var_L,nb,na\n"
+                    b"1.5708,r0,0.0620,0.1241,\n0,r1,0.1241,0.1241,0.5\n")
+    report = tmp_path / "validate.json"
+    argvs = [["validate", "--trials", "8", "--seed", "42", "--cutoff-max", "128",
+              "--out", str(report)],
+             ["witness", "--input", str(moments), "--out", str(tmp_path / "witness.json")],
+             *(["reproduce", "--figure", figure, "--svg", "--points", "11",
+                "--out", str(tmp_path / "figures")] for figure in FIGURES)]
+    spec, result = tmp_path / "spec.json", tmp_path / "result.json"
+    spec.write_text(json.dumps({"argvs": argvs, "trace": True}), encoding="utf-8")
+    child = subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"), str(spec),
+                            str(result)], env=ENV, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, encoding="utf-8", errors="replace")
+    assert child.returncode == 0, child.stderr
+    ops = json.loads(result.read_text(encoding="utf-8"))["ops"]
+    assert [op["code"] for op in ops] == [EXIT_OK] * len(argvs), child.stderr
+    source = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(source)
+    source.loader.exec_module(checks)
+    checks.check_validate_report(report.read_text(encoding="utf-8"), 42, 8, 128)

@@ -50,6 +50,8 @@ from squeezewitness.validate import (
     CLASSICALITY_CUTOFF,
     random_expression,
     random_state_params,
+    _BATH_UNITARIES,
+    _bath_fold,
 )
 from squeezewitness.witness import TwoModeProduct, evaluate
 
@@ -541,26 +543,10 @@ class TestConvergedCutoff:
             assert expect(number, block).real == pytest.approx(np.sinh(r) ** 2, abs=1e-12)
 
 
-# The bath unitary of each channel on a vacuum ancilla ``b``: the angle as a
-# function of the square root of its strength, and the anti-Hermitian generator.
-BATH_GENERATORS = {
-    "loss": (np.arccos, OperatorExpr({("ad", "b"): 1, ("a", "bd"): -1})),
-    "gain": (np.arccosh, OperatorExpr({("ad", "bd"): 1, ("a", "b"): -1})),
-}
-
-
-def _bath_fold(params, kind, strength, cutoff):
-    """The pure signal ``params`` and a vacuum ancilla, evolved by the bath
-    unitary of ``kind``, as the channel-law suite folds them."""
-    angle, generator = BATH_GENERATORS[kind]
-    psi = np.zeros((cutoff, cutoff), dtype=complex)
-    psi[:, 0] = _pure_mode(params, cutoff)
-    return evolve(psi, generator, angle(np.sqrt(strength)))
-
-
 def _bath_fold_moments(params, kind, strength, cutoff):
-    """The signal's ``(<a>, <a^2>, <a^dag a>)`` after :func:`_bath_fold`, by ``expect``."""
-    state = FockState.pure(_bath_fold(params, kind, strength, cutoff))
+    """The signal's ``(<a>, <a^2>, <a^dag a>)`` after the channel-law
+    suite's :func:`~squeezewitness.validate._bath_fold`, by ``expect``."""
+    state = _bath_fold(params, kind, strength, cutoff)
     return tuple(expect(OperatorExpr.word(word), state)
                  for word in (("a",), ("a", "a"), ("ad", "a")))
 
@@ -627,7 +613,7 @@ class TestChannelFolds:
     def test_preserves_norm(self, kind, strength):
         psi = _random_tensor(24, 3)
         psi /= np.linalg.norm(psi)
-        angle, generator = BATH_GENERATORS[kind]
+        angle, generator = _BATH_UNITARIES[kind]
         psi = evolve(psi, generator, angle(np.sqrt(strength)))
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-13
 
@@ -636,7 +622,7 @@ class TestChannelFolds:
     ])
     def test_matches_dense_ladder_fold_bit_for_bit(self, kind, strength, cutoff):
         params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
-        got = _bath_fold(params, kind, strength, cutoff)
+        got = _bath_fold(params, kind, strength, cutoff).data
         assert np.array_equal(got.view(float),
                               ladder_fold(params, kind, strength, cutoff).view(float))
 

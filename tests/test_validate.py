@@ -8,7 +8,9 @@ from dense_reference import reorder_deviation
 from forking import assert_no_child_left, use_cores
 
 from squeezewitness import validate
-from squeezewitness.gaussian import StateParams
+from squeezewitness.channels import apply_gain_noise, apply_loss
+from squeezewitness.fock import expect
+from squeezewitness.gaussian import StateParams, make_state
 from squeezewitness.opexpr import OperatorExpr, formal_normal_order
 from squeezewitness.validate import (
     _draw_pairs,
@@ -71,6 +73,20 @@ def test_failing_channel_law_still_reports_the_fold(monkeypatch):
     assert passing.passed and not failing.passed
     assert failing.detail == passing.detail
     assert failing.detail.startswith("bath-fold deviation ")
+
+
+def test_the_suite_reports_the_fold_that_the_tests_pin():
+    # At zero trials the scaling laws add 0, so the suite's deviation is
+    # that of the fold that the dense references in test_fock.py pin.
+    params = StateParams(zeta=0.35, phi=0.6, alpha=0.7 + 0.4j)
+    words = [OperatorExpr.word(word) for word in (("a",), ("a", "a"), ("ad", "a"))]
+    deviations = []
+    for kind, channel, strength in (("loss", apply_loss, 0.6), ("gain", apply_gain_noise, 1.4)):
+        state = validate._bath_fold(params, kind, strength, 36)
+        mode = channel(make_state(params), strength)
+        deviations += [abs(expect(word, state) - want)
+                       for word, want in zip(words, (mode.alpha, mode.a_sq, mode.n_a))]
+    assert suite_channel_laws(0, 42).max_deviation == max(deviations)
 
 
 def test_failing_gaussian_fock_suite_names_the_trial():
